@@ -75,6 +75,7 @@ from .nogo import (
     RingInstance,
     SubmeasurementReport,
     build_ring_instance,
+    certain_subsets,
     certify_distance,
     distance_bound,
     distance_constraint_system,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .graphs import Graph, UnsupportedSizeError, chain, is_chain
-from .lhv import ProtocolOutputs, derive_xy, site_monomial_mask, _as_z
-from .oracle import classify
+from .lhv import ProtocolOutputs, derive_xy, _as_z
+from .nogo import certain_subsets
 from .pauli import Measurement
 
 _FULL_SWEEP_GUARD = 7
@@ -416,39 +416,26 @@ def _check_measurement(
 ) -> tuple[int, int]:
     """Check all deterministic submeasurements of one global measurement.
 
+    They are the subsets ``certain_subsets`` walks: those on which the XOR of
+    the outputs' coin monomials vanishes, so the protocol's product there is
+    a constant sign by construction and only that sign is compared.
     Returns (deterministic subs checked, overlap pairs checked).
     """
     n = g.n
-    support = m.support()
     flips = flip_sites_for(m, broadcast_y)
-    masks = {j: site_monomial_mask(g, m, j) for j in support}
 
     det_checked = 0
     single_sentences: list[Sentence] = []
-    for smask in range(1 << len(support)):
-        sites = tuple(support[i] for i in range(len(support)) if (smask >> i) & 1)
-        sub = m.restricted_to(sites)
-        verdict = classify(g, sub)
-        if not verdict.is_deterministic:
-            continue
+    for sites, sub, sign in certain_subsets(g, m):
         det_checked += 1
-        monomial = 0
-        for j in sites:
-            monomial ^= masks[j]
-        protocol_sign = -1 if len(flips & set(sites)) % 2 else 1
-        if monomial != 0:
-            violations.append(
-                Violation(m, sites, verdict.value, None, "output product is not constant")
-            )
-        elif protocol_sign != verdict.value:
-            violations.append(
-                Violation(m, sites, verdict.value, protocol_sign, "wrong constant sign")
-            )
+        protocol_sign = -1 if len(flips.intersection(sites)) % 2 else 1
+        if protocol_sign != sign:
+            violations.append(Violation(m, sites, sign, protocol_sign, "wrong constant sign"))
         try:
             sentences = decompose(sub)
         except NotStabilizerShaped as exc:
             violations.append(
-                Violation(m, sites, verdict.value, None, f"grammar rejected a certain word: {exc}")
+                Violation(m, sites, sign, None, f"grammar rejected a certain word: {exc}")
             )
             continue
         if len(sentences) == 1:
@@ -473,6 +460,25 @@ def _check_measurement(
     return det_checked, pairs
 
 
+def _measurements(n: int, sample: int | None, seed: int) -> Iterator[Measurement]:
+    """Every measurement on n sites, or ``sample`` seeded random ones."""
+    if n < 1:
+        raise ValueError(f"a chain needs at least 1 site, got n = {n}")
+    if sample is None:
+        if n > _FULL_SWEEP_GUARD:
+            raise UnsupportedSizeError(
+                f"full sweep is guarded at n = {_FULL_SWEEP_GUARD}; pass sample= for larger n"
+            )
+        return (Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=n))
+    if sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
+    rng = np.random.default_rng(seed)
+    return (
+        Measurement("".join("IXYZ"[k] for k in rng.integers(0, 4, size=n)))
+        for _ in range(sample)
+    )
+
+
 def verify_chain_exhaustive(
     n: int,
     broadcast_y: bool = False,
@@ -483,15 +489,14 @@ def verify_chain_exhaustive(
 
     Exact-by-construction: the product of outputs over a subset is a fixed
     sign times a monomial in the coins, so constancy and the sign are decided
-    without enumerating coin vectors. Also checks, for each global
-    measurement, that its single-sentence certain submeasurements agree on
-    overlaps except at bracketing Zs. Full sweep up to n = 7; beyond that a
-    seeded sample of measurements is required (up to n = 10).
+    without enumerating coin vectors; only the subsets with an empty monomial
+    (a GF(2) kernel, not all 2^|support| subsets) are visited. Also checks,
+    for each global measurement, that its single-sentence certain
+    submeasurements agree on overlaps except at bracketing Zs. Full sweep
+    up to n = 7; beyond that a seeded sample of measurements is required
+    (up to n = 10).
     """
-    if sample is None and n > _FULL_SWEEP_GUARD:
-        raise UnsupportedSizeError(
-            f"full sweep is guarded at n = {_FULL_SWEEP_GUARD}; pass sample= for larger n"
-        )
+    measurements = _measurements(n, sample, seed)
     if n > _SAMPLED_GUARD:
         raise UnsupportedSizeError(f"sampled sweep is guarded at n = {_SAMPLED_GUARD}")
     g = chain(n)
@@ -500,16 +505,6 @@ def verify_chain_exhaustive(
     det_total = 0
     pair_total = 0
     count = 0
-    if sample is None:
-        measurements = (
-            Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=n)
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        measurements = (
-            Measurement("".join("IXYZ"[k] for k in rng.integers(0, 4, size=n)))
-            for _ in range(sample)
-        )
     for m in measurements:
         count += 1
         det, pairs = _check_measurement(g, m, broadcast_y, violations, overlap_violations)
@@ -541,22 +536,8 @@ class ReadingDiscrepancy:
 
 def compare_readings(n: int, sample: int | None = None, seed: int = 0) -> tuple[ReadingDiscrepancy, ...]:
     """Flip-decision differences between the silent-Y and broadcast-Y readings."""
-    if sample is None and n > _FULL_SWEEP_GUARD:
-        raise UnsupportedSizeError(
-            f"full sweep is guarded at n = {_FULL_SWEEP_GUARD}; pass sample= for larger n"
-        )
-    if sample is None:
-        measurements = (
-            Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=n)
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        measurements = (
-            Measurement("".join("IXYZ"[k] for k in rng.integers(0, 4, size=n)))
-            for _ in range(sample)
-        )
     out = []
-    for m in measurements:
+    for m in _measurements(n, sample, seed):
         silent = flip_sites_for(m, broadcast_y=False)
         loud = flip_sites_for(m, broadcast_y=True)
         for j in sorted(silent ^ loud):

@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .graphs import GraphFormatError, Graph, UnsupportedSizeError, grid, load_graph, named_graph
+from .graphs import Graph, UnsupportedSizeError, grid, load_graph, named_graph
 from .lhv import NO_COMMUNICATION, SYMMETRIC_RULES, STANDARD_RULES, product_report
 from .nogo import (
     certify_distance,
@@ -34,22 +34,10 @@ from .chain_protocol import (
 )
 
 _RULES = {"standard": STANDARD_RULES, "symmetric": SYMMETRIC_RULES, "none": NO_COMMUNICATION}
-_WORKERS_ENV = "GRAPHLHV_WORKERS"
 
 
 class CommandError(Exception):
     """Usage-level failure; maps to exit code 2."""
-
-
-def _workers() -> int:
-    raw = os.environ.get(_WORKERS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CommandError(f"{_WORKERS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise CommandError(f"{_WORKERS_ENV} must be at least 1, got {value}")
-    return value
 
 
 def _resolve_graph(spec: str) -> tuple[Graph, dict]:
@@ -64,7 +52,7 @@ def _resolve_graph(spec: str) -> tuple[Graph, dict]:
             g = named_graph(spec)
             digest = hashlib.sha256(g.to_json().encode()).hexdigest()
             source = {"kind": "family", "spec": spec, "sha256": digest}
-    except GraphFormatError as exc:
+    except (ValueError, OSError) as exc:  # GraphFormatError, a directory, bad encoding
         raise CommandError(str(exc)) from exc
     return g, source
 
@@ -142,8 +130,7 @@ def _cmd_verify_sub(args: argparse.Namespace) -> int:
     m = _parse_measurement(args.measurement, g)
     try:
         rep = verify_all_submeasurements(
-            g, m, _RULES[args.rules], include_matches=args.include_matches,
-            workers=_workers(),
+            g, m, _RULES[args.rules], include_matches=args.include_matches
         )
     except UnsupportedSizeError as exc:
         raise CommandError(str(exc)) from exc
@@ -219,7 +206,7 @@ def _cmd_nogo_site(args: argparse.Namespace) -> int:
 def _cmd_chain_verify(args: argparse.Namespace) -> int:
     try:
         rep = verify_chain_exhaustive(args.n, args.broadcast_y, args.sample, args.seed)
-    except UnsupportedSizeError as exc:
+    except ValueError as exc:  # includes UnsupportedSizeError
         raise CommandError(str(exc)) from exc
     report = _report(
         "chain verify",
@@ -413,9 +400,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,10 @@ class UnsupportedSizeError(ValueError):
     """An input exceeds the documented guard of an exact algorithm."""
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with nodes 1..n and canonically sorted edges."""
@@ -24,7 +28,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise GraphFormatError(f"node count must be a positive integer, got {self.n!r}")
         seen: set[tuple[int, int]] = set()
         canon = []
@@ -33,6 +37,8 @@ class Graph:
                 u, v = pair
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {pair!r} is not a node pair") from None
+            if not (_is_int(u) and _is_int(v)):
+                raise GraphFormatError(f"edge {pair!r} has a non-integer endpoint")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise GraphFormatError(f"edge ({u}, {v}) leaves the node range 1..{self.n}")
             if u == v:
@@ -208,7 +214,10 @@ def graph_from_json(text: str) -> Graph:
         raise GraphFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphFormatError('graph JSON must be an object with "n" and "edges"')
-    return Graph(data["n"], tuple(tuple(e) for e in data["edges"]))
+    edges = data["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+        raise GraphFormatError('"edges" must be a list of [u, v] pairs')
+    return Graph(data["n"], tuple(tuple(e) for e in edges))
 
 
 def load_graph(path: str) -> Graph:

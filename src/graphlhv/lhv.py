@@ -20,11 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, UnsupportedSizeError
+from .graphs import Graph
 from .oracle import Verdict
 from .pauli import Measurement
-
-_EXACT_GUARD = 22
 
 
 @dataclass(frozen=True)
@@ -220,13 +218,10 @@ def product_report(
     sites = tuple(sorted(set(subset))) if subset is not None else m.support()
     for j in sites:
         g.check_node(j)
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
 
     if samples is None:
-        if g.n > _EXACT_GUARD:
-            raise UnsupportedSizeError(
-                f"exact mode is guarded at {_EXACT_GUARD} sites, got {g.n}; "
-                "pass samples= to use sampling mode"
-            )
         flipped = tuple(sorted(flip_sites(g, m, rules) & set(sites)))
         sign = -1 if len(flipped) % 2 else 1
         mask = 0

@@ -1,5 +1,10 @@
 """Submeasurement verification and parity-contradiction certifiers.
 
+The certain submeasurements of a measurement are the subsets of its support
+on which the XOR of the per-site coin monomials vanishes: the kernel of one
+GF(2) map. ``certain_subsets`` walks that kernel from a basis, so the
+submeasurement sweep costs 2^(kernel dimension), not 2^|support|.
+
 Two impossibility arguments are mechanized here as GF(2) constraint systems.
 
 Distance certifier: on a ring of 12f nodes (f odd) there are five global
@@ -20,9 +25,8 @@ again yields an unsatisfiable system on the right graphs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -34,11 +38,11 @@ from .graphs import (
     padded_ring,
     ring,
 )
-from .lhv import _EXACT_GUARD, FlipRules, STANDARD_RULES, product_report
+from .lhv import FlipRules, STANDARD_RULES, flip_sites, site_monomial_mask
 from .oracle import Verdict, classify
 from .pauli import Measurement, generator_product_sign, is_submeasurement
 
-_SUPPORT_GUARD = 20
+_KERNEL_GUARD = 20
 
 
 # ---------------------------------------------------------------------------
@@ -261,32 +265,51 @@ class SubmeasurementReport:
         }
 
 
-def _scan_subsets(
-    g: Graph,
-    m: Measurement,
-    rules: FlipRules,
-    lo: int,
-    hi: int,
-    include_matches: bool,
-) -> tuple[int, list[SubsetCheck], list[SubsetCheck]]:
+def certain_subsets(g: Graph, m: Measurement) -> Iterator[tuple[tuple[int, ...], Measurement, int]]:
+    """Every subset of the support whose restricted word is certain, with its sign.
+
+    A subset S is certain exactly when the XOR of the site monomials over S
+    is empty (the oracle's z-image test, written per site), so the certain
+    subsets form the kernel of one GF(2) map. Each basis vector of that
+    kernel owns a highest bit that no other contains, so counting through
+    their combinations in binary yields the subsets in ascending subset-mask
+    order (bit i for support[i]), the order of a sweep over every subset.
+    Yields (sites, restricted word, sign); ``classify`` confirms each one and
+    gives the sign. Guarded at kernel dimension 20, i.e. 2^20 subsets.
+    """
+    if len(m) != g.n:
+        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
     support = m.support()
-    deterministic = 0
-    mismatches: list[SubsetCheck] = []
-    entries: list[SubsetCheck] = []
-    for smask in range(lo, hi):
-        sites = tuple(support[i] for i in range(len(support)) if (smask >> i) & 1)
+    cols = [site_monomial_mask(g, m, j) for j in support]
+    rows = [sum(((c >> r) & 1) << i for i, c in enumerate(cols)) for r in range(g.n)]
+    basis = gf2_nullspace(rows, len(support))
+    if len(basis) > _KERNEL_GUARD:
+        raise UnsupportedSizeError(
+            f"{2 ** len(basis)} certain subsets (kernel dimension {len(basis)}) exceed "
+            f"the guard of 2^{_KERNEL_GUARD}"
+        )
+    return _walk_kernel(g, m, support, basis)
+
+
+def _walk_kernel(
+    g: Graph, m: Measurement, support: tuple[int, ...], basis: list[int]
+) -> Iterator[tuple[tuple[int, ...], Measurement, int]]:
+    # Stepping the counter to k flips its bits 0..t, t the lowest set bit of k.
+    prefix = []
+    acc = 0
+    for vec in basis:
+        acc ^= vec
+        prefix.append(acc)
+    smask = 0
+    for k in range(1 << len(basis)):
+        if k:
+            smask ^= prefix[(k & -k).bit_length() - 1]
+        sites = tuple(j for i, j in enumerate(support) if (smask >> i) & 1)
         sub = m.restricted_to(sites)
-        oracle_v = classify(g, sub)
-        lhv_v = product_report(g, m, sites, rules).verdict
-        match = oracle_v == lhv_v
-        if oracle_v.is_deterministic:
-            deterministic += 1
-        check = SubsetCheck(sites, sub, oracle_v, lhv_v, match)
-        if not match:
-            mismatches.append(check)
-        if include_matches:
-            entries.append(check)
-    return deterministic, mismatches, entries
+        verdict = classify(g, sub)
+        if not verdict.is_deterministic:
+            raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
+        yield sites, sub, verdict.value
 
 
 def verify_all_submeasurements(
@@ -294,90 +317,74 @@ def verify_all_submeasurements(
     m: Measurement,
     rules: FlipRules = STANDARD_RULES,
     include_matches: bool = False,
-    workers: int = 1,
 ) -> SubmeasurementReport:
     """Compare the oracle with the protocol on every subset of the support.
 
-    Subsets are enumerated in a canonical order (the support sorted, subset
-    masks ascending), so reports are deterministic and mergeable across
-    workers.
+    The protocol's product over a subset is a fixed sign times the XOR of the
+    site monomials, so both sides are certain on exactly the subsets that
+    ``certain_subsets`` walks, and agree (uniform) everywhere else. Only the
+    kernel is visited: on each certain subset the oracle sign is compared with
+    the parity of the flipped sites in it. Mismatches come in ascending
+    subset-mask order over the sorted support. ``include_matches`` lists all
+    2^|support| subsets and is guarded at 20 support sites.
     """
     if len(m) != g.n:
         raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
-    if g.n > _EXACT_GUARD:
-        raise UnsupportedSizeError(
-            f"the sweep needs exact verdicts, guarded at {_EXACT_GUARD} nodes; got {g.n}"
-        )
     support = m.support()
-    if len(support) > _SUPPORT_GUARD:
+    if include_matches and len(support) > _KERNEL_GUARD:
         raise UnsupportedSizeError(
-            f"subset sweep is guarded at {_SUPPORT_GUARD} support sites, got "
-            f"{len(support)}; sample subsets instead"
+            f"listing every subset is guarded at {_KERNEL_GUARD} support sites, "
+            f"got {len(support)}"
         )
-    total = 1 << len(support)
-    if workers <= 1 or total < 1024:
-        deterministic, mismatches, entries = _scan_subsets(g, m, rules, 0, total, include_matches)
-    else:
-        chunk = -(-total // workers)
-        ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        deterministic = 0
-        mismatches = []
-        entries = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_subsets, g, m, rules, lo, hi, include_matches)
-                for lo, hi in ranges
-            ]
-            for fut in futures:
-                det, mis, ent = fut.result()
-                deterministic += det
-                mismatches.extend(mis)
-                entries.extend(ent)
+    flips = flip_sites(g, m, rules)
+    deterministic = 0
+    mismatches: list[SubsetCheck] = []
+    certain: dict[tuple[int, ...], SubsetCheck] = {}
+    for sites, sub, sign in certain_subsets(g, m):
+        deterministic += 1
+        lhv_sign = -1 if len(flips.intersection(sites)) % 2 else 1
+        if sign == lhv_sign and not include_matches:
+            continue
+        check = SubsetCheck(
+            sites, sub, Verdict.deterministic(sign), Verdict.deterministic(lhv_sign),
+            sign == lhv_sign,
+        )
+        if not check.match:
+            mismatches.append(check)
+        if include_matches:
+            certain[sites] = check
+    entries: list[SubsetCheck] = []
+    if include_matches:
+        uniform = Verdict.uniform()
+        for smask in range(1 << len(support)):
+            sites = tuple(j for i, j in enumerate(support) if (smask >> i) & 1)
+            entries.append(
+                certain.get(sites)
+                or SubsetCheck(sites, m.restricted_to(sites), uniform, uniform, True)
+            )
     return SubmeasurementReport(
-        m, rules.name, total, deterministic, tuple(mismatches), tuple(entries)
+        m, rules.name, 1 << len(support), deterministic, tuple(mismatches), tuple(entries)
     )
 
 
 def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[frozenset[int], int], ...]:
-    """All subsets of the support whose restricted measurement is deterministic."""
-    support = m.support()
-    if len(support) > _SUPPORT_GUARD:
-        raise UnsupportedSizeError(
-            f"subset search is guarded at {_SUPPORT_GUARD} support sites, got {len(support)}"
-        )
-    out = []
-    for smask in range(1 << len(support)):
-        sites = frozenset(support[i] for i in range(len(support)) if (smask >> i) & 1)
-        verdict = classify(g, m.restricted_to(sites))
-        if verdict.is_deterministic:
-            out.append((sites, verdict.value))
-    return tuple(out)
+    """All subsets of the support whose restricted measurement is deterministic,
+    with their signs, in ascending subset-mask order."""
+    return tuple((frozenset(sites), sign) for sites, _, sign in certain_subsets(g, m))
 
 
-def y_stabilizer_supports(g: Graph, max_kernel: int = 16) -> tuple[tuple[frozenset[int], int], ...]:
+def y_stabilizer_supports(g: Graph) -> tuple[tuple[frozenset[int], int], ...]:
     """Supports S such that Y on S and I elsewhere is a signed stabilizer word.
 
-    A generator product is all-Y-or-I exactly when its bit-vector lies in the
-    kernel of (adjacency + identity) over GF(2); the sign comes from the
-    product's phase. Equivalent to the subset sweep but usable on graphs far
-    beyond the sweep guard.
+    These are the certain subsets of the all-Y measurement, i.e. the kernel
+    of (adjacency + identity) over GF(2). Each sign is cross-checked against
+    the generator product. Sorted by size, then by sites.
     """
-    rows = [(1 << (j - 1)) | g.neighbor_masks[j - 1] for j in range(1, g.n + 1)]
-    basis = gf2_nullspace(rows, g.n)
-    if len(basis) > max_kernel:
-        raise UnsupportedSizeError(f"kernel dimension {len(basis)} exceeds guard {max_kernel}")
     out = []
-    for combo in range(1 << len(basis)):
-        vec = 0
-        for i, b in enumerate(basis):
-            if (combo >> i) & 1:
-                vec ^= b
-        sites = frozenset(j + 1 for j in range(g.n) if (vec >> j) & 1)
-        sign = generator_product_sign(g, sites)
-        letters = "".join("Y" if j in sites else "I" for j in range(1, g.n + 1))
-        verdict = classify(g, Measurement(letters))
-        assert verdict == Verdict.deterministic(sign)
-        out.append((sites, sign))
+    for sites, sub, sign in certain_subsets(g, Measurement("Y" * g.n)):
+        if generator_product_sign(g, sites) != sign:
+            raise RuntimeError(f"{sub}: oracle and generator product disagree on the sign")
+        out.append((frozenset(sites), sign))
     return tuple(sorted(out, key=lambda p: (len(p[0]), sorted(p[0]))))
 
 

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import Graph, UnsupportedSizeError
-from .pauli import Measurement, _product_over_sites, letters_from_bits
+from .pauli import Measurement, _product_over_sites, _real_sign, letters_from_bits
 
 _STATEVECTOR_GUARD = 14
 _ENUMERATION_GUARD = 20
@@ -87,8 +87,7 @@ def classify(g: Graph, m: Measurement) -> Verdict:
         return Verdict.uniform()
     sites = [j + 1 for j in range(g.n) if (mx >> j) & 1]
     _, phase = _product_over_sites(g, sites)
-    assert phase in (0, 2)
-    return Verdict.deterministic(1 if phase == 0 else -1)
+    return Verdict.deterministic(_real_sign(phase))
 
 
 def _build_state(g: Graph) -> np.ndarray:
@@ -159,6 +158,5 @@ def enumerate_stabilizer_measurements(g: Graph) -> Iterator[tuple[Measurement, i
     for amask in range(1 << g.n):
         sites = [j + 1 for j in range(g.n) if (amask >> j) & 1]
         _, phase = _product_over_sites(g, sites)
-        assert phase in (0, 2)
         letters = letters_from_bits(g.n, amask, _z_image(g, amask))
-        yield Measurement(letters), (1 if phase == 0 else -1)
+        yield Measurement(letters), _real_sign(phase)

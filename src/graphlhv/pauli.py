@@ -182,11 +182,19 @@ def _product_over_sites(g: Graph, sites: Iterable[int]) -> tuple[list[int], int]
     return cur, phase % 4
 
 
+def _real_sign(phase: int) -> int:
+    """Sign of a generator product's phase. Such products are always real, so
+    an imaginary phase is a bug and raises RuntimeError."""
+    if phase not in (0, 2):
+        raise RuntimeError(f"generator product produced imaginary phase i**{phase}")
+    return 1 if phase == 0 else -1
+
+
 def generator_product(g: Graph, a: Sequence[int]) -> PhasedPauli:
     """Ordered product of the generators selected by the bit-vector a.
 
     The result of a generator product is always real; an imaginary phase
-    would indicate a bug and is asserted against.
+    would indicate a bug and raises RuntimeError.
     """
     if len(a) != g.n:
         raise ValueError(f"bit-vector length {len(a)} does not match n={g.n}")
@@ -194,12 +202,11 @@ def generator_product(g: Graph, a: Sequence[int]) -> PhasedPauli:
         raise ValueError("a must contain only bits 0 and 1")
     sites = [j for j, bit in enumerate(a, start=1) if bit]
     codes, phase = _product_over_sites(g, sites)
-    assert phase in (0, 2), f"generator product produced imaginary phase i**{phase}"
+    _real_sign(phase)
     return PhasedPauli("".join(PAULI_LETTERS[c] for c in codes), phase)
 
 
 def generator_product_sign(g: Graph, sites: Iterable[int]) -> int:
     """Sign of the product of the generators at the given sites."""
     _, phase = _product_over_sites(g, sorted(set(sites)))
-    assert phase in (0, 2)
-    return 1 if phase == 0 else -1
+    return _real_sign(phase)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from graphlhv.cli import main
 
@@ -180,13 +181,39 @@ def test_byte_identical_reports(capsys):
     assert out1 == out2
 
 
-def test_workers_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("GRAPHLHV_WORKERS", "zero")
-    code, _, err = _run(capsys, "verify-sub", "--graph", "star:3", "--measurement", "XXX")
+@pytest.mark.parametrize(
+    "argv, graph_json",
+    [
+        (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--samples", "0"], None),
+        (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--samples", "-3"], None),
+        (["chain", "verify", "--n", "0"], None),
+        (["chain", "verify", "--n", "8", "--sample", "0"], None),
+        (["oracle", "--graph", "{dir}", "--measurement", "XX"], None),
+        (["oracle", "--graph", "{file}", "--measurement", "XX"], '{"n": 2, "edges": [[1.0, 2.0]]}'),
+        (["oracle", "--graph", "{file}", "--measurement", "XX"], '{"n": 2, "edges": [[1, "2"]]}'),
+        (["oracle", "--graph", "{file}", "--measurement", "X"], '{"n": true, "edges": []}'),
+        (["oracle", "--graph", "{file}", "--measurement", "XX"], '{"n": 2, "edges": 5}'),
+    ],
+    ids=["samples-0", "samples-negative", "chain-n-0", "chain-sample-0", "graph-dir",
+         "float-endpoints", "string-endpoint", "bool-n", "edges-not-a-list"],
+)
+def test_bad_input_is_usage_error(tmp_path, capsys, argv, graph_json):
+    path = tmp_path / "g.json"
+    if graph_json is not None:
+        path.write_text(graph_json)
+    argv = [a.format(dir=tmp_path, file=path) for a in argv]
+    code, out, err = _run(capsys, *argv)  # an exception here is a CLI traceback
     assert code == 2
-    monkeypatch.setenv("GRAPHLHV_WORKERS", "2")
-    code, out, _ = _run(capsys, "verify-sub", "--graph", "star:3", "--measurement", "XXX")
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_lhv_run_exact_beyond_old_guard(capsys):
+    code, out, _ = _run(capsys, "lhv", "run", "--graph", "ring:30", "--measurement", "X" * 30)
     assert code == 0
+    result = json.loads(out)["result"]
+    assert result["mode"] == "exact"
+    assert result["verdict"]["kind"] == "deterministic"
 
 
 def test_console_script_runs():

@@ -203,6 +203,17 @@ def test_json_rejects_reversed_duplicates_and_bad_shapes():
     assert err is not None and "line" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 2, "edges": [[1.0, 2.0]]}', '{"n": 2, "edges": [[1, "2"]]}',
+     '{"n": 2, "edges": [[true, 2]]}', '{"n": true, "edges": []}', '{"n": 2.0, "edges": []}',
+     '{"n": 2, "edges": 5}', '{"n": 2, "edges": [5]}', '{"n": 2, "edges": null}'],
+)
+def test_json_rejects_non_integer_values_and_non_list_edges(text):
+    with pytest.raises(GraphFormatError):
+        graph_from_json(text)
+
+
 def test_named_graph_specs():
     assert named_graph("ring:12").edges == ring(12).edges
     assert named_graph("grid:2x3").edges == grid(2, 3).edges

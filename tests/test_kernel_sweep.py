@@ -1,0 +1,215 @@
+"""The kernel sweep against the per-subset sweep it replaced.
+
+The reference functions below classify every one of the 2^|support| subsets,
+as the library did before it enumerated only the GF(2) kernel of certain
+subsets; they exist only here, as the independent side of the comparison.
+"""
+
+import itertools
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from graphlhv import chain_protocol  # noqa: E402
+from graphlhv.chain_protocol import (  # noqa: E402
+    NotStabilizerShaped,
+    Violation,
+    _check_measurement,
+    decompose,
+    flip_sites_for,
+)
+from graphlhv.graphs import Graph, chain, grid, ring  # noqa: E402
+from graphlhv.lhv import (  # noqa: E402
+    NO_COMMUNICATION,
+    STANDARD_RULES,
+    SYMMETRIC_RULES,
+    product_report,
+    site_monomial_mask,
+)
+from graphlhv.nogo import (  # noqa: E402
+    SubmeasurementReport,
+    SubsetCheck,
+    certain_subsets,
+    find_certain_submeasurements,
+    verify_all_submeasurements,
+)
+from graphlhv.oracle import classify  # noqa: E402
+from graphlhv.pauli import Measurement  # noqa: E402
+
+SWEEP = settings(max_examples=60, deadline=None)
+
+
+def _subsets(m):
+    support = m.support()
+    for smask in range(1 << len(support)):
+        yield tuple(support[i] for i in range(len(support)) if (smask >> i) & 1)
+
+
+def reference_report(g, m, rules, include_matches):
+    deterministic = 0
+    mismatches, entries = [], []
+    for sites in _subsets(m):
+        sub = m.restricted_to(sites)
+        oracle_v = classify(g, sub)
+        lhv_v = product_report(g, m, sites, rules).verdict
+        deterministic += oracle_v.is_deterministic
+        check = SubsetCheck(sites, sub, oracle_v, lhv_v, oracle_v == lhv_v)
+        if not check.match:
+            mismatches.append(check)
+        if include_matches:
+            entries.append(check)
+    return SubmeasurementReport(
+        m, rules.name, 1 << len(m.support()), deterministic, tuple(mismatches), tuple(entries)
+    )
+
+
+def reference_certain(g, m):
+    out = []
+    for sites in _subsets(m):
+        verdict = classify(g, m.restricted_to(sites))
+        if verdict.is_deterministic:
+            out.append((frozenset(sites), verdict.value))
+    return tuple(out)
+
+
+def reference_check_measurement(g, m, flips, violations, overlap_violations):
+    """The chain checker's per-subset loop and overlap pass, given the flips."""
+    masks = {j: site_monomial_mask(g, m, j) for j in m.support()}
+    det_checked = 0
+    singles = []
+    for sites in _subsets(m):
+        sub = m.restricted_to(sites)
+        verdict = classify(g, sub)
+        if not verdict.is_deterministic:
+            continue
+        det_checked += 1
+        monomial = 0
+        for j in sites:
+            monomial ^= masks[j]
+        protocol_sign = -1 if len(flips & set(sites)) % 2 else 1
+        if monomial != 0:
+            violations.append(
+                Violation(m, sites, verdict.value, None, "output product is not constant")
+            )
+        elif protocol_sign != verdict.value:
+            violations.append(
+                Violation(m, sites, verdict.value, protocol_sign, "wrong constant sign")
+            )
+        try:
+            sentences = decompose(sub)
+        except NotStabilizerShaped as exc:
+            violations.append(
+                Violation(m, sites, verdict.value, None, f"grammar rejected a certain word: {exc}")
+            )
+            continue
+        if len(sentences) == 1:
+            singles.append(sentences[0])
+    pairs = 0
+    for s1, s2 in itertools.combinations(singles, 2):
+        lo, hi = max(s1.left, s2.left), min(s1.right, s2.right)
+        if lo > hi:
+            continue
+        pairs += 1
+        skip = {s1.left, s1.right, s2.left, s2.right}
+        for p in range(max(lo, 1), min(hi, g.n) + 1):
+            if p not in skip and s1.letter_at(p) != s2.letter_at(p):
+                overlap_violations.append(((s1.left, s1.right), (s2.left, s2.right), p))
+                break
+    return det_checked, pairs
+
+
+@st.composite
+def graph_and_word(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = [p for p in pairs if draw(st.booleans())] if pairs else []
+    letters = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+    return Graph(n, tuple(edges)), Measurement(letters)
+
+
+RULE_SETS = st.sampled_from([STANDARD_RULES, SYMMETRIC_RULES, NO_COMMUNICATION])
+
+
+@SWEEP
+@given(graph_and_word(), RULE_SETS, st.booleans())
+def test_report_matches_per_subset_sweep(gm, rules, include_matches):
+    g, m = gm
+    assert verify_all_submeasurements(g, m, rules, include_matches) == reference_report(
+        g, m, rules, include_matches
+    )
+
+
+@SWEEP
+@given(graph_and_word())
+def test_certain_submeasurements_match_per_subset_sweep(gm):
+    g, m = gm
+    assert find_certain_submeasurements(g, m) == reference_certain(g, m)
+
+
+@SWEEP
+@given(graph_and_word())
+def test_certain_iff_monomials_cancel(gm):
+    g, m = gm
+    kernel = {sites for sites, _, _ in certain_subsets(g, m)}
+    for sites in _subsets(m):
+        mask = 0
+        for j in sites:
+            mask ^= site_monomial_mask(g, m, j)
+        assert classify(g, m.restricted_to(sites)).is_deterministic == (mask == 0)
+        assert (sites in kernel) == (mask == 0)
+
+
+def _compare_chain_checks(letters, broadcast_y, silent):
+    # The protocol is correct, so with its own flips no sign violation can
+    # appear; with no flips at all ("silent") the odd Y X..X Y words give some.
+    g, m = chain(len(letters)), Measurement(letters)
+    flips = frozenset() if silent else flip_sites_for(m, broadcast_y)
+    got_v, got_o = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_protocol, "flip_sites_for", lambda m, broadcast_y: flips)
+        counts = _check_measurement(g, m, broadcast_y, got_v, got_o)
+    ref_v, ref_o = [], []
+    assert counts == reference_check_measurement(g, m, flips, ref_v, ref_o)
+    assert got_v == ref_v
+    assert [(o.first_span, o.second_span, o.position) for o in got_o] == ref_o
+    return len(got_v)
+
+
+@SWEEP
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n)),
+    st.booleans(),
+    st.booleans(),
+)
+def test_chain_check_matches_per_subset_sweep(letters, broadcast_y, silent):
+    _compare_chain_checks(letters, broadcast_y, silent)
+
+
+def test_chain_check_matches_on_every_short_chain():
+    violations = 0
+    for n in range(1, 6):
+        for letters in itertools.product("IXYZ", repeat=n):
+            for broadcast_y, silent in itertools.product((False, True), repeat=2):
+                violations += _compare_chain_checks("".join(letters), broadcast_y, silent)
+    assert violations > 0  # the silent runs exercised the sign comparison
+
+
+# 16 certain subsets, 8 of them mismatched without communication: enough to
+# pin the order of the mismatches, not just the set.
+_EIGHT_MISMATCHES = Graph(8, ((2, 3), (2, 6), (2, 7), (3, 5), (3, 6), (4, 7), (4, 8),
+                              (5, 6), (5, 7), (5, 8), (7, 8)))
+
+
+@pytest.mark.parametrize(
+    "g, letters",
+    [(ring(12), "X" * 12), (grid(2, 3), "Y" * 6), (ring(9), "XYZYXYZYX"),
+     (_EIGHT_MISMATCHES, "XYYZXYYX")],
+    ids=["ring12-allX", "grid2x3-allY", "ring9-mixed", "eight-mismatches"],
+)
+def test_fixed_instances_match_per_subset_sweep(g, letters):
+    m = Measurement(letters)
+    for rules in (STANDARD_RULES, SYMMETRIC_RULES, NO_COMMUNICATION):
+        assert verify_all_submeasurements(g, m, rules) == reference_report(g, m, rules, False)
+    assert verify_all_submeasurements(g, m).subsets_checked == 2 ** len(m.support())

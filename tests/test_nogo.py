@@ -367,20 +367,30 @@ def test_verify_uniform_everywhere_trivially_clean():
     assert all(not e.oracle.is_deterministic or e.sites == () for e in report.entries)
 
 
-def test_verify_workers_agree():
-    # large enough to exercise the parallel path (> 1024 subsets)
-    g = ring(12)
-    m = Measurement("X" * 12)
-    seq = verify_all_submeasurements(g, m)
-    par = verify_all_submeasurements(g, m, workers=2)
-    assert seq == par
-    assert seq.subsets_checked == 4096
-
-
 def test_verify_guard():
+    # star:23 all-X: the 22 leaves share one monomial, so the kernel has
+    # dimension 21, one above the guard
+    g = star(23)
+    with pytest.raises(UnsupportedSizeError):
+        verify_all_submeasurements(g, Measurement("X" * 23))
+    with pytest.raises(UnsupportedSizeError):
+        find_certain_submeasurements(g, Measurement("X" * 23))
+
+
+def test_verify_large_support_small_kernel():
+    # ring:21 all-X has 2^21 subsets but, the ring being odd, only the empty
+    # set and the whole ring have an empty neighborhood XOR: dimension 1
+    g = ring(21)
+    report = verify_all_submeasurements(g, Measurement("X" * 21))
+    assert report.subsets_checked == 2 ** 21
+    assert report.deterministic_subsets == 2 ** 1
+    assert report.clean
+
+
+def test_include_matches_support_guard():
     g = ring(21)
     with pytest.raises(UnsupportedSizeError):
-        verify_all_submeasurements(g, Measurement("X" * 21))
+        verify_all_submeasurements(g, Measurement("X" * 21), include_matches=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,3 +147,36 @@ def test_phased_pauli_rendering():
     assert str(PhasedPauli("X", 3)) == "-iX"
     with pytest.raises(ValueError):
         PhasedPauli("X", 1).sign
+
+
+_IMAGINARY_PHASE = """
+import pytest
+import graphlhv.oracle as oracle
+import graphlhv.pauli as pauli
+from graphlhv import (Measurement, classify, enumerate_stabilizer_measurements,
+                      generator_product, generator_product_sign, ring,
+                      y_stabilizer_supports)
+
+def fake(g, sites):
+    return [0] * g.n, 1  # phase i**1: an imaginary generator product
+pauli._product_over_sites = oracle._product_over_sites = fake
+g = ring(4)
+for call in (lambda: generator_product(g, [1, 0, 0, 0]),
+             lambda: generator_product_sign(g, {1}),
+             lambda: classify(g, Measurement("XZIZ")),
+             lambda: next(enumerate_stabilizer_measurements(g)),
+             lambda: y_stabilizer_supports(g)):
+    with pytest.raises(RuntimeError, match="imaginary"):
+        call()
+print("raised")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_imaginary_phase_raises_even_under_optimization(flags):
+    # the invariant is an exception, not an assert that -O would strip
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _IMAGINARY_PHASE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
