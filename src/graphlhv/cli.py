@@ -15,7 +15,14 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .graphs import Graph, UnsupportedSizeError, grid, load_graph, named_graph
+from .graphs import (
+    Graph,
+    UnsupportedSizeError,
+    check_automorphism_size,
+    grid,
+    load_graph,
+    named_graph,
+)
 from .lhv import NO_COMMUNICATION, SYMMETRIC_RULES, STANDARD_RULES, product_report
 from .nogo import (
     certify_distance,
@@ -176,6 +183,7 @@ def _cmd_nogo_site(args: argparse.Namespace) -> int:
     g, source = _resolve_graph(args.graph)
     m = _parse_measurement(args.measurement, g)
     try:
+        check_automorphism_size(g, args.max_nodes)  # before the certain-subset walk
         subs = find_certain_submeasurements(g, m)
         system = site_invariance_system(g, m, subs, max_nodes=args.max_nodes)
     except UnsupportedSizeError as exc:

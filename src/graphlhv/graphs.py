@@ -263,6 +263,14 @@ def diameter(g: Graph) -> int:
     return best
 
 
+def check_automorphism_size(g: Graph, max_nodes: int) -> None:
+    """The guard of ``automorphisms``, for callers that refuse before other work."""
+    if g.n > max_nodes:
+        raise UnsupportedSizeError(
+            f"automorphism search is guarded at {max_nodes} nodes, got {g.n}"
+        )
+
+
 def automorphisms(g: Graph, coloring: NodeColoring | None = None, max_nodes: int = 12) -> list[tuple[int, ...]]:
     """All node permutations preserving edges and the coloring.
 
@@ -272,10 +280,7 @@ def automorphisms(g: Graph, coloring: NodeColoring | None = None, max_nodes: int
     lexicographically; the identity is always present. Raise the guard via
     ``max_nodes`` only for graphs known to be rigid enough to enumerate.
     """
-    if g.n > max_nodes:
-        raise UnsupportedSizeError(
-            f"automorphism search is guarded at {max_nodes} nodes, got {g.n}"
-        )
+    check_automorphism_size(g, max_nodes)
     labels = coloring.labels if coloring is not None else ("*",) * g.n
     if len(labels) != g.n:
         raise ValueError("coloring must label every node")

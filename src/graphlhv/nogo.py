@@ -528,7 +528,12 @@ def build_ring_instance(f: int) -> RingInstance:
 
 def measurement_view(g: Graph, m: Measurement, j: int, d: int) -> tuple[tuple[int, str], ...]:
     """Measurement letters on the distance-d ball of j, in canonical node order."""
-    return tuple((k, m.letter(k)) for k in sorted(ball(g, j, d)))
+    return _view(m, sorted(ball(g, j, d)))
+
+
+def _view(m: Measurement, nodes: Iterable[int]) -> tuple[tuple[int, str], ...]:
+    """Measurement letters on ``nodes``, which come in sorted order."""
+    return tuple((k, m.letter(k)) for k in nodes)
 
 
 def distance_constraint_system(
@@ -541,13 +546,15 @@ def distance_constraint_system(
     Sites in different cases share a variable exactly when site, measured
     observable and the full distance-d view coincide.
     """
+    sites = set().union(*(case.support for case in cases))
+    balls = {j: tuple(sorted(ball(g, j, d))) for j in sites}  # sorted tuples keep this small
     equations = []
     for case in cases:
         keys = [
             ContextVariable(
                 j,
                 case.global_measurement.letter(j).lower(),
-                measurement_view(g, case.global_measurement, j, d),
+                _view(case.global_measurement, balls[j]),
             )
             for j in sorted(case.support)
         ]
@@ -638,12 +645,13 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
         verdict = classify(g, case.sub)
         if verdict != Verdict.deterministic(case.expected_sign):
             raise RuntimeError(f"padded case {case.name}: oracle gives {verdict}")
-    max_other = 0
-    for case in cases:
-        for j in case.support:
-            others = len(inst.vertices & ball(g, j, d)) - (1 if j in inst.vertices else 0)
-            max_other = max(max_other, others)
     system = distance_constraint_system(g, cases, d)
+    views = {var.site: var.view for var in system.variables}  # each site's ball, read back
+    max_other = max(
+        (sum(k in inst.vertices for k, _ in view) - (j in inst.vertices)
+         for j, view in views.items()),
+        default=0,
+    )
     solution = gf2_solve(system)
     return DistanceCertificate(
         n, ring_size, n - ring_size, f, d, bound, cases, system, solution, max_other

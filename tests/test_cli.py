@@ -1,11 +1,13 @@
 """Command-line surface: JSON output, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from graphlhv import cli
 from graphlhv.cli import main
 
 
@@ -136,6 +138,41 @@ def test_nogo_site_invariance(capsys):
     result = json.loads(out)["result"]
     assert result["consistent"] is False
     assert [[1, 3, 4, 6], [2, 5]] == result["orbits"]
+
+
+def test_site_invariance_guard_refuses_before_subset_walk(monkeypatch, capsys):
+    def walk(*args, **kwargs):
+        raise AssertionError("certain subsets walked for a graph the guard refuses")
+
+    monkeypatch.setattr(cli, "find_certain_submeasurements", walk)
+    code, out, err = _run(
+        capsys, "nogo", "site-invariance", "--graph", "star:18", "--measurement", "X" * 18,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: automorphism search is guarded at 12 nodes, got 18\n"
+
+
+# sha256 of the stdout of `lhv run --graph ring:24 --measurement IXIX... --samples 256
+# --seed 7`, recorded before sampling mode was batched; the README example has a
+# certain product, so a uniform subset pins the coin stream itself. The report
+# carries the package version, so a version bump needs new digests.
+@pytest.mark.parametrize(
+    "subset, counts, digest",
+    [
+        (None, [256, 0], "d25e0e7c9c53da9c9dfee898da647ba44df9b6ff526fd30978066df117e49499"),
+        ("2", [136, 120], "f23e55707ffe65daf95b3fd12a0fb1798cdb6d57bc735702b5adbbff971452f3"),
+    ],
+    ids=["readme-example", "uniform-subset"],
+)
+def test_sampling_stream_is_pinned(capsys, subset, counts, digest):
+    argv = ["lhv", "run", "--graph", "ring:24", "--measurement", "IX" * 12,
+            "--samples", "256", "--seed", "7"]
+    if subset is not None:
+        argv += ["--subset", subset]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["result"]["counts"] == counts
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_chain_verify(capsys):

@@ -3,9 +3,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from graphlhv.graphs import chain, complete_bipartite, grid, padded_ring, ring, star
+from graphlhv import lhv
+from graphlhv.graphs import Graph, chain, complete_bipartite, grid, padded_ring, ring, star
 from graphlhv.lhv import (
     NO_COMMUNICATION,
     STANDARD_RULES,
@@ -232,6 +234,62 @@ def test_sampling_mode_is_seeded_and_consistent():
     assert r1.verdict == Verdict.deterministic(1)
     u = product_report(g, m, subset=(2,), samples=200, seed=7)
     assert u.verdict == Verdict.uniform()
+
+
+def _reference_counts(g, m, sites, rules, samples, seed):
+    """Sampling mode as one ``run`` per seeded coin vector of size n."""
+    rng = np.random.default_rng(seed)
+    plus = minus = 0
+    for _ in range(samples):
+        zs = tuple(1 - 2 * int(b) for b in rng.integers(0, 2, size=g.n))
+        if run(g, m, zs, rules).product_over(sites) == 1:
+            plus += 1
+        else:
+            minus += 1
+    return plus, minus
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [1, lhv._SAMPLE_CHUNK - 1, lhv._SAMPLE_CHUNK, 2 * lhv._SAMPLE_CHUNK + 1],
+    ids=["one", "chunk-1", "chunk", "2chunk+1"],
+)
+def test_batched_sampling_matches_run_loop(samples):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 10))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = tuple(p for p in pairs if draw(st.booleans()))
+        m = Measurement(draw(st.text(alphabet="IXYZ", min_size=n, max_size=n)))
+        subset = draw(st.none() | st.sets(st.integers(1, n)).map(sorted))
+        return Graph(n, edges), m, subset
+
+    @settings(max_examples=60 if samples == 1 else 15, deadline=None)
+    @given(cases(), st.sampled_from([STANDARD_RULES, SYMMETRIC_RULES, NO_COMMUNICATION]),
+           st.integers(0, 2 ** 32))
+    def check(case, rules, seed):
+        g, m, subset = case
+        rep = product_report(g, m, subset, rules, samples=samples, seed=seed)
+        plus, minus = _reference_counts(g, m, rep.subset, rules, samples, seed)
+        assert rep.counts == (plus, minus)
+        expected = Verdict.uniform() if plus and minus else Verdict.deterministic(1 if plus else -1)
+        assert rep.verdict == expected
+
+    check()
+
+
+def test_sampling_counts_do_not_depend_on_chunk_size(monkeypatch):
+    g = grid(3, 3)
+    m = Measurement("XYZIXYZXY")
+    cases = [(subset, rules) for subset in (None, (2,), (1, 5, 9))
+             for rules in (STANDARD_RULES, SYMMETRIC_RULES)]
+    expected = [product_report(g, m, s, r, samples=300, seed=4).counts for s, r in cases]
+    for chunk in (1, 7, 299, 300):
+        monkeypatch.setattr(lhv, "_SAMPLE_CHUNK", chunk)
+        assert [product_report(g, m, s, r, samples=300, seed=4).counts for s, r in cases] == expected
 
 
 def test_hidden_assignment_validation():

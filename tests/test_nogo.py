@@ -11,6 +11,7 @@ from graphlhv.graphs import (
     chain,
     complete_bipartite,
     grid,
+    padded_ring,
     ring,
     star,
 )
@@ -294,6 +295,30 @@ def test_certify_distance_sweep():
         assert cert.ok
         assert cert.max_other_changeable_in_view <= 1
         _check_certificate(cert.system, cert.solution.certificate)
+
+
+def test_certify_distance_finds_each_ball_once(monkeypatch):
+    # one BFS per support site, however many cases share it, and the views
+    # still read the measurement on each site's ball
+    from graphlhv import nogo
+
+    calls = []
+
+    def counting_ball(g, j, d):
+        calls.append(j)
+        return ball(g, j, d)
+
+    monkeypatch.setattr(nogo, "ball", counting_ball)
+    cert = certify_distance(60)
+    sites = set().union(*(case.support for case in cert.cases))
+    assert sorted(calls) == sorted(sites)
+    g = padded_ring(cert.n)
+    for case, eq in zip(cert.cases, cert.system.equations):
+        m = case.global_measurement
+        assert eq.variables == frozenset(
+            ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, cert.d))
+            for j in case.support
+        )
 
 
 def test_certify_distance_padding_is_idle():
