@@ -14,6 +14,7 @@ from .graphs import (
     GraphFormatError,
     NodeColoring,
     UnsupportedSizeError,
+    automorphism_orbits,
     automorphisms,
     ball,
     chain,

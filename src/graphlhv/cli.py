@@ -80,9 +80,17 @@ def _parse_subset(raw: str | None) -> list[int] | None:
     if raw is None:
         return None
     try:
-        return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
+        sites = [int(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise CommandError(f"bad subset {raw!r}: {exc}") from exc
+    # A repeated site squares its Pauli to the identity, so a product over the
+    # set (what product_report computes) would answer a different question.
+    seen: set[int] = set()
+    for j in sites:
+        if j in seen:
+            raise CommandError(f"bad subset {raw!r}: site {j} is repeated")
+        seen.add(j)
+    return sites
 
 
 def _emit(report: dict, human: str, ok: bool | None) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -264,7 +265,8 @@ def diameter(g: Graph) -> int:
 
 
 def check_automorphism_size(g: Graph, max_nodes: int) -> None:
-    """The guard of ``automorphisms``, for callers that refuse before other work."""
+    """The guard of ``automorphisms`` and of ``site_invariance_system``, for
+    callers that refuse before other work."""
     if g.n > max_nodes:
         raise UnsupportedSizeError(
             f"automorphism search is guarded at {max_nodes} nodes, got {g.n}"
@@ -274,11 +276,13 @@ def check_automorphism_size(g: Graph, max_nodes: int) -> None:
 def automorphisms(g: Graph, coloring: NodeColoring | None = None, max_nodes: int = 12) -> list[tuple[int, ...]]:
     """All node permutations preserving edges and the coloring.
 
-    The search is a complete backtracking enumeration with pruning on degree
-    and color, exact for the small graphs this library targets. Permutations
-    are returned as tuples p with p[j-1] the image of node j, sorted
-    lexicographically; the identity is always present. Raise the guard via
-    ``max_nodes`` only for graphs known to be rigid enough to enumerate.
+    The exhaustive reference: a complete backtracking enumeration with pruning
+    on degree and color, whose cost grows with the order of the group (8! on
+    star:9). Orbits come from ``automorphism_orbits``, which finds only a
+    generating set; tests compare the two. Permutations are returned as
+    tuples p with p[j-1] the image of node j, sorted lexicographically; the
+    identity is always present. Raise the guard via ``max_nodes`` only for
+    graphs known to be rigid enough to enumerate.
     """
     check_automorphism_size(g, max_nodes)
     labels = coloring.labels if coloring is not None else ("*",) * g.n
@@ -334,6 +338,102 @@ def orbits(n: int, perms: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], .
     for j in range(1, n + 1):
         groups.setdefault(find(j), []).append(j)
     return tuple(sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0]))
+
+
+def _refine(nbrs: Sequence[Sequence[int]], sides: list[list[int]]) -> list[list[int]]:
+    """Refine colorings of one graph together to the coarsest equitable partition.
+
+    Each round recolors a node by the rank of (its color, its neighbors'
+    sorted colors) among the signatures of every side, until the number of
+    colors stops growing. Ranks depend on nothing but the signatures, so the
+    colors of one side compare with the other's: an automorphism carrying
+    one input coloring to the other carries the refined ones too.
+    """
+    count = len(set().union(*sides))
+    while True:
+        sigs = [[(side[i], tuple(sorted(side[k] for k in nb))) for i, nb in enumerate(nbrs)]
+                for side in sides]
+        rank = {s: r for r, s in enumerate(sorted(set().union(*sigs)))}
+        sides = [[rank[s] for s in sig] for sig in sigs]
+        if len(rank) == count:
+            return sides
+        count = len(rank)
+
+
+def _individualized(nbrs, a: list[int], b: list[int], x: int, y: int) -> list[list[int]]:
+    """Give x on side a and y on side b one fresh color, then refine both."""
+    a, b = list(a), list(b)
+    a[x] = b[y] = max(a + b) + 1
+    return _refine(nbrs, [a, b])
+
+
+def _extend(nbrs, adj, labels, a: list[int], b: list[int]) -> list[int] | None:
+    """An automorphism carrying coloring a to coloring b, or None.
+
+    Both colorings are equitable and refined together. Branch on the first
+    cell with more than one node: fix one of its nodes on side a and try
+    every node of the cell on side b, since refinement does not tell which
+    of them lead to an automorphism. At a discrete leaf the bijection
+    matching equal colors is checked against every edge and label before
+    it is returned.
+    """
+    if sorted(a) != sorted(b):
+        return None
+    cell = min((c for c, k in Counter(a).items() if k > 1), default=None)
+    if cell is None:
+        where = {c: j for j, c in enumerate(b)}
+        perm = [where[c] for c in a]
+        # Joint refinement makes this hold; a failure is a bug, not a dead end.
+        if not (all(labels[j] == labels[perm[j]] for j in range(len(a))) and all(
+            perm[k] in adj[perm[j]] for j, nb in enumerate(nbrs) for k in nb
+        )):
+            raise RuntimeError("refined leaf is not an automorphism")
+        return perm
+    x = a.index(cell)
+    for y, c in enumerate(b):
+        if c == cell:
+            perm = _extend(nbrs, adj, labels, *_individualized(nbrs, a, b, x, y))
+            if perm is not None:
+                return perm
+    return None
+
+
+def automorphism_orbits(g: Graph, coloring: NodeColoring | None = None) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the automorphisms preserving edges and the coloring.
+
+    Same result as ``orbits(g.n, automorphisms(g, coloring))``, from a
+    generating set instead of the whole group (the individualization and
+    refinement scheme of nauty/Traces). The coloring is refined to the
+    coarsest equitable partition; then each node v is matched against one
+    representative u < v of every earlier orbit in its refined cell, by a
+    backtracking search for one automorphism with u -> v. Earlier orbits
+    are complete by then, so one success settles v. The automorphisms found
+    are merged by ``orbits``, so the work follows the number of orbits and
+    of nodes, not the order of the group. Labels need only be hashable.
+    """
+    labels = coloring.labels if coloring is not None else ("*",) * g.n
+    if len(labels) != g.n:
+        raise ValueError("coloring must label every node")
+    nbrs = [[k - 1 for k in block] for block in g.neighbors]
+    adj = [set(nb) for nb in nbrs]
+    index: dict = {}
+    colors = _refine(nbrs, [[index.setdefault(label, len(index)) for label in labels]])[0]
+    gens: list[tuple[int, ...]] = []
+    rep = list(range(g.n))  # smallest member of each node's orbit so far
+    for v in range(g.n):
+        if rep[v] != v:
+            continue
+        for u in range(v):
+            if rep[u] != u or colors[u] != colors[v]:
+                continue
+            perm = _extend(nbrs, adj, labels, *_individualized(nbrs, colors, colors, u, v))
+            if perm is not None:
+                gens.append(tuple(k + 1 for k in perm))
+                for orb in orbits(g.n, gens):
+                    for j in orb:
+                        rep[j - 1] = orb[0] - 1
+                break
+    return orbits(g.n, gens)
 
 
 def is_chain(g: Graph) -> bool:

@@ -32,9 +32,9 @@ from .graphs import (
     Graph,
     NodeColoring,
     UnsupportedSizeError,
-    automorphisms,
+    automorphism_orbits,
     ball,
-    orbits,
+    check_automorphism_size,
     padded_ring,
     ring,
 )
@@ -716,13 +716,18 @@ def site_invariance_system(
     is +1, so the flips alone must account for each certain sign: for every
     certain submeasurement, the XOR of its sites' orbit-flip variables must
     equal the sign bit. Orbits are taken under automorphisms preserving the
-    global measurement as a coloring.
+    global measurement as a coloring, by ``automorphism_orbits``: a
+    refinement search for one automorphism per merged pair of nodes, whose
+    cost follows the number of orbits, not the order of the group.
+
+    ``max_nodes`` is a limit of the command line (``--max-nodes``, exit 2
+    above it), not a cost: the orbit search does not depend on it.
     """
     if len(global_m) != g.n:
         raise ValueError(f"measurement length {len(global_m)} does not match n={g.n}")
     coloring = NodeColoring(tuple(global_m.letters))
-    perms = automorphisms(g, coloring, max_nodes=max_nodes)
-    orbs = orbits(g.n, perms)
+    check_automorphism_size(g, max_nodes)
+    orbs = automorphism_orbits(g, coloring)
     orbit_of: dict[int, OrbitVariable] = {}
     declared = []
     for orb in orbs:

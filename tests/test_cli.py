@@ -152,6 +152,26 @@ def test_site_invariance_guard_refuses_before_subset_walk(monkeypatch, capsys):
     assert err == "error: automorphism search is guarded at 12 nodes, got 18\n"
 
 
+# sha256 of the stdout of `nogo site-invariance`, recorded while orbits still came
+# from enumerating the whole automorphism group; orbits are a group invariant,
+# so the reports must not change. Version-bound like the digests below.
+@pytest.mark.parametrize(
+    "graph, letters, digest",
+    [
+        ("star:9", "X" * 9, "c70f87d304b406512bd8d3de3cb30ee0e32e6552d728749034051afb19313cb2"),
+        ("complete-bipartite:3x5", "X" * 8,
+         "dbb567d92a59a744bdd7ece8a41b4cba57f768983f3398707faf3c44358cfe89"),
+        ("grid:3x4", "Y" * 12, "39489e174197d1f737383582d4a8f1b3126e47ec328d29a6873809885df161fa"),
+    ],
+    ids=["star9-allX", "K35-allX", "grid3x4-allY"],
+)
+def test_site_invariance_report_is_pinned(capsys, graph, letters, digest):
+    code, out, _ = _run(capsys, "nogo", "site-invariance", "--graph", graph,
+                        "--measurement", letters)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the stdout of `lhv run --graph ring:24 --measurement IXIX... --samples 256
 # --seed 7`, recorded before sampling mode was batched; the README example has a
 # certain product, so a uniform subset pins the coin stream itself. The report
@@ -230,9 +250,12 @@ def test_byte_identical_reports(capsys):
         (["oracle", "--graph", "{file}", "--measurement", "XX"], '{"n": 2, "edges": [[1, "2"]]}'),
         (["oracle", "--graph", "{file}", "--measurement", "X"], '{"n": true, "edges": []}'),
         (["oracle", "--graph", "{file}", "--measurement", "XX"], '{"n": 2, "edges": 5}'),
+        (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--subset", "1,1"], None),
+        (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--subset", "2,3,2"], None),
     ],
     ids=["samples-0", "samples-negative", "chain-n-0", "chain-sample-0", "graph-dir",
-         "float-endpoints", "string-endpoint", "bool-n", "edges-not-a-list"],
+         "float-endpoints", "string-endpoint", "bool-n", "edges-not-a-list",
+         "subset-repeats-site", "subset-repeats-site-apart"],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, graph_json):
     path = tmp_path / "g.json"

@@ -12,6 +12,7 @@ from graphlhv.graphs import (
     GraphFormatError,
     NodeColoring,
     UnsupportedSizeError,
+    automorphism_orbits,
     automorphisms,
     ball,
     chain,
@@ -183,6 +184,100 @@ def test_automorphism_guard():
         automorphisms(ring(13))
     # explicit override lets rigid larger graphs through
     assert len(automorphisms(grid(4, 5), max_nodes=20)) == 4
+
+
+def _enumerated_orbits(g, labels):
+    return orbits(g.n, automorphisms(g, NodeColoring(labels), max_nodes=g.n))
+
+
+def test_orbit_search_matches_enumeration_on_random_graphs():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def colored_graphs(draw):
+        n = draw(st.integers(1, 9))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        letters = draw(st.text(alphabet="XYZ", min_size=n, max_size=n))
+        return Graph(n, tuple(p for p, k in zip(pairs, keep) if k)), tuple(letters)
+
+    @settings(max_examples=100, deadline=None)
+    @given(colored_graphs())
+    def check(case):
+        g, labels = case
+        assert automorphism_orbits(g, NodeColoring(labels)) == _enumerated_orbits(g, labels)
+
+    check()
+
+
+# Every fixed graph of at most 10 nodes that the suite builds elsewhere; the last
+# is the eight-mismatch instance of test_kernel_sweep.py.
+_SUITE_GRAPHS = [
+    chain(2), chain(3), chain(4), chain(5), chain(6), chain(10), ring(3), ring(4), ring(5),
+    ring(6), ring(7), ring(9), star(3), star(4), star(5), grid(2, 2), grid(2, 3), grid(3, 3),
+    complete_bipartite(2, 2), complete_bipartite(2, 3), relabel(grid(2, 3), CLOCKWISE_2X3),
+    Graph(8, ((2, 3), (2, 6), (2, 7), (3, 5), (3, 6), (4, 7), (4, 8),
+              (5, 6), (5, 7), (5, 8), (7, 8))),
+]
+
+
+@pytest.mark.parametrize("g", _SUITE_GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+def test_orbit_search_matches_enumeration_on_suite_graphs(g):
+    for labels in (("*",) * g.n, tuple("XYZ"[j % 3] for j in range(g.n)),
+                   tuple("XY"[(j * j) % 5 < 2] for j in range(g.n))):
+        assert automorphism_orbits(g, NodeColoring(labels)) == _enumerated_orbits(g, labels)
+    assert automorphism_orbits(g) == orbits(g.n, automorphisms(g, max_nodes=g.n))
+
+
+@pytest.mark.parametrize(
+    "g, letter",
+    [(star(9), "X"), (star(8), "X"), (grid(2, 3), "Y"), (grid(3, 4), "Y"), (grid(2, 6), "Y"),
+     (ring(12), "Y"), (ring(10), "X"), (complete_bipartite(4, 4), "X"),
+     (complete_bipartite(3, 5), "X")],
+    ids=["star9", "star8", "grid2x3", "grid3x4", "grid2x6", "ring12", "ring10", "K44", "K35"],
+)
+def test_orbit_search_matches_enumeration_on_certify_site_graphs(g, letter):
+    labels = (letter,) * g.n
+    assert automorphism_orbits(g, NodeColoring(labels)) == _enumerated_orbits(g, labels)
+
+
+def _frucht():
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = {tuple(sorted((j, (j + 1) % 12))) for j in range(12)}
+    edges |= {tuple(sorted((j, (j + s) % 12))) for j, s in enumerate(lcf)}
+    return Graph(12, tuple((u + 1, v + 1) for u, v in edges))
+
+
+def test_orbit_search_is_exact_where_refinement_splits_nothing():
+    # Both graphs are regular, so 1-WL leaves one cell; only the search tells.
+    frucht = _frucht()
+    assert len(frucht.edges) == 18 and {frucht.degree(j) for j in range(1, 13)} == {3}
+    assert automorphism_orbits(frucht) == tuple((j,) for j in range(1, 13))
+    assert automorphisms(frucht) == [tuple(range(1, 13))]
+
+    hexagon_and_triangles = Graph(12, tuple((j, j % 6 + 1) for j in range(1, 7)) + (
+        (7, 8), (8, 9), (7, 9), (10, 11), (11, 12), (10, 12)))
+    assert automorphism_orbits(hexagon_and_triangles) == (tuple(range(1, 7)), tuple(range(7, 13)))
+    assert automorphism_orbits(hexagon_and_triangles) == orbits(12, automorphisms(hexagon_and_triangles))
+
+
+def test_orbit_search_backtracks_past_dead_candidates():
+    # Two triangles and a pentagon, numbered so that after mapping one triangle
+    # onto the other the first candidate tried for the next cell is on the
+    # pentagon: refinement cannot tell 2-regular components apart.
+    g = Graph(11, ((1, 2), (1, 9), (2, 9), (3, 10), (3, 11), (4, 6), (4, 11), (5, 7), (5, 8),
+                   (6, 10), (7, 8)))
+    assert automorphism_orbits(g) == ((1, 2, 5, 7, 8, 9), (3, 4, 6, 10, 11))
+    assert automorphism_orbits(g) == orbits(11, automorphisms(g))
+
+
+def test_orbit_search_accepts_unorderable_labels():
+    g = chain(3)
+    assert automorphism_orbits(g, NodeColoring((1, "a", 1))) == ((1, 3), (2,))
+    assert automorphism_orbits(g, NodeColoring((None, "a", 1))) == ((1,), (2,), (3,))
+    with pytest.raises(ValueError):
+        automorphism_orbits(g, NodeColoring(("a", "b")))
 
 
 def test_json_round_trip():
