@@ -3,9 +3,12 @@
 A Pauli measurement on a graph state is deterministic exactly when the word
 (or its negative) is a product of the stabilizer generators; otherwise the
 outcome is uniformly random. ``classify`` decides this through the generator
-structure; ``statevector_verdict`` recomputes it from a dense state vector
-built with controlled-phase gates, sharing no code with the stabilizer path
-so the two can cross-check each other.
+structure and reads the sign off a closed form, (-1)^(e(G[S]) + |Y(S)|/2),
+with popcounts over the generator set S. ``statevector_verdict`` recomputes
+it from a dense state vector built with controlled-phase gates, sharing no
+code with the stabilizer path so the two can cross-check each other. Its
+amplitudes are scaled to +1 or -1, so 2^n times an expectation value is an
+exact integer and every verdict is decided without rounding.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import Graph, UnsupportedSizeError
-from .pauli import Measurement, _product_over_sites, _real_sign, letters_from_bits
+from .pauli import Measurement, letters_from_bits
 
 _STATEVECTOR_GUARD = 14
 _ENUMERATION_GUARD = 20
-_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,38 +74,53 @@ def _z_image(g: Graph, xmask: int) -> int:
     return out
 
 
+def _stabilizer_sign(g: Graph, xmask: int, zmask: int) -> int:
+    """Sign of the generator product over the sites S of xmask, written with
+    Y letters, where zmask is its z-part ``_z_image(g, xmask)``.
+
+    Moving each X of the product of X_j Z_N(j) to the left crosses one Z per
+    edge of G[S], and each Y site (S & zmask) reads XZ = -iY, so the sign is
+    (-1)^(e + |Y|/2) with e the sum of |N(j) & S| over S, halved.
+    """
+    masks = g.neighbor_masks
+    degrees = 0
+    m = xmask
+    while m:
+        low = m & -m
+        degrees += (masks[low.bit_length() - 1] & xmask).bit_count()
+        m ^= low
+    return -1 if (degrees // 2 + (xmask & zmask).bit_count() // 2) & 1 else 1
+
+
 def classify(g: Graph, m: Measurement) -> Verdict:
     """Classify a measurement by stabilizer membership.
 
     Each generator is the only one acting as X or Y at its own site, so the
     generator exponents of any candidate stabilizer element are forced by the
-    X/Y support of the word. It only remains to compare letters and read the
-    sign off the product's phase.
+    X/Y support of the word. It only remains to compare letters and take the
+    sign of the product in closed form.
     """
     if len(m) != g.n:
         raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
     mx, mz = m.bits()
     if _z_image(g, mx) != mz:
         return Verdict.uniform()
-    sites = [j + 1 for j in range(g.n) if (mx >> j) & 1]
-    _, phase = _product_over_sites(g, sites)
-    return Verdict.deterministic(_real_sign(phase))
+    return Verdict.deterministic(_stabilizer_sign(g, mx, mz))
 
 
 def _build_state(g: Graph) -> np.ndarray:
-    """Dense graph-state vector: |+...+> with a CZ applied along every edge."""
-    dim = 1 << g.n
-    psi = np.full(dim, 1.0 / np.sqrt(dim))
-    idx = np.arange(dim)
+    """Dense graph-state vector: |+...+> with a CZ applied along every edge,
+    scaled by 2^(n/2) so that every amplitude is an int8 +1 or -1."""
+    idx = np.arange(1 << g.n)
+    odd = np.zeros_like(idx)
     for u, v in g.edges:
-        both = ((idx >> (u - 1)) & 1) & ((idx >> (v - 1)) & 1)
-        psi = psi * np.where(both == 1, -1.0, 1.0)
-    return psi
+        odd ^= (idx >> (u - 1)) & (idx >> (v - 1)) & 1
+    return (1 - 2 * odd).astype(np.int8)
 
 
-def _expectation(g: Graph, m: Measurement, psi: np.ndarray) -> float:
-    dim = psi.shape[0]
-    idx = np.arange(dim)
+def _expectation(g: Graph, m: Measurement, psi: np.ndarray) -> int:
+    """2^n times the expectation value of the word, an exact integer."""
+    idx = np.arange(psi.shape[0])
     xmask = 0
     zymask = 0  # sites whose bit flips the sign: Z and Y
     n_y = 0
@@ -114,14 +131,13 @@ def _expectation(g: Graph, m: Measurement, psi: np.ndarray) -> float:
             zymask |= 1 << j
         if ch == "Y":
             n_y += 1
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zymask) & 1)
-    coeff = (1j) ** (n_y % 4)
-    phi = np.zeros(dim, dtype=complex)
-    phi[idx ^ xmask] = coeff * signs * psi
-    e = complex(np.vdot(psi, phi))
-    if abs(e.imag) > _ATOL:
-        raise RuntimeError(f"expectation value {e!r} of a Hermitian word is not real")
-    return e.real
+    signs = 1 - 2 * (np.bitwise_count(idx & zymask) & 1).astype(np.int8)
+    # sum of psi[i ^ x] * psi[i] * (-1)^|i & z|; int8 terms, int64 accumulator
+    total = int(np.sum(psi[idx ^ xmask] * psi * signs, dtype=np.int64))
+    # 2^n <P> = i^n_y * total, real only if total vanishes for odd n_y
+    if n_y % 2 and total:
+        raise RuntimeError(f"expectation value {total}i/2^{g.n} of a Hermitian word is not real")
+    return -total if n_y % 4 == 2 else total
 
 
 def statevector_verdict(g: Graph, m: Measurement) -> Verdict:
@@ -132,16 +148,12 @@ def statevector_verdict(g: Graph, m: Measurement) -> Verdict:
         )
     if len(m) != g.n:
         raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
-    psi = _build_state(g)
-    e = _expectation(g, m, psi)
-    for target, verdict in (
-        (1.0, Verdict.deterministic(1)),
-        (-1.0, Verdict.deterministic(-1)),
-        (0.0, Verdict.uniform()),
-    ):
-        if abs(e - target) <= _ATOL:
-            return verdict
-    raise RuntimeError(f"expectation value {e!r} is not near -1, 0 or +1")
+    scaled = _expectation(g, m, _build_state(g))
+    if scaled == 0:
+        return Verdict.uniform()
+    if abs(scaled) == 1 << g.n:
+        return Verdict.deterministic(1 if scaled > 0 else -1)
+    raise RuntimeError(f"expectation value {scaled}/2^{g.n} is not -1, 0 or +1")
 
 
 def enumerate_stabilizer_measurements(g: Graph) -> Iterator[tuple[Measurement, int]]:
@@ -156,7 +168,5 @@ def enumerate_stabilizer_measurements(g: Graph) -> Iterator[tuple[Measurement, i
             f"stabilizer enumeration is guarded at {_ENUMERATION_GUARD} qubits, got {g.n}"
         )
     for amask in range(1 << g.n):
-        sites = [j + 1 for j in range(g.n) if (amask >> j) & 1]
-        _, phase = _product_over_sites(g, sites)
-        letters = letters_from_bits(g.n, amask, _z_image(g, amask))
-        yield Measurement(letters), _real_sign(phase)
+        zmask = _z_image(g, amask)
+        yield Measurement(letters_from_bits(g.n, amask, zmask)), _stabilizer_sign(g, amask, zmask)

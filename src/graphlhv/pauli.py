@@ -2,7 +2,10 @@
 
 Phases are tracked as exponents of i modulo 4 because single-site products
 genuinely produce imaginary factors (XZ = -iY, YZ = iX, ...); only full
-generator products are guaranteed real.
+generator products are guaranteed real. ``multiply`` is the package's one
+phase tracker: generator products are ordered products of ``generator``
+words, and they serve as the independent reference for the closed-form
+signs of the oracle.
 """
 
 from __future__ import annotations
@@ -24,16 +27,6 @@ _PRODUCT: dict[tuple[str, str], tuple[str, int]] = {
 }
 
 _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-
-# Integer-coded copies of the table for hot loops: I=0, X=1, Y=2, Z=3.
-_CODE = {letter: k for k, letter in enumerate(PAULI_LETTERS)}
-_CODE_MUL = tuple(
-    tuple(
-        (_CODE[_PRODUCT[(a, b)][0]], _PRODUCT[(a, b)][1])
-        for b in PAULI_LETTERS
-    )
-    for a in PAULI_LETTERS
-)
 
 
 def _check_letters(letters: str) -> None:
@@ -166,28 +159,21 @@ def generator(g: Graph, j: int) -> PhasedPauli:
     return PhasedPauli("".join(letters), 0)
 
 
-def _product_over_sites(g: Graph, sites: Iterable[int]) -> tuple[list[int], int]:
-    """Letter codes and i exponent of the ordered product of generators."""
-    cur = [0] * g.n
-    phase = 0
-    nbrs = g.neighbors
-    for j in sites:
-        c, p = _CODE_MUL[cur[j - 1]][1]  # X at site j
-        cur[j - 1] = c
-        phase += p
-        for k in nbrs[j - 1]:
-            c, p = _CODE_MUL[cur[k - 1]][3]  # Z at each neighbor
-            cur[k - 1] = c
-            phase += p
-    return cur, phase % 4
-
-
 def _real_sign(phase: int) -> int:
     """Sign of a generator product's phase. Such products are always real, so
     an imaginary phase is a bug and raises RuntimeError."""
     if phase not in (0, 2):
         raise RuntimeError(f"generator product produced imaginary phase i**{phase}")
     return 1 if phase == 0 else -1
+
+
+def _ordered_product(g: Graph, sites: Iterable[int]) -> PhasedPauli:
+    """Product of the generators at the sites, in the given order."""
+    p = PhasedPauli.identity(g.n)
+    for j in sites:
+        p = multiply(p, generator(g, j))
+    _real_sign(p.phase)
+    return p
 
 
 def generator_product(g: Graph, a: Sequence[int]) -> PhasedPauli:
@@ -200,13 +186,9 @@ def generator_product(g: Graph, a: Sequence[int]) -> PhasedPauli:
         raise ValueError(f"bit-vector length {len(a)} does not match n={g.n}")
     if any(bit not in (0, 1) for bit in a):
         raise ValueError("a must contain only bits 0 and 1")
-    sites = [j for j, bit in enumerate(a, start=1) if bit]
-    codes, phase = _product_over_sites(g, sites)
-    _real_sign(phase)
-    return PhasedPauli("".join(PAULI_LETTERS[c] for c in codes), phase)
+    return _ordered_product(g, [j for j, bit in enumerate(a, start=1) if bit])
 
 
 def generator_product_sign(g: Graph, sites: Iterable[int]) -> int:
     """Sign of the product of the generators at the given sites."""
-    _, phase = _product_over_sites(g, sorted(set(sites)))
-    return _real_sign(phase)
+    return _ordered_product(g, sorted(set(sites))).sign

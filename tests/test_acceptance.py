@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every check here is exact: either a finite exhaustive sweep or an integer
-certificate. The only floating-point step anywhere is the state-vector
-oracle's 1e-9 rounding guard.
+certificate.
 """
 
 import itertools

@@ -172,6 +172,26 @@ def test_site_invariance_report_is_pinned(capsys, graph, letters, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the canned reports whose mismatch lists carry
+# classify signs, recorded while those signs still came from a phase-tracked
+# generator product; the closed form must not change them. Version-bound like
+# the digests around them.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["reproduce", "fig1"], "54d37438647fccc181dd198e0e81295b3897798d39b87cb930c180bf6f8d1c6b"),
+        (["reproduce", "fig2"], "972d123e1066003f59f2d95e73930655bbd7087269d61b80eddf1e20dca824d1"),
+        (["verify-sub", "--graph", "grid:4x4", "--measurement", "Y" * 16],
+         "a52977f33dc99a14c7aaef84013fdb9dfd178820fb0d98049446a592ecc22368"),
+    ],
+    ids=["fig1", "fig2", "grid4x4-allY"],
+)
+def test_signed_report_is_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the stdout of `lhv run --graph ring:24 --measurement IXIX... --samples 256
 # --seed 7`, recorded before sampling mode was batched; the README example has a
 # certain product, so a uniform subset pins the coin stream itself. The report

@@ -1,6 +1,8 @@
 """Stabilizer classification against the independent state-vector oracle."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ import pytest
 from graphlhv.graphs import Graph, UnsupportedSizeError, chain, grid, ring, star
 from graphlhv.oracle import (
     Verdict,
+    _build_state,
+    _expectation,
     classify,
     enumerate_stabilizer_measurements,
     statevector_verdict,
 )
-from graphlhv.pauli import Measurement
+from graphlhv.pauli import Measurement, generator_product
 
 _MATS = {
     "I": np.eye(2),
@@ -87,20 +91,23 @@ def test_statevector_guard():
         statevector_verdict(ring(15), Measurement("I" * 15))
 
 
+def _assert_matches_kron(g, m):
+    e = _kron_expectation(g, m)
+    v = statevector_verdict(g, m)
+    if abs(e - 1) < 1e-9:
+        assert v == Verdict.deterministic(1)
+    elif abs(e + 1) < 1e-9:
+        assert v == Verdict.deterministic(-1)
+    else:
+        assert abs(e) < 1e-9
+        assert v == Verdict.uniform()
+
+
 def test_statevector_matches_kron_oracle():
     # cross-check the vectorized state-vector path against explicit kron math
     for g in (chain(3), ring(4), star(4), grid(2, 2)):
         for letters in itertools.product("IXYZ", repeat=g.n):
-            m = Measurement("".join(letters))
-            e = _kron_expectation(g, m)
-            v = statevector_verdict(g, m)
-            if abs(e - 1) < 1e-9:
-                assert v == Verdict.deterministic(1)
-            elif abs(e + 1) < 1e-9:
-                assert v == Verdict.deterministic(-1)
-            else:
-                assert abs(e) < 1e-9
-                assert v == Verdict.uniform()
+            _assert_matches_kron(g, Measurement("".join(letters)))
 
 
 def test_oracles_agree_small_suite():
@@ -161,3 +168,88 @@ def test_measurement_length_checked():
         classify(chain(3), Measurement("XX"))
     with pytest.raises(ValueError):
         statevector_verdict(chain(3), Measurement("XX"))
+
+
+def _random_graphs(st, max_n):
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(1, max_n))
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        return Graph(n, tuple(p for p in pairs if draw(st.booleans())))
+
+    return graphs()
+
+
+def test_statevector_matches_kron_oracle_on_random_graphs():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=150, deadline=None)
+    @given(_random_graphs(st, 6), st.data())
+    def check(g, data):
+        letters = data.draw(st.text(alphabet="IXYZ", min_size=g.n, max_size=g.n))
+        _assert_matches_kron(g, Measurement(letters))
+
+    check()
+
+
+def test_closed_form_sign_matches_generator_product():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_graphs(st, 10), st.data())
+    def check(g, data):
+        a = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
+        p = generator_product(g, a)
+        assert classify(g, Measurement(p.letters)) == Verdict.deterministic(p.sign)
+
+    check()
+
+
+def test_enumeration_signs_match_generator_products():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_graphs(st, 6))
+    def check(g):
+        for amask, (m, sign) in enumerate(enumerate_stabilizer_measurements(g)):
+            p = generator_product(g, [(amask >> j) & 1 for j in range(g.n)])
+            assert (m.letters, sign) == (p.letters, p.sign)
+
+    check()
+
+
+_NON_STABILIZER_STATE = """
+import numpy as np
+import pytest
+import graphlhv.oracle as oracle
+from graphlhv import Measurement, chain, statevector_verdict
+
+# 2^3 <XII> = 4 on this vector: neither 0 nor +-8, so not a graph state
+oracle._build_state = lambda g: np.array([1] * 7 + [-1], dtype=np.int8)
+with pytest.raises(RuntimeError, match="not -1, 0 or [+]1"):
+    statevector_verdict(chain(3), Measurement("XII"))
+print("raised")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_non_stabilizer_total_raises_even_under_optimization(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _NON_STABILIZER_STATE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
+
+
+def test_statevector_totals_are_exact_integers():
+    g = chain(10)
+    psi = _build_state(g)
+    assert psi.dtype == np.int8 and set(psi.tolist()) == {1, -1}
+    for letters, total in (("I" * 10, 1024), ("YXYIYYZZXZ", -1024), ("XIIIIIIIII", 0)):
+        assert _expectation(g, Measurement(letters), psi) == total
+    # 2^14 one-terms at the guard: an int8 accumulator would wrap
+    g = ring(14)
+    assert _expectation(g, Measurement("I" * 14), _build_state(g)) == 1 << 14

@@ -149,22 +149,28 @@ def test_phased_pauli_rendering():
         PhasedPauli("X", 1).sign
 
 
+def test_generator_product_sign_validates_sites():
+    # 0 and -1 must not wrap around to node n, nor n + 1 surface as IndexError
+    g = ring(5)
+    for site in (0, -1, g.n + 1):
+        with pytest.raises(ValueError, match="outside"):
+            generator_product_sign(g, {site})
+        with pytest.raises(ValueError, match="outside"):
+            generator_product_sign(g, {1, site})
+
+
 _IMAGINARY_PHASE = """
 import pytest
-import graphlhv.oracle as oracle
 import graphlhv.pauli as pauli
-from graphlhv import (Measurement, classify, enumerate_stabilizer_measurements,
-                      generator_product, generator_product_sign, ring,
+from graphlhv import (generator_product, generator_product_sign, ring,
                       y_stabilizer_supports)
 
-def fake(g, sites):
-    return [0] * g.n, 1  # phase i**1: an imaginary generator product
-pauli._product_over_sites = oracle._product_over_sites = fake
-g = ring(4)
-for call in (lambda: generator_product(g, [1, 0, 0, 0]),
+def fake(p, q):
+    return pauli.PhasedPauli("I" * len(p), 1)  # an imaginary generator product
+pauli.multiply = fake
+g = ring(3)  # Y on any two of its sites is a stabilizer word
+for call in (lambda: generator_product(g, [1, 0, 0]),
              lambda: generator_product_sign(g, {1}),
-             lambda: classify(g, Measurement("XZIZ")),
-             lambda: next(enumerate_stabilizer_measurements(g)),
              lambda: y_stabilizer_supports(g)):
     with pytest.raises(RuntimeError, match="imaginary"):
         call()
