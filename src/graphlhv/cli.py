@@ -1,7 +1,8 @@
 """Command-line front end: JSON reports on stdout, human-readable text on stderr.
 
 Exit codes: 0 when the result matches the expectation (or none was supplied),
-1 when a violation or unexpected result was found, 2 on usage or parse errors.
+1 when a violation or unexpected result was found, 2 on usage or parse errors,
+3 on an internal error (any other exception, reported on one line, no traceback).
 Reports are byte-identical for identical inputs and seeds.
 """
 
@@ -418,6 +419,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a failed invariant, not a verdict: keep it off code 1
+        detail = " ".join(str(exc).split())
+        print(f"error: internal {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

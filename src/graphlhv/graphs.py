@@ -231,10 +231,11 @@ def ball(g: Graph, j: int, d: int) -> frozenset[int]:
     g.check_node(j)
     if d < 0:
         raise ValueError(f"distance must be non-negative, got {d}")
+    nbrs = g.neighbors  # every node reached is in range once j is
     seen = {j}
     frontier = [j]
     for _ in range(d):
-        nxt = [k for u in frontier for k in g.neighborhood(u) if k not in seen]
+        nxt = [k for u in frontier for k in nbrs[u - 1] if k not in seen]
         if not nxt:
             break
         seen.update(nxt)

@@ -134,14 +134,6 @@ def _variable_json(key) -> dict:
     return {"name": repr(key)}
 
 
-def _system_from_equations(equations: Sequence[Equation]) -> ParityConstraintSystem:
-    seen: dict[Hashable, None] = {}
-    for eq in equations:
-        for key in sorted(eq.variables, key=repr):
-            seen.setdefault(key, None)
-    return ParityConstraintSystem(tuple(seen), tuple(equations))
-
-
 @dataclass(frozen=True)
 class GF2Solution:
     """Either a satisfying assignment or a certificate of inconsistency.
@@ -528,12 +520,7 @@ def build_ring_instance(f: int) -> RingInstance:
 
 def measurement_view(g: Graph, m: Measurement, j: int, d: int) -> tuple[tuple[int, str], ...]:
     """Measurement letters on the distance-d ball of j, in canonical node order."""
-    return _view(m, sorted(ball(g, j, d)))
-
-
-def _view(m: Measurement, nodes: Iterable[int]) -> tuple[tuple[int, str], ...]:
-    """Measurement letters on ``nodes``, which come in sorted order."""
-    return tuple((k, m.letter(k)) for k in nodes)
+    return tuple((k, m.letter(k)) for k in sorted(ball(g, j, d)))
 
 
 def distance_constraint_system(
@@ -544,22 +531,51 @@ def distance_constraint_system(
     """One parity equation per certain submeasurement, over view-keyed variables.
 
     Sites in different cases share a variable exactly when site, measured
-    observable and the full distance-d view coincide.
+    observable and the full distance-d view coincide. A site's view has the
+    same nodes in every case, so two of its views can differ only on the
+    difference sites, where the cases' global measurements disagree (the
+    three vertices on the padded ring). Each (case, site) is therefore keyed
+    by its site, its letter and its letters on ball ∩ difference sites, and
+    the full view is built once per distinct key. Variables are declared in
+    order of first use, an equation's sites taken in decimal-string order.
+    Raises ValueError unless every case's words have length n and its sub is
+    a submeasurement of its global measurement.
     """
-    sites = set().union(*(case.support for case in cases))
-    balls = {j: tuple(sorted(ball(g, j, d))) for j in sites}  # sorted tuples keep this small
-    equations = []
+    return _distance_system(g, cases, d)[0]
+
+
+def _distance_system(
+    g: Graph, cases: Sequence[CertainSubmeasurement], d: int
+) -> tuple[ParityConstraintSystem, dict[int, frozenset[int]]]:
+    """``distance_constraint_system`` plus each support site's ball."""
     for case in cases:
-        keys = [
-            ContextVariable(
-                j,
-                case.global_measurement.letter(j).lower(),
-                _view(case.global_measurement, balls[j]),
+        glob, sub = case.global_measurement, case.sub
+        if len(glob) != g.n or len(sub) != g.n:
+            raise ValueError(
+                f"case {case.name}: global and sub must have n={g.n} letters, "
+                f"got {len(glob)} and {len(sub)}"
             )
-            for j in sorted(case.support)
-        ]
-        equations.append(parity_equation(keys, 0 if case.expected_sign == 1 else 1, case.name))
-    return _system_from_equations(equations)
+        if not is_submeasurement(sub, glob):
+            raise ValueError(f"case {case.name}: {sub} is not a submeasurement of {glob}")
+    words = [case.global_measurement.letters for case in cases]
+    differ = [k for k, column in enumerate(zip(*words), start=1) if len(set(column)) > 1]
+    sites = sorted(set().union(*(case.support for case in cases)))
+    balls = {j: ball(g, j, d) for j in sites}
+    probes = {j: tuple(k - 1 for k in differ if k in nodes) for j, nodes in balls.items()}
+    variables: dict[tuple, ContextVariable] = {}
+    equations = []
+    for case, word in zip(cases, words):
+        # sites in decimal-string order (1, 10, 2, ...): the published variable order
+        keys = []
+        for j in sorted(case.support, key=str):
+            key = (j, word[j - 1], tuple(word[i] for i in probes[j]))
+            var = variables.get(key)
+            if var is None:
+                view = tuple((k, word[k - 1]) for k in sorted(balls[j]))
+                var = variables[key] = ContextVariable(j, word[j - 1].lower(), view)
+            keys.append(var)
+        equations.append(Equation(frozenset(keys), 0 if case.expected_sign == 1 else 1, case.name))
+    return ParityConstraintSystem(tuple(variables.values()), tuple(equations)), balls
 
 
 def distance_bound(n: int) -> int:
@@ -645,11 +661,10 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
         verdict = classify(g, case.sub)
         if verdict != Verdict.deterministic(case.expected_sign):
             raise RuntimeError(f"padded case {case.name}: oracle gives {verdict}")
-    system = distance_constraint_system(g, cases, d)
-    views = {var.site: var.view for var in system.variables}  # each site's ball, read back
+    system, balls = _distance_system(g, cases, d)
     max_other = max(
-        (sum(k in inst.vertices for k, _ in view) - (j in inst.vertices)
-         for j, view in views.items()),
+        (len(inst.vertices & nodes) - (j in inst.vertices)
+         for j, nodes in balls.items()),
         default=0,
     )
     solution = gf2_solve(system)

@@ -21,7 +21,7 @@ import numpy as np
 from .graphs import Graph, UnsupportedSizeError
 from .pauli import Measurement, letters_from_bits
 
-_STATEVECTOR_GUARD = 14
+_STATEVECTOR_GUARD = 20
 _ENUMERATION_GUARD = 20
 
 
@@ -141,7 +141,7 @@ def _expectation(g: Graph, m: Measurement, psi: np.ndarray) -> int:
 
 
 def statevector_verdict(g: Graph, m: Measurement) -> Verdict:
-    """Classify a measurement from the dense state vector (guarded at n <= 14)."""
+    """Classify a measurement from the dense state vector (guarded at n <= 20)."""
     if g.n > _STATEVECTOR_GUARD:
         raise UnsupportedSizeError(
             f"state-vector check is guarded at {_STATEVECTOR_GUARD} qubits, got {g.n}"

@@ -192,6 +192,34 @@ def test_signed_report_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `nogo ring`, recorded while every (case, site) view was
+# built in full and variables were ordered by sorting their reprs; the
+# difference-site keys must not change a byte. `reproduce fig1` is pinned
+# above. Version-bound like the digests around them.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("--f", "1"), "56e5d40a6931e850cd7f0dbe0a511163dfac7e74c689cdd2f248dead1a585b53"),
+        (("--f", "3"), "c2c9a2f218762920f411d8c3ade92cee194b3320adbcac36fb965f1f2a2fdf65"),
+        (("--f", "5"), "3be1d64724e8203d618043c717601de31cc97a1783c09c373749b7873e433f09"),
+        (("--f", "7"), "71984216b208d9fec96058cae0baaabf25d001dc47f9c4a58a407108a78db8cb"),
+        (("--f", "9"), "057cd19b8afe0f82f28cfa4e267549f8fca326a4671ec8cd2bc7221430117f4a"),
+        (("--f", "13"), "dc50b2e93e966a2cc5a502707b95678ada3e85950c43fe16f5a4abf633439f58"),
+        (("--f", "17"), "10cae136dc49ba08f71d72eb614b8e47d8c5d528a95b6aebab16beb4fbdbc599"),
+        (("--f", "25"), "54ed95bdfe7fd3863e43b7737f86895583a76053371f29b3be52a03dd5aa6eea"),
+        (("--f", "1", "--d", "0"), "f7cb3d238214163f391e472f1339daa2b33de62661d9823d97fdb91e510692d8"),
+        (("--f", "1", "--d", "2"), "1351843f52fae2c0212d5e73bc3fc3c3c5247749a73ca986d3822032579b18ff"),
+        (("--f", "1", "--d", "6"), "d8a0852b0e75e55474fb3214c1bd44459c244235e11cce49d10509f67e166d09"),
+        (("--f", "3", "--d", "9"), "ebec04fa0c364e5fc4acc914a02d1d2c331ea9b159a87030bd5a3a71ece73224"),
+    ],
+    ids=["f1", "f3", "f5", "f7", "f9", "f13", "f17", "f25", "f1-d0", "f1-d2", "f1-d6", "f3-d9"],
+)
+def test_ring_report_is_pinned(capsys, args, digest):
+    code, out, _ = _run(capsys, "nogo", "ring", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the stdout of `lhv run --graph ring:24 --measurement IXIX... --samples 256
 # --seed 7`, recorded before sampling mode was batched; the README example has a
 # certain product, so a uniform subset pins the coin stream itself. The report
@@ -213,6 +241,16 @@ def test_sampling_stream_is_pinned(capsys, subset, counts, digest):
     assert code == 0
     assert json.loads(out)["result"]["counts"] == counts
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_internal_error_exits_3_on_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("oracle and state vector disagree\non ring:4")
+
+    monkeypatch.setattr(cli, "_cmd_oracle", broken)
+    code, out, err = _run(capsys, "oracle", "--graph", "ring:4", "--measurement", "ZIII")
+    assert code == 3 and out == ""
+    assert err == "error: internal RuntimeError: oracle and state vector disagree on ring:4\n"
 
 
 def test_chain_verify(capsys):

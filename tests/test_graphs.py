@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -190,9 +192,21 @@ def _enumerated_orbits(g, labels):
     return orbits(g.n, automorphisms(g, NodeColoring(labels), max_nodes=g.n))
 
 
+# The reference enumeration lists the whole group; 7! permutations take a few
+# tens of milliseconds, 9! (edgeless or complete, one letter) several seconds.
+_ENUMERATION_CAP = 5040
+
+
+def _group_order_bound(g, labels):
+    """Product of |class|! over the (label, degree) classes: automorphisms keep
+    both, so this bounds the order of the group."""
+    classes = Counter((labels[j - 1], g.degree(j)) for j in range(1, g.n + 1))
+    return math.prod(math.factorial(k) for k in classes.values())
+
+
 def test_orbit_search_matches_enumeration_on_random_graphs():
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
 
     @st.composite
     def colored_graphs(draw):
@@ -206,9 +220,31 @@ def test_orbit_search_matches_enumeration_on_random_graphs():
     @given(colored_graphs())
     def check(case):
         g, labels = case
+        # larger groups (edgeless, complete, star) are fixed cases
+        assume(_group_order_bound(g, labels) <= _ENUMERATION_CAP)
         assert automorphism_orbits(g, NodeColoring(labels)) == _enumerated_orbits(g, labels)
 
     check()
+
+
+_K9 = Graph(9, tuple(itertools.combinations(range(1, 10), 2)))
+
+
+# Edgeless, complete and one-edge have groups past the cap, so only these fixed
+# cases (and star9 above) cover them; the others split the same graphs by letter.
+@pytest.mark.parametrize(
+    "g, letters, expected",
+    [
+        (Graph(9, ()), "X" * 9, (tuple(range(1, 10)),)),
+        (_K9, "Y" * 9, (tuple(range(1, 10)),)),
+        (Graph(9, ()), "XYZXYZXYZ", ((1, 4, 7), (2, 5, 8), (3, 6, 9))),
+        (_K9, "ZZZZZXXXX", ((1, 2, 3, 4, 5), (6, 7, 8, 9))),
+        (Graph(9, ((1, 2),)), "X" * 9, ((1, 2), tuple(range(3, 10)))),
+    ],
+    ids=["edgeless", "complete", "edgeless-3letters", "complete-2letters", "one-edge"],
+)
+def test_orbit_search_on_symmetric_graphs_with_known_orbits(g, letters, expected):
+    assert automorphism_orbits(g, NodeColoring(tuple(letters))) == expected
 
 
 # Every fixed graph of at most 10 nodes that the suite builds elsewhere; the last

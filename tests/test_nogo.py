@@ -6,6 +6,7 @@ import random
 import pytest
 
 from graphlhv.graphs import (
+    Graph,
     UnsupportedSizeError,
     ball,
     chain,
@@ -327,6 +328,85 @@ def test_certify_distance_padding_is_idle():
     for case in cert.cases:
         assert case.sub.letters[12:] == "II"
         assert case.global_measurement.letters[12:] == "II"
+
+
+def _reference_distance_system(g, cases, d):
+    """The construction before difference-site keys: a full view per (case, site),
+    variables declared in first-use order with each equation sorted by repr."""
+    equations = []
+    for case in cases:
+        m = case.global_measurement
+        keys = [ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, d))
+                for j in sorted(case.support)]
+        equations.append(parity_equation(keys, 0 if case.expected_sign == 1 else 1, case.name))
+    seen = {}
+    for eq in equations:
+        for key in sorted(eq.variables, key=repr):
+            seen.setdefault(key, None)
+    return ParityConstraintSystem(tuple(seen), tuple(equations))
+
+
+def _assert_same_system(got, want):
+    assert got.variables == want.variables  # order included
+    assert got.equations == want.equations
+
+
+@pytest.mark.parametrize("f", [1, 3])
+def test_distance_system_matches_full_view_reference_on_rings(f):
+    inst = build_ring_instance(f)
+    for d in range(0, 6 * f + 2):
+        _assert_same_system(
+            distance_constraint_system(inst.graph, inst.cases, d),
+            _reference_distance_system(inst.graph, inst.cases, d),
+        )
+
+
+def test_distance_system_matches_full_view_reference_on_random_cases():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def instances(draw):
+        n = draw(st.integers(1, 10))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, tuple(p for p, k in zip(pairs, keep) if k))
+        base = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+        cases = []
+        for k in range(draw(st.integers(1, 5))):
+            changed = draw(st.integers(0, (1 << n) - 1))  # bit j-1: site j may differ
+            other = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+            glob = "".join(o if (changed >> i) & 1 else b for i, (b, o) in enumerate(zip(base, other)))
+            kept = draw(st.integers(0, (1 << n) - 1))
+            sub = "".join(ch if (kept >> i) & 1 else "I" for i, ch in enumerate(glob))
+            sign = draw(st.sampled_from((1, -1)))
+            cases.append(CertainSubmeasurement(f"c{k}", Measurement(glob), Measurement(sub), sign))
+        return g, cases, draw(st.integers(0, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances())
+    def check(instance):
+        g, cases, d = instance
+        _assert_same_system(
+            distance_constraint_system(g, cases, d), _reference_distance_system(g, cases, d)
+        )
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "glob, sub",
+    [("XIIII", "XIIII"), ("XIIIII", "XIIII"), ("XIIIIII", "XIIIIII"), ("XIIIII", "XIIIIII"),
+     ("XIIIII", "XYIIII"), ("XIIIII", "YIIIII")],
+    ids=["both-short", "sub-short", "both-long", "sub-long", "extra-site", "other-letter"],
+)
+def test_distance_system_rejects_malformed_cases(glob, sub):
+    g = ring(6)
+    good = CertainSubmeasurement("ok", Measurement("XIIIII"), Measurement("XIIIII"), 1)
+    bad = CertainSubmeasurement("bad", Measurement(glob), Measurement(sub), 1)
+    with pytest.raises(ValueError, match="bad"):
+        distance_constraint_system(g, [good, bad], 1)
+    assert distance_constraint_system(g, [good], 1).variables[0].observable == "x"
 
 
 # ---------------------------------------------------------------------------

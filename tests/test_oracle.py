@@ -87,8 +87,13 @@ def test_statevector_examples():
 
 
 def test_statevector_guard():
+    # n = 20 is the edge: accepted, and it agrees with the closed form
+    g = ring(20)
+    m = Measurement("YYZ" + "I" * 16 + "Z")  # generators 1 and 2 multiplied
+    assert classify(g, m).is_deterministic
+    assert statevector_verdict(g, m) == classify(g, m)
     with pytest.raises(UnsupportedSizeError):
-        statevector_verdict(ring(15), Measurement("I" * 15))
+        statevector_verdict(ring(21), Measurement("I" * 21))
 
 
 def _assert_matches_kron(g, m):
