@@ -94,6 +94,13 @@ def _parse_subset(raw: str | None) -> list[int] | None:
     return sites
 
 
+def _check_seed(seed: int) -> None:
+    # numpy refuses a negative seed without naming the flag, and the exact
+    # modes never reach numpy: refuse it in every mode, before any work.
+    if seed < 0:
+        raise CommandError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _emit(report: dict, human: str, ok: bool | None) -> int:
     print(json.dumps(report, sort_keys=True))
     if human:
@@ -125,6 +132,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_lhv_run(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     g, source = _resolve_graph(args.graph)
     m = _parse_measurement(args.measurement, g)
     subset = _parse_subset(args.subset)
@@ -221,6 +229,7 @@ def _cmd_nogo_site(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain_verify(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     try:
         rep = verify_chain_exhaustive(args.n, args.broadcast_y, args.sample, args.seed)
     except ValueError as exc:  # includes UnsupportedSizeError
@@ -343,6 +352,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser; each subcommand's ``func`` is its handler's name."""
     parser = argparse.ArgumentParser(
         prog="graphlhv",
         description="Pauli measurements on graph states: exact predictions, "
@@ -355,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="classify a measurement on a graph state")
     p.add_argument("--graph", required=True)
     p.add_argument("--measurement", required=True)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func="_cmd_oracle")
 
     lhv = sub.add_parser("lhv", help="run the hidden-variable protocol")
     lhv_sub = lhv.add_subparsers(dest="lhv_command", required=True)
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rules", choices=sorted(_RULES), default="standard")
-    p.set_defaults(func=_cmd_lhv_run)
+    p.set_defaults(func="_cmd_lhv_run")
 
     p = sub.add_parser("verify-sub", help="compare oracle and protocol on every subset")
     p.add_argument("--graph", required=True)
@@ -374,20 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", choices=sorted(_RULES), default="standard")
     p.add_argument("--include-matches", action="store_true")
     p.add_argument("--expect", choices=["clean", "mismatch"])
-    p.set_defaults(func=_cmd_verify_sub)
+    p.set_defaults(func="_cmd_verify_sub")
 
     nogo = sub.add_parser("nogo", help="impossibility certificates")
     nogo_sub = nogo.add_subparsers(dest="nogo_command", required=True)
     p = nogo_sub.add_parser("ring", help="distance-bound contradiction on a ring")
     p.add_argument("--f", type=int, required=True, help="odd ring parameter (n = 12f)")
     p.add_argument("--d", type=int, help="communication distance, default: the bound")
-    p.set_defaults(func=_cmd_nogo_ring)
+    p.set_defaults(func="_cmd_nogo_ring")
     p = nogo_sub.add_parser("site-invariance", help="orbit-flip contradiction")
     p.add_argument("--graph", required=True)
     p.add_argument("--measurement", required=True)
     p.add_argument("--max-nodes", type=int, default=12)
     p.add_argument("--expect", choices=["consistent", "inconsistent"])
-    p.set_defaults(func=_cmd_nogo_site)
+    p.set_defaults(func="_cmd_nogo_site")
 
     ch = sub.add_parser("chain", help="chain grammar and broadcast protocol")
     ch_sub = ch.add_subparsers(dest="chain_command", required=True)
@@ -396,26 +406,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--broadcast-y", action="store_true")
-    p.set_defaults(func=_cmd_chain_verify)
+    p.set_defaults(func="_cmd_chain_verify")
     p = ch_sub.add_parser("decompose", help="parse a measurement into sentences")
     p.add_argument("--measurement", required=True)
-    p.set_defaults(func=_cmd_chain_decompose)
+    p.set_defaults(func="_cmd_chain_decompose")
 
     p = sub.add_parser("reproduce", help="canned demonstrations with built-in expectations")
     p.add_argument("figure", choices=["fig1", "fig2"])
-    p.set_defaults(func=_cmd_reproduce)
+    p.set_defaults(func="_cmd_reproduce")
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code (see the module docstring).
+
+    The parser is built on the first call and reused by every later call in
+    the process; parsing leaves no state in it, so a call never sees an
+    earlier call's options. Each subcommand names its handler, which is looked
+    up in this module's globals at call time, so a replaced ``_cmd_*``
+    attribute is the one that runs.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

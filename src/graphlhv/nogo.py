@@ -55,12 +55,21 @@ class ContextVariable:
 
     The view is the measurement restricted to the site's distance-d ball,
     written in canonical node order, so equal views get equal keys and the
-    same variable.
+    same variable. The hash is computed once, at construction: a view holds
+    a pair per ball node, and the variables are set members and dict keys in
+    every step from building the equations to writing the report. Equality
+    still compares the fields.
     """
 
     site: int
     observable: str
     view: tuple[tuple[int, str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.site, self.observable, self.view)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def short_name(self) -> str:
         return f"{self.observable}{self.site}"
@@ -268,19 +277,45 @@ def certain_subsets(g: Graph, m: Measurement) -> Iterator[tuple[tuple[int, ...],
     order (bit i for support[i]), the order of a sweep over every subset.
     Yields (sites, restricted word, sign); ``classify`` confirms each one and
     gives the sign. Guarded at kernel dimension 20, i.e. 2^20 subsets.
+
+    The basis comes from one elimination pass over the support's monomial
+    masks (``_kernel_basis``), the columns of the map.
     """
     if len(m) != g.n:
         raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
     support = m.support()
-    cols = [site_monomial_mask(g, m, j) for j in support]
-    rows = [sum(((c >> r) & 1) << i for i, c in enumerate(cols)) for r in range(g.n)]
-    basis = gf2_nullspace(rows, len(support))
+    basis = _kernel_basis([site_monomial_mask(g, m, j) for j in support])
     if len(basis) > _KERNEL_GUARD:
         raise UnsupportedSizeError(
             f"{2 ** len(basis)} certain subsets (kernel dimension {len(basis)}) exceed "
             f"the guard of 2^{_KERNEL_GUARD}"
         )
     return _walk_kernel(g, m, support, basis)
+
+
+def _kernel_basis(cols: Sequence[int]) -> list[int]:
+    """Basis of {x : XOR of cols[i] over the bits i of x is 0}, as bitmasks.
+
+    Forward elimination over the columns in order, each reduced column
+    carrying the bitmask of the columns it combines. A column that reduces
+    to zero gives a kernel vector: its own bit plus earlier pivot columns.
+    No other vector contains that own bit, which is also its highest, and the
+    vectors come in ascending order of it. This is the basis
+    ``gf2_nullspace`` returns for the transposed rows.
+    """
+    basis = []
+    reduced: list[tuple[int, int, int]] = []  # (pivot bit, reduced column, combination)
+    for i, col in enumerate(cols):
+        combo = 1 << i
+        for pivot, pcol, pcombo in reduced:
+            if (col >> pivot) & 1:
+                col ^= pcol
+                combo ^= pcombo
+        if col:
+            reduced.append(((col & -col).bit_length() - 1, col, combo))
+        else:
+            basis.append(combo)
+    return basis
 
 
 def _walk_kernel(

@@ -310,10 +310,17 @@ def test_byte_identical_reports(capsys):
         (["oracle", "--graph", "{file}", "--measurement", "XX"], '{"n": 2, "edges": 5}'),
         (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--subset", "1,1"], None),
         (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--subset", "2,3,2"], None),
+        (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--seed", "-1"], None),
+        (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--samples", "8",
+          "--seed", "-1"], None),
+        (["chain", "verify", "--n", "3", "--seed", "-1"], None),
+        (["chain", "verify", "--n", "8", "--sample", "4", "--seed", "-1"], None),
     ],
     ids=["samples-0", "samples-negative", "chain-n-0", "chain-sample-0", "graph-dir",
          "float-endpoints", "string-endpoint", "bool-n", "edges-not-a-list",
-         "subset-repeats-site", "subset-repeats-site-apart"],
+         "subset-repeats-site", "subset-repeats-site-apart", "seed-negative-lhv-exact",
+         "seed-negative-lhv-sampled", "seed-negative-chain-exhaustive",
+         "seed-negative-chain-sampled"],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, graph_json):
     path = tmp_path / "g.json"
@@ -324,6 +331,55 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, graph_json):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_negative_seed_names_the_flag(capsys):
+    code, _, err = _run(capsys, "chain", "verify", "--n", "8", "--sample", "4", "--seed", "-3")
+    assert code == 2
+    assert err == "error: --seed must be a non-negative integer, got -3\n"
+
+
+# main() builds its parser once per process; these calls run back to back on it.
+
+def test_reused_parser_forgets_expect(capsys):
+    argv = ["verify-sub", "--graph", "grid:2x3", "--measurement", "YYYYYY"]
+    code, out, _ = _run(capsys, *argv, "--expect", "mismatch")
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0 and json.loads(out)["ok"] is None
+
+
+def test_reused_parser_forgets_samples(capsys):
+    argv = ["lhv", "run", "--graph", "ring:12", "--measurement", "IXIXIXIXIXIX"]
+    code, out, _ = _run(capsys, *argv, "--samples", "64")
+    assert code == 0 and json.loads(out)["result"]["mode"] == "sampling"
+    code, out, _ = _run(capsys, *argv)
+    result = json.loads(out)["result"]
+    assert code == 0 and result["mode"] == "exact" and result["samples"] is None
+
+
+def test_usage_error_after_a_good_call(capsys):
+    code, _, _ = _run(capsys, "chain", "decompose", "--measurement", "YXY")
+    assert code == 0
+    code, out, err = _run(capsys, "oracle", "--graph", "ring:4")
+    assert code == 2 and out == ""
+    assert "--measurement" in err
+    code, _, _ = _run(capsys, "oracle", "--graph", "ring:4", "--measurement", "ZIII")
+    assert code == 0
+
+
+def test_handler_patched_after_first_call_is_reached(capsys, monkeypatch):
+    argv = ["oracle", "--graph", "ring:4", "--measurement", "ZIII"]
+    assert _run(capsys, *argv)[0] == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.measurement)
+        return 1
+
+    monkeypatch.setattr(cli, "_cmd_oracle", patched)
+    code, out, _ = _run(capsys, *argv)
+    assert code == 1 and out == "" and seen == ["ZIII"]
 
 
 def test_lhv_run_exact_beyond_old_guard(capsys):
@@ -341,6 +397,15 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "graphlhv" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphlhv", "--version"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("graphlhv ")
 
 
 def test_usage_error_exit_code():

@@ -20,7 +20,7 @@ from graphlhv.chain_protocol import (  # noqa: E402
     decompose,
     flip_sites_for,
 )
-from graphlhv.graphs import Graph, chain, grid, ring  # noqa: E402
+from graphlhv.graphs import Graph, chain, grid, ring, star  # noqa: E402
 from graphlhv.lhv import (  # noqa: E402
     NO_COMMUNICATION,
     STANDARD_RULES,
@@ -31,8 +31,10 @@ from graphlhv.lhv import (  # noqa: E402
 from graphlhv.nogo import (  # noqa: E402
     SubmeasurementReport,
     SubsetCheck,
+    _kernel_basis,
     certain_subsets,
     find_certain_submeasurements,
+    gf2_nullspace,
     verify_all_submeasurements,
 )
 from graphlhv.oracle import classify  # noqa: E402
@@ -159,6 +161,66 @@ def test_certain_iff_monomials_cancel(gm):
             mask ^= site_monomial_mask(g, m, j)
         assert classify(g, m.restricted_to(sites)).is_deterministic == (mask == 0)
         assert (sites in kernel) == (mask == 0)
+
+
+def _columns(g, m):
+    return [site_monomial_mask(g, m, j) for j in m.support()]
+
+
+def _transposed(cols, n):
+    return [sum(((c >> r) & 1) << i for i, c in enumerate(cols)) for r in range(n)]
+
+
+def _span(basis):
+    span = {0}
+    for vec in basis:
+        span |= {v ^ vec for v in span}
+    return span
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_and_word(max_n=10))
+def test_column_basis_matches_row_nullspace(gm):
+    g, m = gm
+    cols = _columns(g, m)
+    basis = _kernel_basis(cols)
+    reference = gf2_nullspace(_transposed(cols, g.n), len(cols))
+    assert _span(basis) == _span(reference)
+    # A kernel vector supported on one free column plus pivot columns is
+    # unique, so the two bases agree vector for vector.
+    assert basis == reference
+    for k, vec in enumerate(basis):
+        top = vec.bit_length() - 1
+        assert all(not (other >> top) & 1 for i, other in enumerate(basis) if i != k)
+        acc = 0
+        for i in range(len(cols)):
+            if (vec >> i) & 1:
+                acc ^= cols[i]
+        assert acc == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_and_word(max_n=10))
+def test_kernel_walk_is_strictly_ascending(gm):
+    g, m = gm
+    position = {j: i for i, j in enumerate(m.support())}
+    masks = [sum(1 << position[j] for j in sites) for sites, _, _ in certain_subsets(g, m)]
+    assert masks == sorted(set(masks))
+    assert len(masks) == 1 << len(_kernel_basis(_columns(g, m)))
+
+
+def test_star16_all_x_kernel_dimension():
+    g, m = star(16), Measurement("X" * 16)
+    cols = _columns(g, m)
+    basis = _kernel_basis(cols)
+    assert len(basis) == 14
+    assert basis == gf2_nullspace(_transposed(cols, g.n), len(cols))
+
+
+def test_all_identity_word_has_one_empty_subset():
+    g, m = ring(5), Measurement("IIIII")
+    assert _kernel_basis(_columns(g, m)) == []
+    assert list(certain_subsets(g, m)) == [((), m, 1)]
 
 
 def _compare_chain_checks(letters, broadcast_y, silent):
