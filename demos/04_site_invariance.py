@@ -49,7 +49,7 @@ print("orbit-flip system:",
 print("\nembedded counterexamples on larger grids:")
 for p, q in ((0, 1), (1, 0), (1, 1)):
     gg, glob, sub = embedded_grid_counterexample(p, q)
-    system = site_invariance_system(gg, glob, [(sub.support(), -1)], max_nodes=gg.n)
+    system = site_invariance_system(gg, glob, [(sub.support(), -1)])
     sol = gf2_solve(system)
     rows, cols = 2 + 2 * p, 3 + 2 * q
     print(f"  {rows}x{cols}: certain sub {sub} -> "

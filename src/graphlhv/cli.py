@@ -153,9 +153,7 @@ def _cmd_verify_sub(args: argparse.Namespace) -> int:
     g, source = _resolve_graph(args.graph)
     m = _parse_measurement(args.measurement, g)
     try:
-        rep = verify_all_submeasurements(
-            g, m, _RULES[args.rules], include_matches=args.include_matches
-        )
+        rep = verify_all_submeasurements(g, m, _RULES[args.rules])
     except UnsupportedSizeError as exc:
         raise CommandError(str(exc)) from exc
     ok = None
@@ -163,11 +161,8 @@ def _cmd_verify_sub(args: argparse.Namespace) -> int:
         ok = rep.clean
     elif args.expect == "mismatch":
         ok = not rep.clean
-    result = rep.to_json_dict()
-    if args.include_matches:
-        result["entries"] = [c.to_json_dict() for c in rep.entries]
     report = _report(
-        "verify-sub", {"graph": source, "measurement": str(m)}, result, ok
+        "verify-sub", {"graph": source, "measurement": str(m)}, rep.to_json_dict(), ok
     )
     human = (
         f"{rep.subsets_checked} subsets checked, {rep.deterministic_subsets} deterministic, "
@@ -202,7 +197,7 @@ def _cmd_nogo_site(args: argparse.Namespace) -> int:
     try:
         check_automorphism_size(g, args.max_nodes)  # before the certain-subset walk
         subs = find_certain_submeasurements(g, m)
-        system = site_invariance_system(g, m, subs, max_nodes=args.max_nodes)
+        system = site_invariance_system(g, m, subs)
     except UnsupportedSizeError as exc:
         raise CommandError(str(exc)) from exc
     solution = gf2_solve(system)
@@ -382,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--measurement", required=True)
     p.add_argument("--rules", choices=sorted(_RULES), default="standard")
-    p.add_argument("--include-matches", action="store_true")
     p.add_argument("--expect", choices=["clean", "mismatch"])
     p.set_defaults(func="_cmd_verify_sub")
 

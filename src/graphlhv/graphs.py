@@ -82,9 +82,6 @@ class Graph:
     def degree(self, j: int) -> int:
         return len(self.neighborhood(j))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighborhood(u)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
 
@@ -97,13 +94,6 @@ class NodeColoring:
     """Total labeling of nodes 1..n, used to restrict automorphisms."""
 
     labels: tuple
-
-    @classmethod
-    def uniform(cls, n: int) -> "NodeColoring":
-        return cls(("*",) * n)
-
-    def of(self, j: int) -> object:
-        return self.labels[j - 1]
 
 
 def ring(n: int) -> Graph:
@@ -266,8 +256,8 @@ def diameter(g: Graph) -> int:
 
 
 def check_automorphism_size(g: Graph, max_nodes: int) -> None:
-    """The guard of ``automorphisms`` and of ``site_invariance_system``, for
-    callers that refuse before other work."""
+    """The guard of ``automorphisms``, and the command line's node limit for
+    ``nogo site-invariance`` (``--max-nodes``), applied before other work."""
     if g.n > max_nodes:
         raise UnsupportedSizeError(
             f"automorphism search is guarded at {max_nodes} nodes, got {g.n}"

@@ -56,10 +56,6 @@ class HiddenAssignment:
         if any(v not in (1, -1) for v in self.z):
             raise ValueError("hidden values must be +1 or -1")
 
-    @classmethod
-    def all_plus(cls, n: int) -> "HiddenAssignment":
-        return cls((1,) * n)
-
 
 def all_assignments(n: int) -> Iterable[HiddenAssignment]:
     """Every hidden assignment, in a fixed enumeration order."""

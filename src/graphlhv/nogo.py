@@ -34,7 +34,6 @@ from .graphs import (
     UnsupportedSizeError,
     automorphism_orbits,
     ball,
-    check_automorphism_size,
     padded_ring,
     ring,
 )
@@ -226,7 +225,6 @@ class SubsetCheck:
     sub: Measurement
     oracle: Verdict
     lhv: Verdict
-    match: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,7 +232,7 @@ class SubsetCheck:
             "sub": str(self.sub),
             "oracle": self.oracle.to_json_dict(),
             "lhv": self.lhv.to_json_dict(),
-            "match": self.match,
+            "match": False,  # only mismatches are listed
         }
 
 
@@ -245,10 +243,9 @@ class SubmeasurementReport:
     subsets_checked: int
     deterministic_subsets: int
     mismatches: tuple[SubsetCheck, ...]
-    entries: tuple[SubsetCheck, ...] = ()
 
     def __post_init__(self) -> None:
-        for check in self.mismatches + self.entries:
+        for check in self.mismatches:
             if not is_submeasurement(check.sub, self.measurement):
                 raise ValueError(f"{check.sub} is not a submeasurement of {self.measurement}")
 
@@ -340,10 +337,7 @@ def _walk_kernel(
 
 
 def verify_all_submeasurements(
-    g: Graph,
-    m: Measurement,
-    rules: FlipRules = STANDARD_RULES,
-    include_matches: bool = False,
+    g: Graph, m: Measurement, rules: FlipRules = STANDARD_RULES
 ) -> SubmeasurementReport:
     """Compare the oracle with the protocol on every subset of the support.
 
@@ -352,45 +346,22 @@ def verify_all_submeasurements(
     ``certain_subsets`` walks, and agree (uniform) everywhere else. Only the
     kernel is visited: on each certain subset the oracle sign is compared with
     the parity of the flipped sites in it. Mismatches come in ascending
-    subset-mask order over the sorted support. ``include_matches`` lists all
-    2^|support| subsets and is guarded at 20 support sites.
+    subset-mask order over the sorted support.
     """
     if len(m) != g.n:
         raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
-    support = m.support()
-    if include_matches and len(support) > _KERNEL_GUARD:
-        raise UnsupportedSizeError(
-            f"listing every subset is guarded at {_KERNEL_GUARD} support sites, "
-            f"got {len(support)}"
-        )
     flips = flip_sites(g, m, rules)
     deterministic = 0
     mismatches: list[SubsetCheck] = []
-    certain: dict[tuple[int, ...], SubsetCheck] = {}
     for sites, sub, sign in certain_subsets(g, m):
         deterministic += 1
         lhv_sign = -1 if len(flips.intersection(sites)) % 2 else 1
-        if sign == lhv_sign and not include_matches:
-            continue
-        check = SubsetCheck(
-            sites, sub, Verdict.deterministic(sign), Verdict.deterministic(lhv_sign),
-            sign == lhv_sign,
-        )
-        if not check.match:
-            mismatches.append(check)
-        if include_matches:
-            certain[sites] = check
-    entries: list[SubsetCheck] = []
-    if include_matches:
-        uniform = Verdict.uniform()
-        for smask in range(1 << len(support)):
-            sites = tuple(j for i, j in enumerate(support) if (smask >> i) & 1)
-            entries.append(
-                certain.get(sites)
-                or SubsetCheck(sites, m.restricted_to(sites), uniform, uniform, True)
+        if sign != lhv_sign:
+            mismatches.append(
+                SubsetCheck(sites, sub, Verdict.deterministic(sign), Verdict.deterministic(lhv_sign))
             )
     return SubmeasurementReport(
-        m, rules.name, 1 << len(support), deterministic, tuple(mismatches), tuple(entries)
+        m, rules.name, 1 << len(m.support()), deterministic, tuple(mismatches)
     )
 
 
@@ -758,7 +729,6 @@ def site_invariance_system(
     g: Graph,
     global_m: Measurement,
     certain_subs: Sequence[tuple[Iterable[int], int]],
-    max_nodes: int = 12,
 ) -> ParityConstraintSystem:
     """Parity system for orbit-constant sign flips.
 
@@ -768,15 +738,12 @@ def site_invariance_system(
     equal the sign bit. Orbits are taken under automorphisms preserving the
     global measurement as a coloring, by ``automorphism_orbits``: a
     refinement search for one automorphism per merged pair of nodes, whose
-    cost follows the number of orbits, not the order of the group.
-
-    ``max_nodes`` is a limit of the command line (``--max-nodes``, exit 2
-    above it), not a cost: the orbit search does not depend on it.
+    cost follows the number of orbits, not the order of the group, so no
+    size limit is applied here.
     """
     if len(global_m) != g.n:
         raise ValueError(f"measurement length {len(global_m)} does not match n={g.n}")
     coloring = NodeColoring(tuple(global_m.letters))
-    check_automorphism_size(g, max_nodes)
     orbs = automorphism_orbits(g, coloring)
     orbit_of: dict[int, OrbitVariable] = {}
     declared = []

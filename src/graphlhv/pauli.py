@@ -60,10 +60,6 @@ class PhasedPauli:
         return _PHASE_LABEL[self.phase] + self.letters
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, ch in enumerate(self.letters, start=1) if ch != "I")
-
-    @property
     def sign(self) -> int:
         """+1 or -1 for a real word; raises on an imaginary phase."""
         if self.phase == 0:
@@ -118,9 +114,6 @@ class Measurement:
         return Measurement(
             "".join(ch if j in keep else "I" for j, ch in enumerate(self.letters, start=1))
         )
-
-    def as_phased(self) -> PhasedPauli:
-        return PhasedPauli(self.letters, 0)
 
     def bits(self) -> tuple[int, int]:
         """(x-component mask, z-component mask): X/Y set x bits, Y/Z set z bits."""

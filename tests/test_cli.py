@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -150,6 +153,14 @@ def test_site_invariance_guard_refuses_before_subset_walk(monkeypatch, capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: automorphism search is guarded at 12 nodes, got 18\n"
+
+
+def test_include_matches_flag_is_gone(capsys):
+    code, out, err = _run(capsys, "verify-sub", "--graph", "grid:2x3", "--measurement",
+                          "YYYYYY", "--include-matches")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --include-matches" in err
+    assert "Traceback" not in err
 
 
 # sha256 of the stdout of `nogo site-invariance`, recorded while orbits still came
@@ -414,3 +425,20 @@ def test_usage_error_exit_code():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def _readme_commands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S))
+    for line in blocks.replace("\\\n", " ").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("graphlhv ") and "[" not in line:
+            yield line
+
+
+def test_readme_commands_run(capsys):
+    commands = list(_readme_commands())
+    assert len(commands) >= 8
+    for line in commands:
+        code, _, err = _run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

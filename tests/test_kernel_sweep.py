@@ -49,21 +49,18 @@ def _subsets(m):
         yield tuple(support[i] for i in range(len(support)) if (smask >> i) & 1)
 
 
-def reference_report(g, m, rules, include_matches):
+def reference_report(g, m, rules):
     deterministic = 0
-    mismatches, entries = [], []
+    mismatches = []
     for sites in _subsets(m):
         sub = m.restricted_to(sites)
         oracle_v = classify(g, sub)
         lhv_v = product_report(g, m, sites, rules).verdict
         deterministic += oracle_v.is_deterministic
-        check = SubsetCheck(sites, sub, oracle_v, lhv_v, oracle_v == lhv_v)
-        if not check.match:
-            mismatches.append(check)
-        if include_matches:
-            entries.append(check)
+        if oracle_v != lhv_v:
+            mismatches.append(SubsetCheck(sites, sub, oracle_v, lhv_v))
     return SubmeasurementReport(
-        m, rules.name, 1 << len(m.support()), deterministic, tuple(mismatches), tuple(entries)
+        m, rules.name, 1 << len(m.support()), deterministic, tuple(mismatches)
     )
 
 
@@ -135,12 +132,10 @@ RULE_SETS = st.sampled_from([STANDARD_RULES, SYMMETRIC_RULES, NO_COMMUNICATION])
 
 
 @SWEEP
-@given(graph_and_word(), RULE_SETS, st.booleans())
-def test_report_matches_per_subset_sweep(gm, rules, include_matches):
+@given(graph_and_word(), RULE_SETS)
+def test_report_matches_per_subset_sweep(gm, rules):
     g, m = gm
-    assert verify_all_submeasurements(g, m, rules, include_matches) == reference_report(
-        g, m, rules, include_matches
-    )
+    assert verify_all_submeasurements(g, m, rules) == reference_report(g, m, rules)
 
 
 @SWEEP
@@ -273,5 +268,5 @@ _EIGHT_MISMATCHES = Graph(8, ((2, 3), (2, 6), (2, 7), (3, 5), (3, 6), (4, 7), (4
 def test_fixed_instances_match_per_subset_sweep(g, letters):
     m = Measurement(letters)
     for rules in (STANDARD_RULES, SYMMETRIC_RULES, NO_COMMUNICATION):
-        assert verify_all_submeasurements(g, m, rules) == reference_report(g, m, rules, False)
+        assert verify_all_submeasurements(g, m, rules) == reference_report(g, m, rules)
     assert verify_all_submeasurements(g, m).subsets_checked == 2 ** len(m.support())

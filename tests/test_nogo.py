@@ -440,20 +440,24 @@ def test_grid_2x3_mismatch_family_matches_brute_force():
 def test_verify_report_counts_and_entries():
     g = grid(2, 3)
     m = Measurement("YYYYYY")
-    report = verify_all_submeasurements(g, m, include_matches=True)
+    report = verify_all_submeasurements(g, m)
     assert report.subsets_checked == 64
-    assert len(report.entries) == 64
     assert report.deterministic_subsets == 4
-    assert report.entries[0].sites == ()
 
 
 def test_verify_matches_product_verdict_pointwise():
     g = star(4)
     m = Measurement("XYXZ")
-    report = verify_all_submeasurements(g, m, include_matches=True)
-    for entry in report.entries:
-        assert entry.lhv == product_verdict(g, m, entry.sites)
-        assert entry.oracle == classify(g, m.restricted_to(entry.sites))
+    expected = []
+    for k in range(len(m.support()) + 1):
+        for subset in itertools.combinations(m.support(), k):
+            oracle_v = classify(g, m.restricted_to(subset))
+            lhv_v = product_verdict(g, m, subset)
+            if oracle_v != lhv_v:
+                expected.append((subset, oracle_v, lhv_v))
+    report = verify_all_submeasurements(g, m)
+    got = [(c.sites, c.oracle, c.lhv) for c in report.mismatches]
+    assert sorted(got) == sorted(expected)
 
 
 def test_verify_star_graphs_clean():
@@ -467,9 +471,9 @@ def test_verify_star_graphs_clean():
 def test_verify_uniform_everywhere_trivially_clean():
     g = chain(4)
     m = Measurement("ZIIZ")
-    report = verify_all_submeasurements(g, m, include_matches=True)
+    report = verify_all_submeasurements(g, m)
     assert report.clean
-    assert all(not e.oracle.is_deterministic or e.sites == () for e in report.entries)
+    assert report.deterministic_subsets == 1  # only the empty subset
 
 
 def test_verify_guard():
@@ -490,12 +494,6 @@ def test_verify_large_support_small_kernel():
     assert report.subsets_checked == 2 ** 21
     assert report.deterministic_subsets == 2 ** 1
     assert report.clean
-
-
-def test_include_matches_support_guard():
-    g = ring(21)
-    with pytest.raises(UnsupportedSizeError):
-        verify_all_submeasurements(g, Measurement("X" * 21), include_matches=True)
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +548,7 @@ def test_embedded_grid_counterexamples():
         g, glob, sub = embedded_grid_counterexample(p, q)
         assert is_submeasurement(sub, glob)
         assert classify(g, sub) == Verdict.deterministic(-1)
-        system = site_invariance_system(
-            g, glob, [(sub.support(), -1)], max_nodes=max(12, g.n)
-        )
+        system = site_invariance_system(g, glob, [(sub.support(), -1)])
         sol = gf2_solve(system)
         assert not sol.consistent
         _check_certificate(system, sol.certificate)
