@@ -92,7 +92,6 @@ from .nogo import (
 )
 from .chain_protocol import (
     ChainReport,
-    ChainView,
     NotStabilizerShaped,
     Sentence,
     Word,

@@ -1,12 +1,12 @@
 """Chain grammar: decomposition, flip decisions, protocol verification."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from graphlhv.chain_protocol import (
-    ChainView,
     NotStabilizerShaped,
     Sentence,
     Word,
@@ -165,11 +165,121 @@ def test_flip_sites_silent_vs_broadcast():
     assert flip_sites_for(m, broadcast_y=True) == frozenset({2})
 
 
-def test_chain_view():
-    v = ChainView.from_measurement(Measurement("YXZI"), broadcast_y=False)
-    assert v.letters == "#.XZ."
-    v = ChainView.from_measurement(Measurement("YXZI"), broadcast_y=True)
-    assert v.letters == "#YXZ."
+def _reference_flip_sites(m, broadcast_y=False):
+    """The recursive sentence search that the two linear passes replaced.
+
+    Each X site j tries every odd word Y X..X Y centred on it whose ends may
+    be Y, and asks whether some word sequence completes its sentence to a Z
+    (or a chain end) on either side.
+    """
+    n = len(m)
+    shown = "XZY" if broadcast_y else "XZ"
+    v = "#" + "".join(ch if ch in shown else "." for ch in m.letters)
+    yend = "Y" if broadcast_y else "."
+
+    def can_x(p):
+        return 1 <= p <= n and v[p] == "X"
+
+    def can_yend(p):
+        return 1 <= p <= n and v[p] == yend
+
+    def is_bracket(p):
+        return p in (0, n + 1) or (1 <= p <= n and v[p] == "Z")
+
+    def words_ending_at(e):
+        starts = [e] if can_x(e) else []
+        if can_yend(e):
+            if can_yend(e - 1):
+                starts.append(e - 1)
+            s = e - 2
+            while s >= 1 and can_x(s + 1):
+                if can_yend(s):
+                    starts.append(s)
+                s -= 1
+        return starts
+
+    def words_starting_at(s):
+        ends = [s] if can_x(s) else []
+        if can_yend(s):
+            if can_yend(s + 1):
+                ends.append(s + 1)
+            e = s + 2
+            while e <= n and can_x(e - 1):
+                if can_yend(e):
+                    ends.append(e)
+                e += 1
+        return ends
+
+    @functools.cache
+    def closes_left(s):
+        return is_bracket(s - 1) or any(closes_left(s2) for s2 in words_ending_at(s - 2))
+
+    @functools.cache
+    def closes_right(e):
+        return is_bracket(e + 1) or any(closes_right(e2) for e2 in words_starting_at(e + 2))
+
+    flips = set()
+    for j in range(1, n + 1):
+        if not can_x(j):
+            continue
+        k = 1
+        while j - k >= 1 and j + k <= n:
+            if k >= 2 and not (can_x(j - k + 1) and can_x(j + k - 1)):
+                break
+            if (can_yend(j - k) and can_yend(j + k)
+                    and closes_left(j - k) and closes_right(j + k)):
+                flips.add(j)
+                break
+            k += 1
+    return frozenset(flips)
+
+
+def _all_words(max_n):
+    for n in range(1, max_n + 1):
+        for letters in itertools.product("IXYZ", repeat=n):
+            yield Measurement("".join(letters))
+
+
+def test_flip_sites_match_recursive_reference():
+    for m in _all_words(6):
+        for by in (False, True):
+            assert flip_sites_for(m, broadcast_y=by) == _reference_flip_sites(m, by), (m, by)
+
+
+def test_flip_sites_match_recursive_reference_on_long_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # X runs of every length next to the letters that end or bracket them
+    pieces = st.sampled_from(["X", "XX", "XXX", "XXXXX", "Y", "I", "Z"])
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(pieces, min_size=1, max_size=30), st.booleans())
+    def check(parts, by):
+        m = Measurement("".join(parts)[:60])
+        assert flip_sites_for(m, broadcast_y=by) == _reference_flip_sites(m, by)
+
+    check()
+
+
+def test_flip_sites_see_only_the_broadcast_view():
+    # in the silent reading I and Y sites look the same to everyone
+    for m in _all_words(6):
+        assert flip_sites_for(m) == flip_sites_for(Measurement(m.letters.replace("I", "Y")))
+
+
+def test_flip_sites_on_a_long_sentence():
+    # one sentence of 751 odd words: a recursive search overflows the stack here
+    m = Measurement("YXY" + "IYXY" * 750)
+    n = len(m)
+    assert n == 3003
+    middles = frozenset(range(2, n, 4))
+    assert flip_sites_for(m) == flip_sites_for(m, broadcast_y=True) == middles
+    g = chain(n)
+    assert flip_decision(g, m, 2)
+    rng = random.Random(11)
+    z = [rng.choice((1, -1)) for _ in range(n)]
+    assert run_chain_protocol(g, m, z).product_over(m.support()) == classify(g, m).value == -1
 
 
 def test_flip_decisions_commute_with_reversal():
@@ -243,8 +353,10 @@ def test_verify_chain_sampled_mode():
     assert report.mode == "sampled" and report.seed == 3
     with pytest.raises(UnsupportedSizeError):
         verify_chain_exhaustive(8)
-    with pytest.raises(UnsupportedSizeError):
-        verify_chain_exhaustive(11, sample=10)
+    # sampling takes any n the kernel guard admits
+    report = verify_chain_exhaustive(40, sample=200, seed=1)
+    assert report.clean and report.measurements_checked == 200
+    assert report.deterministic_subs_checked == 695
 
 
 def test_overlap_pairs_are_checked():
