@@ -34,6 +34,9 @@ from .pauli import Measurement
 # n = 8 on a shared 2-vCPU VM.
 _FULL_SWEEP_GUARD = 7
 
+# Byte k of a sampled code row becomes the k-th letter of "IXYZ".
+_CODE_LETTERS = bytes.maketrans(bytes(range(4)), b"IXYZ")
+
 
 class NotStabilizerShaped(ValueError):
     """The letter string does not tile into sentences (not a stabilizer word)."""
@@ -129,8 +132,7 @@ def decompose(m: "Measurement | str") -> tuple[Sentence, ...]:
     is deterministic on the chain. Any string that fails to parse is not a
     signed stabilizer word.
     """
-    letters = m.letters if isinstance(m, Measurement) else str(m)
-    meas = Measurement(letters)
+    letters = m.letters if isinstance(m, Measurement) else Measurement(str(m)).letters
     n = len(letters)
 
     runs: list[tuple[int, str]] = []
@@ -367,16 +369,20 @@ def _check_measurement(
     They are the subsets ``certain_subsets`` walks: those on which the XOR of
     the outputs' coin monomials vanishes, so the protocol's product there is
     a constant sign by construction and only that sign is compared.
+    The flip sites are found at the first nonempty certain subset: the empty
+    one has flip parity 0 whatever they are, and is often the only one.
     Returns (deterministic subs checked, overlap pairs checked).
     """
     n = g.n
-    flips = flip_sites_for(m, broadcast_y)
+    flips = None
 
     det_checked = 0
     single_sentences: list[Sentence] = []
     for sites, sub, sign in certain_subsets(g, m):
         det_checked += 1
-        protocol_sign = -1 if len(flips.intersection(sites)) % 2 else 1
+        if sites and flips is None:
+            flips = flip_sites_for(m, broadcast_y)
+        protocol_sign = -1 if sites and len(flips.intersection(sites)) % 2 else 1
         if protocol_sign != sign:
             violations.append(Violation(m, sites, sign, protocol_sign, "wrong constant sign"))
         try:
@@ -409,7 +415,11 @@ def _check_measurement(
 
 
 def _measurements(n: int, sample: int | None, seed: int) -> Iterator[Measurement]:
-    """Every measurement on n sites, or ``sample`` seeded random ones."""
+    """Every measurement on n sites, or ``sample`` seeded random ones.
+
+    The sample is one draw of ``sample`` rows of n letter codes, the same
+    letters as drawing the rows one by one from the same generator.
+    """
     if n < 1:
         raise ValueError(f"a chain needs at least 1 site, got n = {n}")
     if sample is None:
@@ -420,11 +430,9 @@ def _measurements(n: int, sample: int | None, seed: int) -> Iterator[Measurement
         return (Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=n))
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
-    rng = np.random.default_rng(seed)
-    return (
-        Measurement("".join("IXYZ"[k] for k in rng.integers(0, 4, size=n)))
-        for _ in range(sample)
-    )
+    codes = np.random.default_rng(seed).integers(0, 4, size=(sample, n))
+    letters = codes.astype(np.uint8).tobytes().translate(_CODE_LETTERS).decode()
+    return (Measurement(letters[i:i + n]) for i in range(0, sample * n, n))
 
 
 def verify_chain_exhaustive(

@@ -145,17 +145,16 @@ def run(g: Graph, m: Measurement, z: "HiddenAssignment | Sequence[int]", rules: 
     return ProtocolOutputs(v)
 
 
+# Which coins a site's output carries before flips, as (own, neighbours) masks
+# of all bits or none: Z its own coin, X its neighbours' coins, Y both, I none.
+LETTER_COINS = {"I": (0, 0), "X": (0, -1), "Y": (-1, -1), "Z": (-1, 0)}
+
+
 def site_monomial_mask(g: Graph, m: Measurement, j: int) -> int:
     """The output of site j, before flips, as a product of coins: a bitmask
     over z indices (bit k-1 for z_k)."""
-    letter = m.letter(j)
-    if letter == "I":
-        return 0
-    if letter == "Z":
-        return 1 << (j - 1)
-    if letter == "X":
-        return g.neighbor_masks[j - 1]
-    return (1 << (j - 1)) | g.neighbor_masks[j - 1]  # Y
+    own, neighbours = LETTER_COINS[m.letter(j)]
+    return (1 << (j - 1)) & own | g.neighbor_masks[j - 1] & neighbours
 
 
 def flip_sites(g: Graph, m: Measurement, rules: FlipRules = STANDARD_RULES) -> frozenset[int]:

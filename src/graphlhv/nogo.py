@@ -37,7 +37,7 @@ from .graphs import (
     padded_ring,
     ring,
 )
-from .lhv import FlipRules, STANDARD_RULES, flip_sites, site_monomial_mask
+from .lhv import FlipRules, LETTER_COINS, STANDARD_RULES, flip_sites
 from .oracle import Verdict, classify
 from .pauli import Measurement, generator_product_sign, is_submeasurement
 
@@ -135,7 +135,7 @@ def _variable_json(key) -> dict:
         return {
             "site": key.site,
             "observable": key.observable,
-            "view": [[node, letter] for node, letter in key.view],
+            "view": key.view,  # (node, letter) pairs encode as [node, letter] arrays
         }
     if isinstance(key, OrbitVariable):
         return {"orbit": list(key.sites), "observable": key.observable}
@@ -276,18 +276,25 @@ def certain_subsets(g: Graph, m: Measurement) -> Iterator[tuple[tuple[int, ...],
     gives the sign. Guarded at kernel dimension 20, i.e. 2^20 subsets.
 
     The basis comes from one elimination pass over the support's monomial
-    masks (``_kernel_basis``), the columns of the map.
+    masks (``_kernel_basis``), the columns of the map, read in one pass over
+    the letters through ``LETTER_COINS``.
     """
     if len(m) != g.n:
         raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
-    support = m.support()
-    basis = _kernel_basis([site_monomial_mask(g, m, j) for j in support])
+    support = []
+    cols = []
+    for j, (letter, neighbours) in enumerate(zip(m.letters, g.neighbor_masks)):
+        if letter != "I":
+            own, other = LETTER_COINS[letter]
+            support.append(j + 1)
+            cols.append((1 << j) & own | neighbours & other)
+    basis = _kernel_basis(cols)
     if len(basis) > _KERNEL_GUARD:
         raise UnsupportedSizeError(
             f"{2 ** len(basis)} certain subsets (kernel dimension {len(basis)}) exceed "
             f"the guard of 2^{_KERNEL_GUARD}"
         )
-    return _walk_kernel(g, m, support, basis)
+    return _walk_kernel(g, m, tuple(support), basis)
 
 
 def _kernel_basis(cols: Sequence[int]) -> list[int]:
@@ -567,6 +574,7 @@ def _distance_system(
     differ = [k for k, column in enumerate(zip(*words), start=1) if len(set(column)) > 1]
     sites = sorted(set().union(*(case.support for case in cases)))
     balls = {j: ball(g, j, d) for j in sites}
+    ordered = {j: sorted(nodes) for j, nodes in balls.items()}
     probes = {j: tuple(k - 1 for k in differ if k in nodes) for j, nodes in balls.items()}
     variables: dict[tuple, ContextVariable] = {}
     equations = []
@@ -577,7 +585,7 @@ def _distance_system(
             key = (j, word[j - 1], tuple(word[i] for i in probes[j]))
             var = variables.get(key)
             if var is None:
-                view = tuple((k, word[k - 1]) for k in sorted(balls[j]))
+                view = tuple((k, word[k - 1]) for k in ordered[j])
                 var = variables[key] = ContextVariable(j, word[j - 1].lower(), view)
             keys.append(var)
         equations.append(Equation(frozenset(keys), 0 if case.expected_sign == 1 else 1, case.name))

@@ -28,11 +28,14 @@ _PRODUCT: dict[tuple[str, str], tuple[str, int]] = {
 
 _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
+# Deletes the four Pauli letters, so whatever survives a translate is invalid.
+_DROP_PAULI = str.maketrans("", "", PAULI_LETTERS)
+
 
 def _check_letters(letters: str) -> None:
-    bad = set(letters) - set(PAULI_LETTERS)
+    bad = letters.translate(_DROP_PAULI)
     if bad:
-        raise ValueError(f"invalid Pauli letters {sorted(bad)}; expected only I, X, Y, Z")
+        raise ValueError(f"invalid Pauli letters {sorted(set(bad))}; expected only I, X, Y, Z")
 
 
 @dataclass(frozen=True)
@@ -109,11 +112,18 @@ class Measurement:
         return tuple(j for j, ch in enumerate(self.letters, start=1) if ch != "I")
 
     def restricted_to(self, sites: Iterable[int]) -> "Measurement":
-        """Submeasurement keeping the given sites and writing I elsewhere."""
-        keep = set(sites)
-        return Measurement(
-            "".join(ch if j in keep else "I" for j, ch in enumerate(self.letters, start=1))
-        )
+        """Submeasurement keeping the given sites and writing I elsewhere.
+
+        Raises ValueError for a site outside 1..n; a repeated site is kept once.
+        """
+        letters = self.letters
+        n = len(letters)
+        out = ["I"] * n
+        for j in sites:
+            if not 1 <= j <= n:
+                raise ValueError(f"site {j} outside 1..{n}")
+            out[j - 1] = letters[j - 1]
+        return Measurement("".join(out))
 
     def bits(self) -> tuple[int, int]:
         """(x-component mask, z-component mask): X/Y set x bits, Y/Z set z bits."""

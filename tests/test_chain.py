@@ -4,12 +4,15 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from graphlhv import chain_protocol
 from graphlhv.chain_protocol import (
     NotStabilizerShaped,
     Sentence,
     Word,
+    _measurements,
     compare_readings,
     decompose,
     decomposition_sign,
@@ -357,6 +360,54 @@ def test_verify_chain_sampled_mode():
     report = verify_chain_exhaustive(40, sample=200, seed=1)
     assert report.clean and report.measurements_checked == 200
     assert report.deterministic_subs_checked == 695
+
+
+def test_sample_is_the_per_row_draw():
+    # one draw of sample x n codes gives the letters of drawing each row in turn
+    for n, sample, seed in ((1, 7, 0), (3, 40, 1), (8, 40, 2), (10, 25, 49), (40, 5, 3)):
+        rng = np.random.default_rng(seed)
+        rows = ["".join("IXYZ"[k] for k in rng.integers(0, 4, size=n)) for _ in range(sample)]
+        assert [m.letters for m in _measurements(n, sample, seed)] == rows
+
+
+def _has_nonempty_certain_subset(g, m):
+    support = m.support()
+    return any(
+        classify(g, m.restricted_to(subset)).is_deterministic
+        for k in range(1, len(support) + 1)
+        for subset in itertools.combinations(support, k)
+    )
+
+
+@pytest.mark.parametrize("broadcast_y", [False, True])
+def test_flip_sites_are_found_only_for_a_nonempty_certain_subset(monkeypatch, broadcast_y):
+    calls = []
+    original = chain_protocol.flip_sites_for
+
+    def counting(m, broadcast_y=False):
+        calls.append(m.letters)
+        return original(m, broadcast_y)
+
+    monkeypatch.setattr(chain_protocol, "flip_sites_for", counting)
+    assert verify_chain_exhaustive(4, broadcast_y=broadcast_y).clean
+    g = chain(4)
+    expected = [
+        "".join(p) for p in itertools.product("IXYZ", repeat=4)
+        if _has_nonempty_certain_subset(g, Measurement("".join(p)))
+    ]
+    assert calls == expected and len(calls) == 59
+
+
+def test_deferred_flips_still_decide_every_sign(monkeypatch):
+    # flipping every X site breaks the odd Y X..X Y words' signs and more
+    def every_x(m, broadcast_y=False):
+        return frozenset(j for j, ch in enumerate(m.letters, start=1) if ch == "X")
+
+    monkeypatch.setattr(chain_protocol, "flip_sites_for", every_x)
+    for broadcast_y in (False, True):
+        report = verify_chain_exhaustive(4, broadcast_y=broadcast_y)
+        assert len(report.violations) == 48
+        assert all(v.reason == "wrong constant sign" for v in report.violations)
 
 
 def test_overlap_pairs_are_checked():

@@ -231,6 +231,34 @@ def test_ring_report_is_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of sampled `chain verify --seed 1`, recorded while each
+# sampled measurement was its own numpy draw; drawing the whole sample at once
+# must not change a byte. Version-bound like the digests around them.
+@pytest.mark.parametrize(
+    "n, sample, reading, digest",
+    [
+        (8, 40, (), "fb07c66c86a6da2fa17f33e308deb03f8a37cdd29c9d3db6005f2cf8ff57078e"),
+        (8, 40, ("--broadcast-y",),
+         "ef516423bc8b41d50f99817474b20d6d108e53a5d3d445772a91326ec31c9907"),
+        (9, 40, (), "92cdaca58e32dd3ff495d727864ab02d30a35653316da3d95259318dde7a8955"),
+        (9, 40, ("--broadcast-y",),
+         "a3aa4bdd5995690a2c487025e98f3b90d5e085785f3be607cbbc1d4f4d25b3b2"),
+        (10, 40, (), "9d55ce007edcf746de86a6cc50322aeb90d3149b5a0f5fa353e1ee152510ee4c"),
+        (10, 40, ("--broadcast-y",),
+         "c2a33e8a81d2cceb5aa774aff36681a087856136922ea35ea901af1181e295b8"),
+        (40, 200, (), "b9e0241bab91c9c2da151748aeaa6da373bffdaf81e92249a17fd78287ad5dd1"),
+        (40, 200, ("--broadcast-y",),
+         "3fe92865ff600d8edae8ed4f7e98210caaefcf1760230815781aac2d37f93639"),
+    ],
+    ids=["n8", "n8-by", "n9", "n9-by", "n10", "n10-by", "n40", "n40-by"],
+)
+def test_sampled_chain_report_is_pinned(capsys, n, sample, reading, digest):
+    code, out, _ = _run(capsys, "chain", "verify", "--n", str(n), "--sample", str(sample),
+                        "--seed", "1", *reading)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the stdout of `lhv run --graph ring:24 --measurement IXIX... --samples 256
 # --seed 7`, recorded before sampling mode was batched; the README example has a
 # certain product, so a uniform subset pins the coin stream itself. The report

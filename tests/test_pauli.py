@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 
@@ -136,8 +137,21 @@ def test_measurement_accessors():
     assert m.letter(4) == "I"
     assert str(m.restricted_to({1, 3})) == "YIYIII"
     assert m.bits() == (0b010111, 0b010111)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid Pauli letters ['Q']; expected only I, X, Y, Z")):
         Measurement("XQ")
+    with pytest.raises(ValueError, match=re.escape("invalid Pauli letters ['a', 'x']")):
+        Measurement("xIaXx")
+
+
+def test_restricted_to_checks_its_sites():
+    m = Measurement("XY")
+    assert str(m.restricted_to([2, 2])) == "IY"
+    assert str(m.restricted_to([])) == "II"
+    assert str(m.restricted_to(iter([2, 1]))) == "XY"
+    for bad in ([0, 5], [3], [1, 0], [-1]):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            m.restricted_to(bad)
 
 
 def test_phased_pauli_rendering():
