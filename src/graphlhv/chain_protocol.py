@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graphs import Graph, UnsupportedSizeError, chain, is_chain
-from .lhv import ProtocolOutputs, derive_xy, _as_z
+from . import lhv
 from .nogo import certain_subsets
 from .pauli import Measurement
 
@@ -36,6 +36,9 @@ _FULL_SWEEP_GUARD = 7
 
 # Byte k of a sampled code row becomes the k-th letter of "IXYZ".
 _CODE_LETTERS = bytes.maketrans(bytes(range(4)), b"IXYZ")
+
+_WORD = re.compile("X|YY|YX+Y")
+_XY_RUN = re.compile("[XY]+")
 
 
 class NotStabilizerShaped(ValueError):
@@ -50,7 +53,7 @@ class Word:
     letters: str
 
     def __post_init__(self) -> None:
-        if not _word_form_ok(self.letters):
+        if not _WORD.fullmatch(self.letters):
             raise ValueError(f"{self.letters!r} is not a word")
 
     @property
@@ -70,17 +73,6 @@ class Word:
         if self.sign == -1:
             return self.start + len(self.letters) // 2
         return None
-
-
-def _word_form_ok(letters: str) -> bool:
-    if letters == "X" or letters == "YY":
-        return True
-    return (
-        len(letters) >= 3
-        and letters[0] == "Y"
-        and letters[-1] == "Y"
-        and set(letters[1:-1]) == {"X"}
-    )
 
 
 @dataclass(frozen=True)
@@ -126,38 +118,31 @@ class Sentence:
 def decompose(m: "Measurement | str") -> tuple[Sentence, ...]:
     """Parse a chain letter string into sentences, or raise NotStabilizerShaped.
 
-    On success the reconstruction (brackets, words, separating Is, Is between
-    sentences) reproduces the input exactly, the product of word signs is the
-    sign of the corresponding stabilizer word, and the input with that sign
-    is deterministic on the chain. Any string that fails to parse is not a
-    signed stabilizer word.
+    Each maximal X/Y run must be a word; words one I apart share a sentence.
+    The string must then be those words with Zs exactly at the brackets that
+    lie on the chain and Is elsewhere, so that the sentences reproduce it.
+    On success the product of word signs is the sign of the corresponding
+    stabilizer word, and the input with that sign is deterministic on the
+    chain. Any string that fails to parse is not a signed stabilizer word.
     """
     letters = m.letters if isinstance(m, Measurement) else Measurement(str(m)).letters
     n = len(letters)
 
-    runs: list[tuple[int, str]] = []
-    pos = 1
-    while pos <= n:
-        if letters[pos - 1] in "XY":
-            start = pos
-            while pos <= n and letters[pos - 1] in "XY":
-                pos += 1
-            runs.append((start, letters[start - 1:pos - 1]))
-        else:
-            pos += 1
+    words = []
+    for run in _XY_RUN.finditer(letters):
+        try:
+            words.append(Word(run.start() + 1, run.group()))
+        except ValueError:
+            raise NotStabilizerShaped(
+                f"block {run.group()!r} at site {run.start() + 1} is not a word"
+            ) from None
 
-    if not runs:
+    if not words:
         if "Z" in letters:
             raise NotStabilizerShaped(
                 f"Z at site {letters.index('Z') + 1} brackets no word"
             )
         return ()
-
-    words = []
-    for start, run in runs:
-        if not _word_form_ok(run):
-            raise NotStabilizerShaped(f"block {run!r} at site {start} is not a word")
-        words.append(Word(start, run))
 
     groups: list[list[Word]] = [[words[0]]]
     for prev, nxt in itertools.pairwise(words):
@@ -172,15 +157,13 @@ def decompose(m: "Measurement | str") -> tuple[Sentence, ...]:
         for group in groups
     )
 
-    rebuilt = ["I"] * n
-    for s in sentences:
-        for p in range(max(s.left, 1), min(s.right, n) + 1):
-            rebuilt[p - 1] = s.letter_at(p)
-    rebuilt_str = "".join(rebuilt)
-    if rebuilt_str != letters:
-        bad = next(p for p in range(1, n + 1) if rebuilt_str[p - 1] != letters[p - 1])
+    brackets = {p for s in sentences for p in (s.left, s.right) if 1 <= p <= n}
+    z_sites = {p for p, ch in enumerate(letters, start=1) if ch == "Z"}
+    if brackets != z_sites:
+        bad = min(brackets ^ z_sites)
+        expected = "Z" if bad in brackets else "I"
         raise NotStabilizerShaped(
-            f"site {bad}: expected {rebuilt_str[bad - 1]!r} from the sentence tiling, "
+            f"site {bad}: expected {expected!r} from the sentence tiling, "
             f"found {letters[bad - 1]!r}"
         )
     return sentences
@@ -269,26 +252,16 @@ def run_chain_protocol(
     m: Measurement,
     z: Sequence[int],
     broadcast_y: bool = False,
-) -> ProtocolOutputs:
-    """Protocol outputs: hidden entries with flips applied at X sites only."""
+) -> lhv.ProtocolOutputs:
+    """Protocol outputs: the hidden entries, negated at the flip sites (X sites only)."""
     _require_chain(g)
     if len(m) != g.n:
         raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
-    zs = _as_z(z, g.n)
-    xs, ys = derive_xy(g, zs)
+    entries = lhv.run(g, m, z, lhv.NO_COMMUNICATION).v
     flips = flip_sites_for(m, broadcast_y)
-    out = []
-    for i, ch in enumerate(m.letters):
-        j = i + 1
-        if ch == "I":
-            out.append(1)
-        elif ch == "Z":
-            out.append(zs[i])
-        elif ch == "Y":
-            out.append(ys[i])
-        else:
-            out.append(-xs[i] if j in flips else xs[i])
-    return ProtocolOutputs(tuple(out))
+    return lhv.ProtocolOutputs(
+        tuple(-v if j in flips else v for j, v in enumerate(entries, start=1))
+    )
 
 
 @dataclass(frozen=True)
@@ -373,11 +346,10 @@ def _check_measurement(
     one has flip parity 0 whatever they are, and is often the only one.
     Returns (deterministic subs checked, overlap pairs checked).
     """
-    n = g.n
     flips = None
 
     det_checked = 0
-    single_sentences: list[Sentence] = []
+    spans: list[tuple[int, int, int]] = []  # (left, right, site mask) of single sentences
     for sites, sub, sign in certain_subsets(g, m):
         det_checked += 1
         if sites and flips is None:
@@ -393,24 +365,22 @@ def _check_measurement(
             )
             continue
         if len(sentences) == 1:
-            single_sentences.append(sentences[0])
+            spans.append((sentences[0].left, sentences[0].right, sum(1 << j for j in sites)))
 
+    # Bit j of a site mask is site j. Both subs restrict m, so strictly inside
+    # both spans (where none of the four brackets lies) their letters differ
+    # exactly at the sites one of them keeps; the lowest such bit is the first.
     pairs = 0
-    for s1, s2 in itertools.combinations(single_sentences, 2):
-        lo = max(s1.left, s2.left)
-        hi = min(s1.right, s2.right)
+    for (l1, r1, s1), (l2, r2, s2) in itertools.combinations(spans, 2):
+        lo = max(l1, l2)
+        hi = min(r1, r2)
         if lo > hi:
             continue
         pairs += 1
-        skip = {s1.left, s1.right, s2.left, s2.right}
-        for p in range(max(lo, 1), min(hi, n) + 1):
-            if p in skip:
-                continue
-            if s1.letter_at(p) != s2.letter_at(p):
-                overlap_violations.append(
-                    OverlapViolation(m, (s1.left, s1.right), (s2.left, s2.right), p)
-                )
-                break
+        differ = ((s1 ^ s2) >> (lo + 1) << (lo + 1)) & ((1 << hi) - 1)
+        if differ:
+            position = (differ & -differ).bit_length() - 1
+            overlap_violations.append(OverlapViolation(m, (l1, r1), (l2, r2), position))
     return det_checked, pairs
 
 

@@ -120,16 +120,8 @@ def _build_state(g: Graph) -> np.ndarray:
 def _expectation(g: Graph, m: Measurement, psi: np.ndarray) -> int:
     """2^n times the expectation value of the word, an exact integer."""
     idx = np.arange(psi.shape[0])
-    xmask = 0
-    zymask = 0  # sites whose bit flips the sign: Z and Y
-    n_y = 0
-    for j, ch in enumerate(m.letters):
-        if ch in "XY":
-            xmask |= 1 << j
-        if ch in "ZY":
-            zymask |= 1 << j
-        if ch == "Y":
-            n_y += 1
+    xmask, zymask = m.bits()  # zymask: sites whose bit flips the sign, Z and Y
+    n_y = (xmask & zymask).bit_count()
     signs = 1 - 2 * (np.bitwise_count(idx & zymask) & 1).astype(np.int8)
     # sum of psi[i ^ x] * psi[i] * (-1)^|i & z|; int8 terms, int64 accumulator
     total = int(np.sum(psi[idx ^ xmask] * psi * signs, dtype=np.int64))

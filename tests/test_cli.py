@@ -120,6 +120,27 @@ def test_verify_sub_star_clean(capsys):
     assert json.loads(out)["result"]["mismatches"] == []
 
 
+@pytest.mark.parametrize(
+    "graph, letters, rules, expect_mismatch",
+    [
+        ("chain:5", "XXXXX", "standard", True),
+        ("chain:5", "XXXXX", "symmetric", True),
+        ("chain:4", "XXYY", "standard", False),
+        ("chain:4", "XXYY", "symmetric", True),
+    ],
+    ids=["chain5-standard", "chain5-symmetric", "chain4-standard", "chain4-symmetric"],
+)
+def test_verify_sub_smallest_failing_chains(capsys, graph, letters, rules, expect_mismatch):
+    argv = ["verify-sub", "--graph", graph, "--measurement", letters, "--rules", rules]
+    right, wrong = ("mismatch", "clean") if expect_mismatch else ("clean", "mismatch")
+    code, out, _ = _run(capsys, *argv, "--expect", right)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    code, out, _ = _run(capsys, *argv, "--expect", wrong)
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
 def test_nogo_ring(capsys):
     code, out, _ = _run(capsys, "nogo", "ring", "--f", "1", "--d", "1")
     assert code == 0
@@ -255,6 +276,37 @@ def test_ring_report_is_pinned(capsys, args, digest):
 def test_sampled_chain_report_is_pinned(capsys, n, sample, reading, digest):
     code, out, _ = _run(capsys, "chain", "verify", "--n", str(n), "--sample", str(sample),
                         "--seed", "1", *reading)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of `chain decompose` and exhaustive `chain verify --n 5`,
+# recorded while decompose rebuilt its input letter by letter and the overlap
+# pass compared sentences site by site; the tiling check on Z sites and the
+# site-mask overlap test must not change a byte, error messages included.
+# Version-bound like the digests around them.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["decompose", "--measurement", "YXYIYYZZXZ"],
+         "63e16a60352b4c939a7997b2b01166c9db3426f43327a98e8f0aacaadd1b1505"),
+        (["decompose", "--measurement", "Y"],
+         "698c4a99bebbf6ff5f4dfb5e296fb415436fa1bbbee1f5620cdd8e96d0573665"),
+        (["decompose", "--measurement", "ZZ"],
+         "cd4743b2f6c0e09f0ee532b1800cbda984500ee777fc9febd44894f79a465839"),
+        (["decompose", "--measurement", "XZX"],
+         "cdcf47f48b2e80e839cf58c1e89d256b24c6ed96943b5ae64e06c7897f12d765"),
+        (["decompose", "--measurement", "IXI"],
+         "43fc861a25e4d676c6cb36f9fa29d6076fd4a9e9a9d1ad82dde4519accf2e7eb"),
+        (["verify", "--n", "5"], "f191ec1dab2cda0cf11d3cb51cfdd4735ab6d01e30ad9b0a39d8fdcb94eea477"),
+        (["verify", "--n", "5", "--broadcast-y"],
+         "08df1bab96c2fb8d3d7293da5e020eecba4f02203657a6be5cd53177f732c1a1"),
+    ],
+    ids=["sentences", "not-a-word", "bracketless-z", "z-inside-sentence", "missing-bracket",
+         "verify-n5", "verify-n5-by"],
+)
+def test_chain_report_is_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, "chain", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -16,7 +16,7 @@ from graphlhv.graphs import (
     ring,
     star,
 )
-from graphlhv.lhv import all_assignments, product_verdict, run
+from graphlhv.lhv import STANDARD_RULES, SYMMETRIC_RULES, all_assignments, product_verdict, run
 from graphlhv.nogo import (
     CertainSubmeasurement,
     ContextVariable,
@@ -474,6 +474,27 @@ def test_verify_uniform_everywhere_trivially_clean():
     report = verify_all_submeasurements(g, m)
     assert report.clean
     assert report.deterministic_subsets == 1  # only the empty subset
+
+
+# The smallest chains on which the protocol fails: the symmetric rules at
+# four sites, the standard rules only at five. Each failure is one certain
+# sub whose oracle sign is +1 while the protocol's product is -1.
+@pytest.mark.parametrize(
+    "letters, rules, mismatches",
+    [
+        ("XXXXX", STANDARD_RULES, [((1, 3, 5), "XIXIX")]),
+        ("XXXXX", SYMMETRIC_RULES, [((1, 3, 5), "XIXIX")]),
+        ("XXYY", STANDARD_RULES, []),
+        ("XXYY", SYMMETRIC_RULES, [((1, 3, 4), "XIYY")]),
+    ],
+    ids=["chain5-standard", "chain5-symmetric", "chain4-standard", "chain4-symmetric"],
+)
+def test_smallest_failing_chains(letters, rules, mismatches):
+    report = verify_all_submeasurements(chain(len(letters)), Measurement(letters), rules)
+    assert [(c.sites, str(c.sub)) for c in report.mismatches] == mismatches
+    for check in report.mismatches:
+        assert check.oracle == Verdict.deterministic(1)
+        assert check.lhv == Verdict.deterministic(-1)
 
 
 def test_verify_guard():
