@@ -23,8 +23,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .graphs import Graph, UnsupportedSizeError, chain, is_chain
 from . import lhv
 from .nogo import certain_subsets
@@ -400,6 +398,8 @@ def _measurements(n: int, sample: int | None, seed: int) -> Iterator[Measurement
         return (Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=n))
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
+    import numpy as np  # only the sampled sweep needs it
+
     codes = np.random.default_rng(seed).integers(0, 4, size=(sample, n))
     letters = codes.astype(np.uint8).tobytes().translate(_CODE_LETTERS).decode()
     return (Measurement(letters[i:i + n]) for i in range(0, sample * n, n))

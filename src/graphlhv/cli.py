@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     UnsupportedSizeError,
     check_automorphism_size,
+    family_node_count,
     grid,
     load_graph,
     named_graph,
@@ -48,8 +49,20 @@ class CommandError(Exception):
     """Usage-level failure; maps to exit code 2."""
 
 
-def _resolve_graph(spec: str) -> tuple[Graph, dict]:
-    """A --graph value is a family spec like ring:12 or a path to a JSON file."""
+def _size_mismatch(letters: int, nodes: int) -> CommandError:
+    return CommandError(f"measurement has {letters} letters but the graph has {nodes} nodes")
+
+
+def _graph_and_measurement(args: argparse.Namespace) -> tuple[Graph, dict, Measurement]:
+    """Resolve --graph, a family spec like ring:12 or a path to a JSON file,
+    and parse --measurement against it.
+
+    Built, a family spec such as ring:99999999999 would exhaust memory, so a
+    family with more nodes than the measurement has letters is refused from
+    its integers alone. A smaller one is built first, so that the family's own
+    parameter errors (ring:2) are the ones reported.
+    """
+    spec, raw = args.graph, args.measurement
     try:
         if os.path.exists(spec):
             g = load_graph(spec)
@@ -57,24 +70,21 @@ def _resolve_graph(spec: str) -> tuple[Graph, dict]:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             source = {"kind": "file", "path": spec, "sha256": digest}
         else:
+            nodes = family_node_count(spec)
+            if nodes > len(raw):
+                raise _size_mismatch(len(raw), nodes)
             g = named_graph(spec)
             digest = hashlib.sha256(g.to_json().encode()).hexdigest()
             source = {"kind": "family", "spec": spec, "sha256": digest}
     except (ValueError, OSError) as exc:  # GraphFormatError, a directory, bad encoding
         raise CommandError(str(exc)) from exc
-    return g, source
-
-
-def _parse_measurement(raw: str, g: Graph) -> Measurement:
     try:
         m = Measurement(raw)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
     if len(m) != g.n:
-        raise CommandError(
-            f"measurement has {len(m)} letters but the graph has {g.n} nodes"
-        )
-    return m
+        raise _size_mismatch(len(m), g.n)
+    return g, source, m
 
 
 def _parse_subset(raw: str | None) -> list[int] | None:
@@ -120,8 +130,7 @@ def _report(command: str, inputs: dict, result: dict, ok: bool | None = None) ->
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    g, source = _resolve_graph(args.graph)
-    m = _parse_measurement(args.measurement, g)
+    g, source, m = _graph_and_measurement(args)
     verdict = classify(g, m)
     report = _report(
         "oracle",
@@ -133,8 +142,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_lhv_run(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
-    g, source = _resolve_graph(args.graph)
-    m = _parse_measurement(args.measurement, g)
+    g, source, m = _graph_and_measurement(args)
     subset = _parse_subset(args.subset)
     rules = _RULES[args.rules]
     try:
@@ -150,8 +158,7 @@ def _cmd_lhv_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_sub(args: argparse.Namespace) -> int:
-    g, source = _resolve_graph(args.graph)
-    m = _parse_measurement(args.measurement, g)
+    g, source, m = _graph_and_measurement(args)
     try:
         rep = verify_all_submeasurements(g, m, _RULES[args.rules])
     except UnsupportedSizeError as exc:
@@ -192,8 +199,7 @@ def _cmd_nogo_ring(args: argparse.Namespace) -> int:
 
 
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
-    g, source = _resolve_graph(args.graph)
-    m = _parse_measurement(args.measurement, g)
+    g, source, m = _graph_and_measurement(args)
     try:
         check_automorphism_size(g, args.max_nodes)  # before the certain-subset walk
         subs = find_certain_submeasurements(g, m)

@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -166,14 +166,8 @@ def relabel(g: Graph, mapping: Mapping[int, int]) -> Graph:
     return Graph(g.n, tuple((mapping[u], mapping[v]) for u, v in g.edges))
 
 
-_FAMILIES = {
-    "ring": lambda p: ring(int(p)),
-    "chain": lambda p: chain(int(p)),
-    "star": lambda p: star(int(p)),
-    "padded-ring": lambda p: padded_ring(int(p)),
-    "grid": lambda p: grid(*_parse_dims(p)),
-    "complete-bipartite": lambda p: complete_bipartite(*_parse_dims(p)),
-}
+def _parse_one(p: str) -> tuple[int]:
+    return (int(p),)
 
 
 def _parse_dims(p: str) -> tuple[int, int]:
@@ -183,17 +177,45 @@ def _parse_dims(p: str) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def named_graph(spec: str) -> Graph:
-    """Build a graph from a family spec such as 'ring:12' or 'grid:2x3'."""
+# name -> (parameter parser, constructor, node count of the parsed integers)
+_FAMILIES = {
+    "ring": (_parse_one, ring, lambda n: n),
+    "chain": (_parse_one, chain, lambda n: n),
+    "star": (_parse_one, star, lambda n: n),
+    "padded-ring": (_parse_one, padded_ring, lambda n: n),
+    "grid": (_parse_dims, grid, lambda rows, cols: rows * cols),
+    "complete-bipartite": (_parse_dims, complete_bipartite, lambda a, b: a + b),
+}
+
+
+def _family(spec: str) -> tuple[Callable[..., Graph], tuple[int, ...], int]:
+    """Constructor, integer parameters and node count of a family spec."""
     name, sep, param = spec.partition(":")
     if not sep or name not in _FAMILIES:
         raise GraphFormatError(
             f"unknown graph spec {spec!r}; expected one of "
             + ", ".join(f"{k}:<param>" for k in sorted(_FAMILIES))
         )
+    parse, build, nodes = _FAMILIES[name]
     try:
-        return _FAMILIES[name](param)
-    except (ValueError, TypeError) as exc:
+        params = parse(param)
+    except ValueError as exc:
+        raise GraphFormatError(f"bad parameter in graph spec {spec!r}: {exc}") from exc
+    return build, params, nodes(*params)
+
+
+def family_node_count(spec: str) -> int:
+    """Node count of a family spec such as 'ring:12', read from its integers
+    without building the graph (the parameters' ranges are not checked)."""
+    return _family(spec)[2]
+
+
+def named_graph(spec: str) -> Graph:
+    """Build a graph from a family spec such as 'ring:12' or 'grid:2x3'."""
+    build, params, _ = _family(spec)
+    try:
+        return build(*params)
+    except ValueError as exc:
         raise GraphFormatError(f"bad parameter in graph spec {spec!r}: {exc}") from exc
 
 

@@ -18,8 +18,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .graphs import Graph
 from .oracle import Verdict
 from .pauli import Measurement
@@ -212,7 +210,10 @@ def _sampled_minus_count(
     numpy draws {0, 1} values one 32-bit word each and the generator's state
     carries across calls, so a (rows, n) draw continues the stream exactly as
     rows draws of size n would: the counts do not depend on the chunk size.
+    Only this sampling mode needs numpy, so it is imported here.
     """
+    import numpy as np
+
     comm = communication_round(g, m)
     flip = [int(rules.flips(letter, t)) for letter, t in zip(m.letters, comm.t)]
     neighbor_cols = [[k - 1 for k in block] for block in g.neighbors]

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .graphs import Graph, UnsupportedSizeError
 from .pauli import Measurement, letters_from_bits
 
@@ -107,9 +105,15 @@ def classify(g: Graph, m: Measurement) -> Verdict:
     return Verdict.deterministic(_stabilizer_sign(g, mx, mz))
 
 
-def _build_state(g: Graph) -> np.ndarray:
+def _build_state(g: Graph):
     """Dense graph-state vector: |+...+> with a CZ applied along every edge,
-    scaled by 2^(n/2) so that every amplitude is an int8 +1 or -1."""
+    scaled by 2^(n/2) so that every amplitude is an int8 +1 or -1.
+
+    numpy is imported here and in ``_expectation``, not with the module, so
+    the stabilizer path runs without loading it.
+    """
+    import numpy as np
+
     idx = np.arange(1 << g.n)
     odd = np.zeros_like(idx)
     for u, v in g.edges:
@@ -117,8 +121,11 @@ def _build_state(g: Graph) -> np.ndarray:
     return (1 - 2 * odd).astype(np.int8)
 
 
-def _expectation(g: Graph, m: Measurement, psi: np.ndarray) -> int:
-    """2^n times the expectation value of the word, an exact integer."""
+def _expectation(g: Graph, m: Measurement, psi) -> int:
+    """2^n times the expectation value of the word, an exact integer, from the
+    int8 array that ``_build_state`` returns."""
+    import numpy as np
+
     idx = np.arange(psi.shape[0])
     xmask, zymask = m.bits()  # zymask: sites whose bit flips the sign, Z and Y
     n_y = (xmask & zymask).bit_count()

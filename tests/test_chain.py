@@ -416,6 +416,40 @@ def test_overlap_pairs_are_checked():
     assert report.overlap_violations == ()
 
 
+def _crafted_subs(*words):
+    """A stand-in for ``certain_subsets`` yielding the given words as certain
+    subs of sign +1, whether or not they restrict the measurement."""
+    def fake(g, m):
+        for letters in words:
+            sites = tuple(j for j, ch in enumerate(letters, start=1) if ch != "I")
+            yield sites, Measurement(letters), 1
+    return fake
+
+
+@pytest.mark.parametrize(
+    "words, expected",
+    [
+        # both span 0..7 and differ at sites 2 and 4: the lowest is reported
+        (("XIXIXZ", "YXXXYZ"), [((0, 6), (0, 6), 2)]),
+        # common span 3..5 with X at 4 in both; they differ only at 3 and 5
+        (("IIZXIX", "ZXIXZI"), []),
+    ],
+    ids=["differ-inside", "differ-at-ends"],
+)
+def test_overlap_check_reports_the_lowest_site_strictly_inside(monkeypatch, words, expected):
+    # No pair of real certain subs with n <= 7 reaches the reporting branch,
+    # so two single-sentence words are fed in directly.
+    for letters in words:
+        assert len(decompose(letters)) == 1
+    monkeypatch.setattr(chain_protocol, "certain_subsets", _crafted_subs(*words))
+    m = Measurement("YXXXYZ")
+    violations, overlaps = [], []
+    checked, pairs = chain_protocol._check_measurement(chain(6), m, False, violations, overlaps)
+    assert (checked, pairs) == (2, 1)
+    assert [(o.first_span, o.second_span, o.position) for o in overlaps] == expected
+    assert all(o.measurement == m for o in overlaps)
+
+
 def test_overlap_ten_qubit_sentences_disjoint():
     sentences = decompose("YXYIYYZZXZ")
     s1, s2 = sentences

@@ -473,6 +473,119 @@ def test_handler_patched_after_first_call_is_reached(capsys, monkeypatch):
     assert code == 1 and out == "" and seen == ["ZIII"]
 
 
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_OVERSIZED = "error: measurement has 1 letters but the graph has 99999999999 nodes\n"
+
+
+# Built, these specs would need far more than 1 GiB: the limit makes a build
+# fail fast (MemoryError, exit 3) instead of exhausting the machine.
+@pytest.mark.parametrize(
+    "argv, spec, letters, err",
+    [
+        (["oracle"], "ring:99999999999", "X", _OVERSIZED),
+        (["lhv", "run"], "ring:99999999999", "X", _OVERSIZED),
+        (["verify-sub"], "ring:99999999999", "X", _OVERSIZED),
+        (["nogo", "site-invariance"], "ring:99999999999", "X", _OVERSIZED),
+        (["oracle"], "star:3000000000", "XY",
+         "error: measurement has 2 letters but the graph has 3000000000 nodes\n"),
+    ],
+    ids=["oracle", "lhv-run", "verify-sub", "site-invariance", "oracle-star"],
+)
+def test_oversized_family_spec_is_refused_before_it_is_built(argv, spec, letters, err):
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphlhv", *argv, "--graph", spec, "--measurement", letters],
+        capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+def test_oversized_graph_file_gives_the_same_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 99999999999, "edges": []}')
+    assert _run(capsys, "oracle", "--graph", str(path), "--measurement", "X") == (2, "", _OVERSIZED)
+
+
+# A family with fewer nodes than letters is built first, so its own parameter
+# errors come first; one with more is refused with the usual size message.
+@pytest.mark.parametrize(
+    "spec, letters, fragment",
+    [
+        ("ring:2", "XX", "a ring needs at least 3 nodes"),
+        ("ring:-5", "X", "a ring needs at least 3 nodes"),
+        ("grid:2x3", "YYYYY", "measurement has 5 letters but the graph has 6 nodes"),
+        ("grid:23", "X", "expected AxB dimensions"),
+    ],
+)
+def test_family_spec_errors(capsys, spec, letters, fragment):
+    code, out, err = _run(capsys, "oracle", "--graph", spec, "--measurement", letters)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and fragment in err
+
+
+# Only the state vector and the two seeded samplers need numpy. The sampled
+# digests are the ones pinned above (`lhv run` on ring:24 with subset 2, and
+# `chain verify --n 9 --sample 40 --seed 1`).
+_NUMPY_ON_DEMAND = """
+import contextlib, hashlib, io, json, sys
+from graphlhv import Measurement, grid, statevector_verdict
+from graphlhv.cli import main
+
+def run(line):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(line.split())
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+exact = [run(line)[0] for line in (
+    "verify-sub --graph grid:4x4 --measurement " + "Y" * 16,
+    "oracle --graph ring:4 --measurement ZIII",
+    "chain verify --n 4",
+    "chain decompose --measurement YXYIYYZZXZ",
+    "nogo ring --f 1",
+    "nogo site-invariance --graph grid:2x3 --measurement YYYYYY",
+    "reproduce fig1",
+)]
+loaded = ["numpy" in sys.modules]
+lhv = run("lhv run --graph ring:24 --measurement " + "IX" * 12
+          + " --samples 256 --seed 7 --subset 2")
+loaded.append("numpy" in sys.modules)
+chain = run("chain verify --n 9 --sample 40 --seed 1")
+verdicts = [str(statevector_verdict(grid(2, 3), Measurement(w))) for w in ("YYYIYI", "YYYYYY")]
+loaded.append("numpy" in sys.modules)
+print(json.dumps({"exact": exact, "loaded": loaded, "lhv": lhv, "chain": chain,
+                  "verdicts": verdicts}))
+"""
+
+
+def test_numpy_is_loaded_only_by_the_paths_that_sample_or_build_the_state():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ON_DEMAND], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exact"] == [0] * 7
+    assert result["loaded"] == [False, True, True]
+    assert result["lhv"] == [
+        0, "f23e55707ffe65daf95b3fd12a0fb1798cdb6d57bc735702b5adbbff971452f3"]
+    assert result["chain"] == [
+        0, "92cdaca58e32dd3ff495d727864ab02d30a35653316da3d95259318dde7a8955"]
+    assert result["verdicts"] == ["deterministic(-1)", "uniform"]
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import graphlhv, graphlhv.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_lhv_run_exact_beyond_old_guard(capsys):
     code, out, _ = _run(capsys, "lhv", "run", "--graph", "ring:30", "--measurement", "X" * 30)
     assert code == 0

@@ -21,3 +21,30 @@ def test_no_assert_statements_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imports_outside_functions(node):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _imports_outside_functions(child)
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return node.level == 0 and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # Only the state vector and the seeded samplers need numpy; importing it
+    # at module level would make every command pay its start-up cost.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in _imports_outside_functions(ast.parse(path.read_text(), filename=str(path)))
+        if _imports_numpy(node)
+    ]
+    assert found == []
