@@ -339,24 +339,28 @@ def _check_measurement(
 
     They are the subsets ``certain_subsets`` walks: those on which the XOR of
     the outputs' coin monomials vanishes, so the protocol's product there is
-    a constant sign by construction and only that sign is compared.
-    The flip sites are found at the first nonempty certain subset: the empty
-    one has flip parity 0 whatever they are, and is often the only one.
+    a constant sign by construction and only that sign is compared, with the
+    oracle sign the walk derives from the kernel basis.
+    The empty subset is counted and passed over: its word is the identity,
+    of sign +1 on both sides, and holds no sentence. It is often the only
+    certain subset, so the flip sites are found at the first nonempty one.
     Returns (deterministic subs checked, overlap pairs checked).
     """
     flips = None
 
     det_checked = 0
     spans: list[tuple[int, int, int]] = []  # (left, right, site mask) of single sentences
-    for sites, sub, sign in certain_subsets(g, m):
+    for sites, sign in certain_subsets(g, m):
         det_checked += 1
-        if sites and flips is None:
+        if not sites:
+            continue
+        if flips is None:
             flips = flip_sites_for(m, broadcast_y)
-        protocol_sign = -1 if sites and len(flips.intersection(sites)) % 2 else 1
+        protocol_sign = -1 if len(flips.intersection(sites)) % 2 else 1
         if protocol_sign != sign:
             violations.append(Violation(m, sites, sign, protocol_sign, "wrong constant sign"))
         try:
-            sentences = decompose(sub)
+            sentences = decompose(m.restricted_to(sites))
         except NotStabilizerShaped as exc:
             violations.append(
                 Violation(m, sites, sign, None, f"grammar rejected a certain word: {exc}")

@@ -2,8 +2,10 @@
 
 The certain submeasurements of a measurement are the subsets of its support
 on which the XOR of the per-site coin monomials vanishes: the kernel of one
-GF(2) map. ``certain_subsets`` walks that kernel from a basis, so the
-submeasurement sweep costs 2^(kernel dimension), not 2^|support|.
+GF(2) map, of dimension k. On it the oracle sign and the protocol's flip
+parity are both linear, so deciding the sweep costs k ``classify`` calls, one
+per basis word. Only listing subsets (the certain ones, or the mismatches)
+walks the 2^k kernel elements, and nothing visits all 2^|support| subsets.
 
 Two impossibility arguments are mechanized here as GF(2) constraint systems.
 
@@ -26,7 +28,8 @@ again yields an unsatisfiable system on the right graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -263,21 +266,35 @@ class SubmeasurementReport:
         }
 
 
-def certain_subsets(g: Graph, m: Measurement) -> Iterator[tuple[tuple[int, ...], Measurement, int]]:
+def certain_subsets(g: Graph, m: Measurement) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every subset of the support whose restricted word is certain, with its sign.
 
     A subset S is certain exactly when the XOR of the site monomials over S
     is empty (the oracle's z-image test, written per site), so the certain
-    subsets form the kernel of one GF(2) map. Each basis vector of that
-    kernel owns a highest bit that no other contains, so counting through
-    their combinations in binary yields the subsets in ascending subset-mask
-    order (bit i for support[i]), the order of a sweep over every subset.
-    Yields (sites, restricted word, sign); ``classify`` confirms each one and
-    gives the sign. Guarded at kernel dimension 20, i.e. 2^20 subsets.
+    subsets form the kernel of one GF(2) map. For two of them,
+    m|_S · m|_T = m|_{S△T} with no phase, so the sign is a homomorphism on
+    the kernel: ``classify`` decides the k basis words (``_signed_kernel``)
+    and every other sign is a product of theirs. Each basis vector owns a
+    highest bit that no other contains, so counting through their
+    combinations in binary yields the subsets in ascending subset-mask order
+    (bit i for support[i]), the order of a sweep over every subset, each sign
+    updated by one XOR. Yields (sites, sign); ``m.restricted_to(sites)`` is
+    the word. Deciding costs k ``classify`` calls; only this walk costs 2^k,
+    and it is guarded at kernel dimension 20, i.e. 2^20 subsets.
+    """
+    support, basis, bits = _signed_kernel(g, m)
+    _check_walk(basis)
+    return ((_sites(support, smask), -1 if bit else 1) for smask, bit in _walk_kernel(basis, bits))
+
+
+def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """(support, kernel basis, sign bits): bit 1 for a basis word of sign -1.
 
     The basis comes from one elimination pass over the support's monomial
     masks (``_kernel_basis``), the columns of the map, read in one pass over
-    the letters through ``LETTER_COINS``.
+    the letters through ``LETTER_COINS``. Each basis word is confirmed
+    certain by ``classify``; certain words are closed under products, so
+    that confirms the whole kernel.
     """
     if len(m) != g.n:
         raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
@@ -289,12 +306,27 @@ def certain_subsets(g: Graph, m: Measurement) -> Iterator[tuple[tuple[int, ...],
             support.append(j + 1)
             cols.append((1 << j) & own | neighbours & other)
     basis = _kernel_basis(cols)
+    bits = []
+    for vec in basis:
+        sub = m.restricted_to(_sites(support, vec))
+        verdict = classify(g, sub)
+        if not verdict.is_deterministic:
+            raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
+        bits.append(int(verdict.value == -1))
+    return tuple(support), basis, bits
+
+
+def _sites(support: tuple[int, ...], smask: int) -> tuple[int, ...]:
+    """The support sites at the set bits of a subset mask (bit i for support[i])."""
+    return tuple(j for i, j in enumerate(support) if (smask >> i) & 1)
+
+
+def _check_walk(basis: list[int]) -> None:
     if len(basis) > _KERNEL_GUARD:
         raise UnsupportedSizeError(
             f"{2 ** len(basis)} certain subsets (kernel dimension {len(basis)}) exceed "
             f"the guard of 2^{_KERNEL_GUARD}"
         )
-    return _walk_kernel(g, m, tuple(support), basis)
 
 
 def _kernel_basis(cols: Sequence[int]) -> list[int]:
@@ -322,25 +354,22 @@ def _kernel_basis(cols: Sequence[int]) -> list[int]:
     return basis
 
 
-def _walk_kernel(
-    g: Graph, m: Measurement, support: tuple[int, ...], basis: list[int]
-) -> Iterator[tuple[tuple[int, ...], Measurement, int]]:
+def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int]]:
+    """Every (subset mask, label) of the span, labels XORed along with the masks."""
     # Stepping the counter to k flips its bits 0..t, t the lowest set bit of k.
     prefix = []
-    acc = 0
-    for vec in basis:
+    acc = label = 0
+    for vec, bit in zip(basis, labels):
         acc ^= vec
-        prefix.append(acc)
-    smask = 0
+        label ^= bit
+        prefix.append((acc, label))
+    smask = label = 0
     for k in range(1 << len(basis)):
         if k:
-            smask ^= prefix[(k & -k).bit_length() - 1]
-        sites = tuple(j for i, j in enumerate(support) if (smask >> i) & 1)
-        sub = m.restricted_to(sites)
-        verdict = classify(g, sub)
-        if not verdict.is_deterministic:
-            raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
-        yield sites, sub, verdict.value
+            step, bit = prefix[(k & -k).bit_length() - 1]
+            smask ^= step
+            label ^= bit
+        yield smask, label
 
 
 def verify_all_submeasurements(
@@ -349,33 +378,44 @@ def verify_all_submeasurements(
     """Compare the oracle with the protocol on every subset of the support.
 
     The protocol's product over a subset is a fixed sign times the XOR of the
-    site monomials, so both sides are certain on exactly the subsets that
-    ``certain_subsets`` walks, and agree (uniform) everywhere else. Only the
-    kernel is visited: on each certain subset the oracle sign is compared with
-    the parity of the flipped sites in it. Mismatches come in ascending
-    subset-mask order over the sorted support.
+    site monomials, so both sides are certain on exactly the certain subsets
+    and agree (uniform) everywhere else. On a certain subset the oracle sign
+    is compared with the parity of the flipped sites in it; both are linear
+    on the kernel, so the word is clean iff they agree on its k basis
+    vectors, and otherwise they disagree on exactly half of it. Only then is
+    the kernel walked, to list the mismatches in ascending subset-mask order
+    over the sorted support, each confirmed by its own ``classify`` call.
     """
-    if len(m) != g.n:
-        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
+    support, basis, bits = _signed_kernel(g, m)
     flips = flip_sites(g, m, rules)
-    deterministic = 0
+    flip_mask = sum(1 << i for i, j in enumerate(support) if j in flips)
+    # label bit 0: the oracle sign is -1; bit 1: the protocol's sign differs
+    labels = []
+    for vec, bit in zip(basis, bits):
+        differs = bit ^ (vec & flip_mask).bit_count() & 1
+        labels.append(bit | differs << 1)
     mismatches: list[SubsetCheck] = []
-    for sites, sub, sign in certain_subsets(g, m):
-        deterministic += 1
-        lhv_sign = -1 if len(flips.intersection(sites)) % 2 else 1
-        if sign != lhv_sign:
-            mismatches.append(
-                SubsetCheck(sites, sub, Verdict.deterministic(sign), Verdict.deterministic(lhv_sign))
-            )
+    if any(label >> 1 for label in labels):
+        _check_walk(basis)
+        for smask, label in _walk_kernel(basis, labels):
+            if not label >> 1:
+                continue
+            oracle = Verdict.deterministic(-1 if label & 1 else 1)
+            sites = _sites(support, smask)
+            sub = m.restricted_to(sites)
+            verdict = classify(g, sub)
+            if verdict != oracle:
+                raise RuntimeError(f"{sub}: the kernel basis gives {oracle}, the oracle {verdict}")
+            mismatches.append(SubsetCheck(sites, sub, oracle, Verdict.deterministic(-oracle.value)))
     return SubmeasurementReport(
-        m, rules.name, 1 << len(m.support()), deterministic, tuple(mismatches)
+        m, rules.name, 1 << len(support), 1 << len(basis), tuple(mismatches)
     )
 
 
 def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[frozenset[int], int], ...]:
     """All subsets of the support whose restricted measurement is deterministic,
     with their signs, in ascending subset-mask order."""
-    return tuple((frozenset(sites), sign) for sites, _, sign in certain_subsets(g, m))
+    return tuple((frozenset(sites), sign) for sites, sign in certain_subsets(g, m))
 
 
 def y_stabilizer_supports(g: Graph) -> tuple[tuple[frozenset[int], int], ...]:
@@ -386,9 +426,11 @@ def y_stabilizer_supports(g: Graph) -> tuple[tuple[frozenset[int], int], ...]:
     the generator product. Sorted by size, then by sites.
     """
     out = []
-    for sites, sub, sign in certain_subsets(g, Measurement("Y" * g.n)):
+    for sites, sign in certain_subsets(g, Measurement("Y" * g.n)):
         if generator_product_sign(g, sites) != sign:
-            raise RuntimeError(f"{sub}: oracle and generator product disagree on the sign")
+            raise RuntimeError(
+                f"Y on {list(sites)}: oracle and generator product disagree on the sign"
+            )
         out.append((frozenset(sites), sign))
     return tuple(sorted(out, key=lambda p: (len(p[0]), sorted(p[0]))))
 
@@ -574,22 +616,30 @@ def _distance_system(
     differ = [k for k, column in enumerate(zip(*words), start=1) if len(set(column)) > 1]
     sites = sorted(set().union(*(case.support for case in cases)))
     balls = {j: ball(g, j, d) for j in sites}
-    ordered = {j: sorted(nodes) for j, nodes in balls.items()}
+    views = {j: _pairs_at(sorted(nodes)) for j, nodes in balls.items()}
     probes = {j: tuple(k - 1 for k in differ if k in nodes) for j, nodes in balls.items()}
     variables: dict[tuple, ContextVariable] = {}
     equations = []
     for case, word in zip(cases, words):
+        pairs = tuple(enumerate(word, start=1))  # (node, letter) at index node - 1
         # sites in decimal-string order (1, 10, 2, ...): the published variable order
         keys = []
         for j in sorted(case.support, key=str):
             key = (j, word[j - 1], tuple(word[i] for i in probes[j]))
             var = variables.get(key)
             if var is None:
-                view = tuple((k, word[k - 1]) for k in ordered[j])
-                var = variables[key] = ContextVariable(j, word[j - 1].lower(), view)
+                var = variables[key] = ContextVariable(j, word[j - 1].lower(), views[j](pairs))
             keys.append(var)
         equations.append(Equation(frozenset(keys), 0 if case.expected_sign == 1 else 1, case.name))
     return ParityConstraintSystem(tuple(variables.values()), tuple(equations)), balls
+
+
+def _pairs_at(nodes: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Picks the entries at the given nodes out of a per-node tuple, as a tuple."""
+    if len(nodes) == 1:  # itemgetter of one index returns the bare entry
+        i = nodes[0] - 1
+        return lambda pairs: (pairs[i],)
+    return itemgetter(*(k - 1 for k in nodes))
 
 
 def distance_bound(n: int) -> int:

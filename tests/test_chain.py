@@ -416,14 +416,16 @@ def test_overlap_pairs_are_checked():
     assert report.overlap_violations == ()
 
 
-def _crafted_subs(*words):
-    """A stand-in for ``certain_subsets`` yielding the given words as certain
-    subs of sign +1, whether or not they restrict the measurement."""
-    def fake(g, m):
-        for letters in words:
-            sites = tuple(j for j, ch in enumerate(letters, start=1) if ch != "I")
-            yield sites, Measurement(letters), 1
-    return fake
+def _crafted_subs(monkeypatch, *words):
+    """Make the given words the certain subs of sign +1, whether or not they
+    restrict the measurement: a stand-in for ``certain_subsets`` yields their
+    sites, and ``Measurement.restricted_to`` hands back the word for them."""
+    by_sites = {tuple(j for j, ch in enumerate(w, start=1) if ch != "I"): w for w in words}
+    assert len(by_sites) == len(words)
+    monkeypatch.setattr(chain_protocol, "certain_subsets",
+                        lambda g, m: ((sites, 1) for sites in by_sites))
+    monkeypatch.setattr(Measurement, "restricted_to",
+                        lambda self, sites: Measurement(by_sites[tuple(sites)]))
 
 
 @pytest.mark.parametrize(
@@ -438,10 +440,11 @@ def _crafted_subs(*words):
 )
 def test_overlap_check_reports_the_lowest_site_strictly_inside(monkeypatch, words, expected):
     # No pair of real certain subs with n <= 7 reaches the reporting branch,
-    # so two single-sentence words are fed in directly.
+    # nor any two single-sentence restrictions of one word with n <= 6, so
+    # two single-sentence words are fed in directly.
     for letters in words:
         assert len(decompose(letters)) == 1
-    monkeypatch.setattr(chain_protocol, "certain_subsets", _crafted_subs(*words))
+    _crafted_subs(monkeypatch, *words)
     m = Measurement("YXXXYZ")
     violations, overlaps = [], []
     checked, pairs = chain_protocol._check_measurement(chain(6), m, False, violations, overlaps)

@@ -12,6 +12,7 @@ import pytest
 
 from graphlhv import cli
 from graphlhv.cli import main
+from graphlhv.graphs import Graph, grid, star
 
 
 def _run(capsys, *argv):
@@ -176,6 +177,31 @@ def test_site_invariance_guard_refuses_before_subset_walk(monkeypatch, capsys):
     assert err == "error: automorphism search is guarded at 12 nodes, got 18\n"
 
 
+def test_verify_sub_decides_a_clean_word_beyond_the_walk_guard(capsys):
+    # the 199 leaves share one monomial: kernel dimension 198, decided from
+    # 198 basis words without walking the kernel
+    code, out, err = _run(capsys, "verify-sub", "--graph", "star:200", "--measurement",
+                          "X" * 200, "--expect", "clean")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["deterministic_subsets"] == 2 ** 198
+    assert result["subsets_checked"] == 2 ** 200
+    assert result["mismatches"] == []
+    assert err.endswith(", 0 mismatches\n")
+
+
+def test_verify_sub_refuses_to_list_mismatches_beyond_the_walk_guard(tmp_path, capsys):
+    # star:21 all-X beside grid:2x3 all-Y: kernel dimension 19 + 2, with mismatches
+    edges = star(21).edges + tuple((u + 21, v + 21) for u, v in grid(2, 3).edges)
+    path = tmp_path / "g.json"
+    path.write_text(Graph(27, edges).to_json())
+    code, out, err = _run(capsys, "verify-sub", "--graph", str(path), "--measurement",
+                          "X" * 21 + "Y" * 6)
+    assert code == 2 and out == ""
+    assert err == ("error: 2097152 certain subsets (kernel dimension 21) exceed "
+                   "the guard of 2^20\n")
+
+
 def test_include_matches_flag_is_gone(capsys):
     code, out, err = _run(capsys, "verify-sub", "--graph", "grid:2x3", "--measurement",
                           "YYYYYY", "--include-matches")
@@ -219,6 +245,45 @@ def test_site_invariance_report_is_pinned(capsys, graph, letters, digest):
     ids=["fig1", "fig2", "grid4x4-allY"],
 )
 def test_signed_report_is_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# 16 certain subsets on 8 nodes, 8 of them mismatched without communication
+# (`_EIGHT_MISMATCHES` in test_kernel_sweep.py), read from a JSON file.
+_EIGHT_MISMATCHES_JSON = ('{"edges": [[2, 3], [2, 6], [2, 7], [3, 5], [3, 6], [4, 7], [4, 8], '
+                          '[5, 6], [5, 7], [5, 8], [7, 8]], "n": 8}')
+
+
+# sha256 of the stdout of `verify-sub` and `nogo site-invariance`, recorded while
+# every certain subset's sign still came from its own `classify` call; signs
+# derived from the kernel basis must not change a byte. `nogo site-invariance`
+# on star:9 and `reproduce fig2` are pinned above. Version-bound like the
+# digests around them.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify-sub", "--graph", "grid:2x3", "--measurement", "YYYYYY"],
+         "5477a0b23824cb6a1c54e8c3f90b75ad1c918d15f586872728af4f15ca033045"),
+        (["verify-sub", "--graph", "star:11", "--measurement", "X" * 11],
+         "eeb77a5694f1473d188d020c2eca45b399e3c6c4810db845d4f31b1e822fd622"),
+        (["verify-sub", "--graph", "star:11", "--measurement", "X" * 11, "--rules", "none"],
+         "30b7c127e2cb36de721ff9d6d1e8b5f6e0da024f24428488186f0361fe5e49d2"),
+        (["verify-sub", "--graph", "ring:9", "--measurement", "XYZYXYZYX",
+          "--rules", "symmetric"],
+         "067f5acfbc90172a7455be0917f5f1b9107e6b623c1dbab87fb66cd510ebcbe7"),
+        (["verify-sub", "--graph", "eight.json", "--measurement", "XYYZXYYX", "--rules", "none"],
+         "877502c72fc81799582e213a791fc81326a3d4093be2c631f8870f8c46e22873"),
+        (["nogo", "site-invariance", "--graph", "grid:2x3", "--measurement", "YYYYYY"],
+         "dd15c10ed1280713077e153db913eac688aa73f5850ceaf84f31abe7d3df5ff1"),
+    ],
+    ids=["grid2x3-allY", "star11-allX", "star11-allX-none", "ring9-mixed-symmetric",
+         "eight-mismatches-none", "site-invariance-grid2x3"],
+)
+def test_kernel_sweep_report_is_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+    monkeypatch.chdir(tmp_path)  # the report names the graph file by the path given
+    (tmp_path / "eight.json").write_text(_EIGHT_MISMATCHES_JSON)
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -37,7 +37,7 @@ from graphlhv.nogo import (  # noqa: E402
     gf2_nullspace,
     verify_all_submeasurements,
 )
-from graphlhv.oracle import classify  # noqa: E402
+from graphlhv.oracle import Verdict, classify  # noqa: E402
 from graphlhv.pauli import Measurement  # noqa: E402
 
 SWEEP = settings(max_examples=60, deadline=None)
@@ -146,10 +146,31 @@ def test_certain_submeasurements_match_per_subset_sweep(gm):
 
 
 @SWEEP
+@given(graph_and_word(), st.data())
+def test_oracle_sign_is_multiplicative_on_certain_subsets(gm, data):
+    # m|_S · m|_T = m|_{S△T} with no phase, the premise of deciding signs
+    # from a kernel basis
+    g, m = gm
+    certain = reference_certain(g, m)
+    (s, sign_s), (t, sign_t) = (data.draw(st.sampled_from(certain)) for _ in range(2))
+    assert classify(g, m.restricted_to(s ^ t)) == Verdict.deterministic(sign_s * sign_t)
+
+
+@SWEEP
+@given(graph_and_word(), RULE_SETS)
+def test_mismatches_are_none_or_half_the_certain_subsets(gm, rules):
+    g, m = gm
+    reference = reference_report(g, m, rules)
+    assert len(reference.mismatches) in (0, reference.deterministic_subsets // 2)
+    report = verify_all_submeasurements(g, m, rules)
+    assert len(report.mismatches) in (0, report.deterministic_subsets // 2)
+
+
+@SWEEP
 @given(graph_and_word())
 def test_certain_iff_monomials_cancel(gm):
     g, m = gm
-    kernel = {sites for sites, _, _ in certain_subsets(g, m)}
+    kernel = {sites for sites, _ in certain_subsets(g, m)}
     for sites in _subsets(m):
         mask = 0
         for j in sites:
@@ -199,7 +220,7 @@ def test_column_basis_matches_row_nullspace(gm):
 def test_kernel_walk_is_strictly_ascending(gm):
     g, m = gm
     position = {j: i for i, j in enumerate(m.support())}
-    masks = [sum(1 << position[j] for j in sites) for sites, _, _ in certain_subsets(g, m)]
+    masks = [sum(1 << position[j] for j in sites) for sites, _ in certain_subsets(g, m)]
     assert masks == sorted(set(masks))
     assert len(masks) == 1 << len(_kernel_basis(_columns(g, m)))
 
@@ -215,7 +236,8 @@ def test_star16_all_x_kernel_dimension():
 def test_all_identity_word_has_one_empty_subset():
     g, m = ring(5), Measurement("IIIII")
     assert _kernel_basis(_columns(g, m)) == []
-    assert list(certain_subsets(g, m)) == [((), m, 1)]
+    assert list(certain_subsets(g, m)) == [((), 1)]
+    assert m.restricted_to(()) == m
 
 
 def _compare_chain_checks(letters, broadcast_y, silent):

@@ -497,14 +497,59 @@ def test_smallest_failing_chains(letters, rules, mismatches):
         assert check.lhv == Verdict.deterministic(-1)
 
 
+def star21_and_grid2x3() -> Graph:
+    """star:21 on nodes 1..21 beside grid:2x3 on nodes 22..27, no edge between."""
+    shifted = tuple((u + 21, v + 21) for u, v in grid(2, 3).edges)
+    return Graph(27, star(21).edges + shifted)
+
+
 def test_verify_guard():
     # star:23 all-X: the 22 leaves share one monomial, so the kernel has
-    # dimension 21, one above the guard
+    # dimension 21, one above the guard on walking it
     g = star(23)
     with pytest.raises(UnsupportedSizeError):
-        verify_all_submeasurements(g, Measurement("X" * 23))
-    with pytest.raises(UnsupportedSizeError):
         find_certain_submeasurements(g, Measurement("X" * 23))
+    # deciding a clean word needs no walk, so its size is no obstacle
+    report = verify_all_submeasurements(g, Measurement("X" * 23))
+    assert report.clean and report.deterministic_subsets == 2 ** 21
+    # star:21 all-X (dimension 19, clean) beside grid:2x3 all-Y (dimension 2,
+    # with mismatches): listing the mismatches walks 2^21 subsets
+    with pytest.raises(UnsupportedSizeError):
+        verify_all_submeasurements(star21_and_grid2x3(), Measurement("X" * 21 + "Y" * 6))
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    from graphlhv import nogo
+
+    calls = []
+
+    def counting_classify(g, m):
+        calls.append(m)
+        return classify(g, m)
+
+    monkeypatch.setattr(nogo, "classify", counting_classify)
+    return calls
+
+
+def test_clean_verdict_classifies_only_the_basis(classify_calls):
+    # star:11 all-X: the leaves' monomials all equal the centre's coin, so the
+    # kernel has dimension 9 out of 11 sites; a walk would classify 2^9 words
+    report = verify_all_submeasurements(star(11), Measurement("X" * 11))
+    assert report.clean and report.deterministic_subsets == 2 ** 9
+    assert len(classify_calls) == 9
+
+
+def test_mismatches_are_each_classified_once_more(classify_calls):
+    report = verify_all_submeasurements(grid(2, 3), Measurement("Y" * 6))
+    assert report.deterministic_subsets == 2 ** 2 and len(report.mismatches) == 2
+    assert len(classify_calls) == 2 + 2
+
+
+def test_certain_subsets_classify_only_the_basis(classify_calls):
+    subs = find_certain_submeasurements(star(11), Measurement("X" * 11))
+    assert len(subs) == 2 ** 9
+    assert len(classify_calls) == 9
 
 
 def test_verify_large_support_small_kernel():
