@@ -96,12 +96,15 @@ class NodeColoring:
     labels: tuple
 
 
+def _cycle_edges(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((j, j + 1) for j in range(1, n)) + ((n, 1),)
+
+
 def ring(n: int) -> Graph:
     """Cycle 1-2-...-n-1."""
     if n < 3:
         raise ValueError(f"a ring needs at least 3 nodes, got {n}")
-    edges = [(j, j + 1) for j in range(1, n)] + [(n, 1)]
-    return Graph(n, tuple(edges))
+    return Graph(n, _cycle_edges(n))
 
 
 def chain(n: int) -> Graph:
@@ -137,9 +140,7 @@ def padded_ring(n: int) -> Graph:
     """Ring of size n - r on nodes 1..n-r plus r = (n - 12) mod 24 isolated nodes."""
     if n < 12:
         raise ValueError(f"padded ring needs at least 12 nodes, got {n}")
-    r = (n - 12) % 24
-    ring_part = ring(n - r)
-    return Graph(n, ring_part.edges)
+    return Graph(n, _cycle_edges(n - (n - 12) % 24))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -253,6 +254,30 @@ def ball(g: Graph, j: int, d: int) -> frozenset[int]:
         seen.update(nxt)
         frontier = nxt
     return frozenset(seen)
+
+
+def ball_masks(g: Graph, d: int) -> tuple[int, ...]:
+    """Every node's distance-d ball as a bitmask: entry j - 1 has bit k - 1
+    set for each node k reachable from j along at most d edges.
+
+    All balls grow together: each round ORs a node's mask with its
+    neighbours' masks from the round before, two big-int ORs per edge. There
+    are at most min(d, n - 1) rounds, and the loop stops at the first round
+    in which no mask grows.
+    """
+    if d < 0:
+        raise ValueError(f"distance must be non-negative, got {d}")
+    edges = [(u - 1, v - 1) for u, v in g.edges]
+    masks = [1 << j for j in range(g.n)]
+    for _ in range(min(d, g.n - 1)):
+        grown = masks.copy()
+        for u, v in edges:
+            grown[u] |= masks[v]
+            grown[v] |= masks[u]
+        if grown == masks:
+            break
+        masks = grown
+    return tuple(masks)
 
 
 def connected_component(g: Graph, j: int) -> frozenset[int]:

@@ -154,6 +154,13 @@ def test_nogo_ring(capsys):
     assert code == 2
 
 
+def test_nogo_ring_distance_beyond_the_graph_is_cheap(capsys):
+    # the balls stop growing after at most n - 1 rounds, whatever d is
+    code, out, _ = _run(capsys, "nogo", "ring", "--f", "1", "--d", "99999999999")
+    assert code == 0
+    assert json.loads(out)["result"]["consistent"] is True
+
+
 def test_nogo_site_invariance(capsys):
     code, out, _ = _run(
         capsys, "nogo", "site-invariance", "--graph", "grid:2x3",

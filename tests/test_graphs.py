@@ -17,6 +17,7 @@ from graphlhv.graphs import (
     automorphism_orbits,
     automorphisms,
     ball,
+    ball_masks,
     chain,
     complete_bipartite,
     connected_component,
@@ -125,6 +126,44 @@ def test_ball_at_diameter_is_component():
         d = diameter(g)
         for j in range(1, g.n + 1):
             assert ball(g, j, d) == connected_component(g, j)
+
+
+def _mask(nodes):
+    return sum(1 << (k - 1) for k in nodes)
+
+
+def test_ball_masks_match_ball_on_random_graphs():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def graphs(draw):
+        # sparse edge draws leave isolated nodes and several components
+        n = draw(st.integers(1, 12))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, tuple(p for p, k in zip(pairs, keep) if k == 0))
+        return g, draw(st.integers(0, n + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs())
+    def check(instance):
+        g, d = instance
+        masks = ball_masks(g, d)
+        assert masks == tuple(_mask(ball(g, j, d)) for j in range(1, g.n + 1))
+
+    check()
+
+
+def test_ball_masks_on_padded_ring_and_negative_distance():
+    g = padded_ring(38)
+    for d in (0, 1, 5, 12, 13, 37, 10**11):
+        assert ball_masks(g, d) == tuple(_mask(ball(g, j, d)) for j in range(1, g.n + 1))
+    for d in (-1, -5):
+        with pytest.raises(ValueError):
+            ball(g, 1, d)
+        with pytest.raises(ValueError):
+            ball_masks(g, d)
 
 
 def _brute_force_automorphisms(g, labels=None):

@@ -9,6 +9,7 @@ from graphlhv.graphs import (
     Graph,
     UnsupportedSizeError,
     ball,
+    ball_masks,
     chain,
     complete_bipartite,
     grid,
@@ -299,20 +300,19 @@ def test_certify_distance_sweep():
 
 
 def test_certify_distance_finds_each_ball_once(monkeypatch):
-    # one BFS per support site, however many cases share it, and the views
-    # still read the measurement on each site's ball
+    # one mask pass builds every ball, however many sites and cases share
+    # them, and the views still read the measurement on each site's ball
     from graphlhv import nogo
 
     calls = []
 
-    def counting_ball(g, j, d):
-        calls.append(j)
-        return ball(g, j, d)
+    def counting_ball_masks(g, d):
+        calls.append(d)
+        return ball_masks(g, d)
 
-    monkeypatch.setattr(nogo, "ball", counting_ball)
+    monkeypatch.setattr(nogo, "ball_masks", counting_ball_masks)
     cert = certify_distance(60)
-    sites = set().union(*(case.support for case in cert.cases))
-    assert sorted(calls) == sorted(sites)
+    assert calls == [cert.d]
     g = padded_ring(cert.n)
     for case, eq in zip(cert.cases, cert.system.equations):
         m = case.global_measurement
