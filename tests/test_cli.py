@@ -406,6 +406,49 @@ def test_sampling_stream_is_pinned(capsys, subset, counts, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# (exit code, sha256 of stdout, stderr) of the commands whose report assembly was
+# folded into one `_emit` call, recorded before the fold: the `--expect` outcome
+# of `verify-sub` and `nogo site-invariance` both ways, `oracle` both verdicts,
+# and an exact `lhv run` on a subset. Version-bound like the digests above.
+@pytest.mark.parametrize(
+    "argv, code, digest, err",
+    [
+        (["oracle", "--graph", "ring:12", "--measurement", "IXIXIXIXIXIX"], 0,
+         "344790f36e636e874d63f515d4c4151dd4b5b88fbc4c00b3dfc1930a65c759c7",
+         "IXIXIXIXIXIX: deterministic(+1)\n"),
+        (["oracle", "--graph", "ring:4", "--measurement", "XIII"], 0,
+         "1537e92a14f026d074c4854fc561d3458482cdcc1ae41c5b5d64aeca880dc4cc",
+         "XIII: uniform\n"),
+        (["lhv", "run", "--graph", "grid:2x3", "--measurement", "YYYYYY",
+          "--subset", "1,2,3,5"], 0,
+         "a814af4e672f2e534415ce524738b9b0f78b2104b685d55ca43fd99bc2c7bbbd",
+         "product over [1, 2, 3, 5]: deterministic(+1) [exact]\n"),
+        (["verify-sub", "--graph", "grid:2x3", "--measurement", "YYYYYY",
+          "--expect", "clean"], 1,
+         "77f140e60cc064927f71e1d6aeff4a1306fc43a49905d00be0f4191aa58ad584",
+         "64 subsets checked, 4 deterministic, 2 mismatches\n"),
+        (["verify-sub", "--graph", "grid:2x3", "--measurement", "YYYYYY",
+          "--expect", "mismatch"], 0,
+         "aad0307c76d28afb7a483feafc094e7c40094c4031a485a2b0b470ab9dbfe4e0",
+         "64 subsets checked, 4 deterministic, 2 mismatches\n"),
+        (["nogo", "site-invariance", "--graph", "grid:2x3", "--measurement", "YYYYYY",
+          "--expect", "consistent"], 1,
+         "2a893273db295ca182fac211c5d0fde2547f260fbeacd44a3bc48c2ea20f75b6",
+         "orbit flip system is inconsistent (2 orbits)\n"),
+        (["nogo", "site-invariance", "--graph", "grid:2x3", "--measurement", "YYYYYY",
+          "--expect", "inconsistent"], 0,
+         "9d89cfd082c4d5137f776dffb1b000ed41c8b49c67f28e9ee414d1e9c53c1e6a",
+         "orbit flip system is inconsistent (2 orbits)\n"),
+    ],
+    ids=["oracle-certain", "oracle-uniform", "lhv-run-subset", "verify-sub-expect-clean",
+         "verify-sub-expect-mismatch", "site-expect-consistent", "site-expect-inconsistent"],
+)
+def test_emitted_report_is_pinned(capsys, argv, code, digest, err):
+    got_code, out, got_err = _run(capsys, *argv)
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_internal_error_exits_3_on_one_line(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("oracle and state vector disagree\non ring:4")
