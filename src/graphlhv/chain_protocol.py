@@ -233,8 +233,7 @@ def flip_decision(g: Graph, m: Measurement, j: int, broadcast_y: bool = False) -
     sentence closes to the left and, by the same pass on the reversed word,
     to the right (see ``flip_sites_for``)."""
     _require_chain(g)
-    if len(m) != g.n:
-        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
+    g.check_measurement(m)
     if m.letter(j) != "X":
         raise ValueError(f"site {j} measures {m.letter(j)}, not X")
     return j in flip_sites_for(m, broadcast_y)
@@ -253,8 +252,7 @@ def run_chain_protocol(
 ) -> lhv.ProtocolOutputs:
     """Protocol outputs: the hidden entries, negated at the flip sites (X sites only)."""
     _require_chain(g)
-    if len(m) != g.n:
-        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
+    g.check_measurement(m)
     entries = lhv.run(g, m, z, lhv.NO_COMMUNICATION).v
     flips = flip_sites_for(m, broadcast_y)
     return lhv.ProtocolOutputs(

@@ -111,16 +111,9 @@ def _check_seed(seed: int) -> None:
         raise CommandError(f"--seed must be a non-negative integer, got {seed}")
 
 
-def _emit(report: dict, human: str, ok: bool | None) -> int:
-    # every report is a freshly built tree, so the encoder's cycle check finds nothing
-    print(json.dumps(report, sort_keys=True, check_circular=False))
-    if human:
-        print(human, file=sys.stderr)
-    return 0 if ok in (None, True) else 1
-
-
-def _report(command: str, inputs: dict, result: dict, ok: bool | None = None) -> dict:
-    return {
+def _emit(command: str, inputs: dict, result: dict, ok: bool | None, human: str) -> int:
+    """Print the JSON report on stdout and the human line on stderr; return the exit code."""
+    report = {
         "schema_version": 1,
         "tool": {"name": "graphlhv", "version": __version__},
         "command": command,
@@ -128,17 +121,28 @@ def _report(command: str, inputs: dict, result: dict, ok: bool | None = None) ->
         "result": result,
         "ok": ok,
     }
+    # every report is a freshly built tree, so the encoder's cycle check finds nothing
+    print(json.dumps(report, sort_keys=True, check_circular=False))
+    if human:
+        print(human, file=sys.stderr)
+    return 0 if ok in (None, True) else 1
+
+
+def _orbit_flip_system(g: Graph, m: Measurement):
+    """(certain subsets, orbit-flip system, its solution, orbits as sorted lists)."""
+    subs = find_certain_submeasurements(g, m)
+    system = site_invariance_system(g, m, subs)
+    orbits = [list(o) for o in sorted({v.sites for v in system.variables})]
+    return subs, system, gf2_solve(system), orbits
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g, source, m = _graph_and_measurement(args)
     verdict = classify(g, m)
-    report = _report(
-        "oracle",
-        {"graph": source, "measurement": str(m)},
-        verdict.to_json_dict(),
+    return _emit(
+        "oracle", {"graph": source, "measurement": str(m)}, verdict.to_json_dict(), None,
+        f"{m}: {verdict}",
     )
-    return _emit(report, f"{m}: {verdict}", None)
 
 
 def _cmd_lhv_run(args: argparse.Namespace) -> int:
@@ -150,12 +154,13 @@ def _cmd_lhv_run(args: argparse.Namespace) -> int:
         rep = product_report(g, m, subset, rules, samples=args.samples, seed=args.seed)
     except (UnsupportedSizeError, ValueError) as exc:
         raise CommandError(str(exc)) from exc
-    report = _report(
+    return _emit(
         "lhv run",
         {"graph": source, "measurement": str(m), "subset": list(rep.subset)},
         rep.to_json_dict(),
+        None,
+        f"product over {list(rep.subset)}: {rep.verdict} [{rep.mode}]",
     )
-    return _emit(report, f"product over {list(rep.subset)}: {rep.verdict} [{rep.mode}]", None)
 
 
 def _cmd_verify_sub(args: argparse.Namespace) -> int:
@@ -164,19 +169,15 @@ def _cmd_verify_sub(args: argparse.Namespace) -> int:
         rep = verify_all_submeasurements(g, m, _RULES[args.rules])
     except UnsupportedSizeError as exc:
         raise CommandError(str(exc)) from exc
-    ok = None
-    if args.expect == "clean":
-        ok = rep.clean
-    elif args.expect == "mismatch":
-        ok = not rep.clean
-    report = _report(
-        "verify-sub", {"graph": source, "measurement": str(m)}, rep.to_json_dict(), ok
-    )
+    found = "clean" if rep.clean else "mismatch"
+    ok = None if args.expect is None else args.expect == found
     human = (
         f"{rep.subsets_checked} subsets checked, {rep.deterministic_subsets} deterministic, "
         f"{len(rep.mismatches)} mismatches"
     )
-    return _emit(report, human, ok)
+    return _emit(
+        "verify-sub", {"graph": source, "measurement": str(m)}, rep.to_json_dict(), ok, human
+    )
 
 
 def _cmd_nogo_ring(args: argparse.Namespace) -> int:
@@ -186,36 +187,24 @@ def _cmd_nogo_ring(args: argparse.Namespace) -> int:
         cert = certify_distance(12 * args.f, args.d)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
-    report = _report(
-        "nogo ring",
-        {"f": args.f, "d": cert.d},
-        cert.to_json_dict(),
-        cert.ok,
-    )
     state = "inconsistent" if not cert.solution.consistent else "consistent"
     human = f"ring n={cert.n}, d={cert.d} (bound {cert.bound}): system {state}"
     if cert.solution.certificate is not None:
         human += f"; certificate uses equations {list(cert.solution.certificate)}"
-    return _emit(report, human, cert.ok)
+    return _emit("nogo ring", {"f": args.f, "d": cert.d}, cert.to_json_dict(), cert.ok, human)
 
 
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
     g, source, m = _graph_and_measurement(args)
     try:
         check_automorphism_size(g, args.max_nodes)  # before the certain-subset walk
-        subs = find_certain_submeasurements(g, m)
-        system = site_invariance_system(g, m, subs)
+        subs, system, solution, orbits = _orbit_flip_system(g, m)
     except UnsupportedSizeError as exc:
         raise CommandError(str(exc)) from exc
-    solution = gf2_solve(system)
-    ok = None
-    if args.expect == "inconsistent":
-        ok = not solution.consistent
-    elif args.expect == "consistent":
-        ok = solution.consistent
-    orbs = sorted({v.sites for v in system.variables})
+    state = "consistent" if solution.consistent else "inconsistent"
+    ok = None if args.expect is None else args.expect == state
     result = {
-        "orbits": [list(o) for o in orbs],
+        "orbits": orbits,
         "certain_submeasurements": [
             {"sites": sorted(s), "sign": sign} for s, sign in subs
         ],
@@ -225,9 +214,10 @@ def _cmd_nogo_site(args: argparse.Namespace) -> int:
         "model_class": "site-invariant sign flips over parity hidden variables "
                        "whose baseline product on any signed stabilizer word is +1",
     }
-    report = _report("nogo site-invariance", {"graph": source, "measurement": str(m)}, result, ok)
-    state = "consistent" if solution.consistent else "inconsistent"
-    return _emit(report, f"orbit flip system is {state} ({len(orbs)} orbits)", ok)
+    return _emit(
+        "nogo site-invariance", {"graph": source, "measurement": str(m)}, result, ok,
+        f"orbit flip system is {state} ({len(orbits)} orbits)",
+    )
 
 
 def _cmd_chain_verify(args: argparse.Namespace) -> int:
@@ -236,17 +226,17 @@ def _cmd_chain_verify(args: argparse.Namespace) -> int:
         rep = verify_chain_exhaustive(args.n, args.broadcast_y, args.sample, args.seed)
     except ValueError as exc:  # includes UnsupportedSizeError
         raise CommandError(str(exc)) from exc
-    report = _report(
-        "chain verify",
-        {"n": args.n, "broadcast_y": args.broadcast_y, "sample": args.sample, "seed": args.seed},
-        rep.to_json_dict(),
-        rep.clean,
-    )
     human = (
         f"n={args.n} ({rep.mode}): {rep.deterministic_subs_checked} deterministic subs, "
         f"{len(rep.violations)} violations, {len(rep.overlap_violations)} overlap violations"
     )
-    return _emit(report, human, rep.clean)
+    return _emit(
+        "chain verify",
+        {"n": args.n, "broadcast_y": args.broadcast_y, "sample": args.sample, "seed": args.seed},
+        rep.to_json_dict(),
+        rep.clean,
+        human,
+    )
 
 
 def _cmd_chain_decompose(args: argparse.Namespace) -> int:
@@ -257,12 +247,13 @@ def _cmd_chain_decompose(args: argparse.Namespace) -> int:
     try:
         sentences = decompose(m)
     except NotStabilizerShaped as exc:
-        report = _report(
+        return _emit(
             "chain decompose",
             {"measurement": str(m)},
             {"stabilizer_shaped": False, "reason": str(exc)},
+            None,
+            f"not stabilizer shaped: {exc}",
         )
-        return _emit(report, f"not stabilizer shaped: {exc}", None)
     result = {
         "stabilizer_shaped": True,
         "sign": decomposition_sign(sentences),
@@ -277,11 +268,13 @@ def _cmd_chain_decompose(args: argparse.Namespace) -> int:
             for s in sentences
         ],
     }
-    report = _report("chain decompose", {"measurement": str(m)}, result)
     human = " | ".join(
         "".join(w.letters for w in s.words) for s in sentences
     ) or "(identity)"
-    return _emit(report, f"sign {result['sign']:+d}: {human}", None)
+    return _emit(
+        "chain decompose", {"measurement": str(m)}, result, None,
+        f"sign {result['sign']:+d}: {human}",
+    )
 
 
 def _render_system(system) -> list[str]:
@@ -315,42 +308,37 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         )
         result = cert.to_json_dict()
         result["constraints"] = _render_system(cert.system)
-        report = _report("reproduce fig1", {"figure": "fig1"}, result, ok)
         human_lines = [
             "triangle-ring demonstration (n=12, d=1): five certain submeasurements",
             *result["constraints"],
             "multiplying all five equations gives 1 = -1"
             if ok else "UNEXPECTED: no contradiction found",
         ]
-        return _emit(report, "\n".join(human_lines), ok)
+        return _emit("reproduce fig1", {"figure": "fig1"}, result, ok, "\n".join(human_lines))
 
     g = grid(2, 3)
     m = Measurement("YYYYYY")
     rep = verify_all_submeasurements(g, m, STANDARD_RULES)
     target = next((c for c in rep.mismatches if c.sites == (1, 2, 3, 5)), None)
-    subs = find_certain_submeasurements(g, m)
-    system = site_invariance_system(g, m, subs)
-    solution = gf2_solve(system)
+    _subs, system, solution, orbits = _orbit_flip_system(g, m)
     ok = (
         target is not None
         and target.oracle.to_json_dict() == {"kind": "deterministic", "value": -1}
         and target.lhv.to_json_dict() == {"kind": "deterministic", "value": 1}
         and not solution.consistent
     )
-    orbs = sorted({v.sites for v in system.variables})
     result = {
         "mismatches": [c.to_json_dict() for c in rep.mismatches],
         "highlight": target.to_json_dict() if target else None,
-        "orbits": [list(o) for o in orbs],
+        "orbits": orbits,
         "site_invariance_consistent": solution.consistent,
         "constraints": _render_system(system),
     }
-    report = _report("reproduce fig2", {"figure": "fig2"}, result, ok)
     human = (
         "2x3 grid, all-Y global measurement: sites {1,2,3,5} give oracle -1 vs rules +1; "
         f"orbit flip system {'inconsistent' if not solution.consistent else 'consistent'}"
     )
-    return _emit(report, human, ok)
+    return _emit("reproduce fig2", {"figure": "fig2"}, result, ok, human)
 
 
 def build_parser() -> argparse.ArgumentParser:

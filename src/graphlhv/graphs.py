@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, Sized
 
 
 class GraphFormatError(ValueError):
@@ -74,6 +74,11 @@ class Graph:
     def check_node(self, j: int) -> None:
         if not (1 <= j <= self.n):
             raise ValueError(f"node {j} outside 1..{self.n}")
+
+    def check_measurement(self, m: Sized) -> None:
+        """Refuse a measurement word whose length is not the number of nodes."""
+        if len(m) != self.n:
+            raise ValueError(f"measurement length {len(m)} does not match n={self.n}")
 
     def neighborhood(self, j: int) -> tuple[int, ...]:
         self.check_node(j)

@@ -94,8 +94,7 @@ class CommunicationState:
 
 def communication_round(g: Graph, m: Measurement) -> CommunicationState:
     """One round of neighbor messages; depends only on the graph and measurement."""
-    if len(m) != g.n:
-        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
+    g.check_measurement(m)
     c = tuple(1 if ch in "XY" else 0 for ch in m.letters)
     t = tuple(
         sum(c[k - 1] for k in g.neighborhood(j)) % 4 for j in range(1, g.n + 1)
@@ -253,8 +252,7 @@ def product_report(
     protocol step by step and shares no shortcut with exact mode, so it
     stays an independent check of exact mode's formula.
     """
-    if len(m) != g.n:
-        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
+    g.check_measurement(m)
     sites = tuple(sorted(set(subset))) if subset is not None else m.support()
     for j in sites:
         g.check_node(j)

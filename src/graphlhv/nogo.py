@@ -23,6 +23,11 @@ hidden variables whose baseline product over any signed stabilizer word is
 +1, must explain each certain submeasurement sign by orbit flips alone. One
 flip variable per orbit plus one parity equation per certain submeasurement
 again yields an unsatisfiable system on the right graphs.
+
+One GF(2) elimination, ``_eliminate``, serves both halves: a certain subset
+is a dependency among the support's monomial columns, and a certificate of
+impossibility is the first dependency among the equation rows whose
+right-hand sides sum to 1.
 """
 
 from __future__ import annotations
@@ -101,11 +106,10 @@ class Equation:
 
 def parity_equation(keys: Iterable[Hashable], rhs: int, label: str = "") -> Equation:
     """Reduce a variable multiset mod 2 and attach the right-hand bit."""
-    counts: dict[Hashable, int] = {}
+    odd: set = set()
     for k in keys:
-        counts[k] = counts.get(k, 0) + 1
-    odd = frozenset(k for k, c in counts.items() if c % 2)
-    return Equation(odd, rhs & 1, label)
+        odd ^= {k}
+    return Equation(frozenset(odd), rhs & 1, label)
 
 
 @dataclass(frozen=True)
@@ -114,23 +118,21 @@ class ParityConstraintSystem:
     equations: tuple[Equation, ...]
 
     def __post_init__(self) -> None:
-        declared = set(self.variables)
+        bit = {key: 1 << i for i, key in enumerate(self.variables)}
+        rows = []
         for eq in self.equations:
-            missing = eq.variables - declared
+            missing = frozenset(v for v in eq.variables if v not in bit)
             if missing:
                 raise ValueError(f"equation {eq.label!r} references undeclared variables {missing}")
+            rows.append(sum(bit[v] for v in eq.variables))
+        object.__setattr__(self, "_rows", tuple(rows))  # left sides, bit i for variables[i]
 
     def to_json_dict(self) -> dict:
-        index = {key: i for i, key in enumerate(self.variables)}
         return {
             "variables": [_variable_json(key) for key in self.variables],
             "equations": [
-                {
-                    "label": eq.label,
-                    "rhs": eq.rhs,
-                    "variables": sorted(index[v] for v in eq.variables),
-                }
-                for eq in self.equations
+                {"label": eq.label, "rhs": eq.rhs, "variables": list(_bit_indices(row))}
+                for eq, row in zip(self.equations, self._rows)
             ],
         }
 
@@ -160,36 +162,59 @@ class GF2Solution:
     certificate: tuple[int, ...] | None = None
 
 
+def _eliminate(cols: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """(pivots, dependencies) of one forward elimination over bitmask columns.
+
+    The columns are taken in order, each reduced column carrying the bitmask
+    of the columns it combines (bit i for cols[i]). Pivots are keyed by
+    their lowest set bit and map to (reduced column, combination), so a
+    column is reduced only by the pivots at its lowest bit, which rises with
+    every step; the number of pivots is the rank. A column that reduces to
+    zero is appended to the dependencies: its own bit plus earlier pivot
+    columns, the unique combination of those independent columns. No other
+    dependency contains that own bit, which is also its highest, and they
+    come in ascending order of it, so they are the kernel basis
+    ``gf2_nullspace`` returns for the transposed rows.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    dependencies = []
+    for i, col in enumerate(cols):
+        combo = 1 << i
+        while col:
+            low = col & -col
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = (col, combo)
+                break
+            col ^= hit[0]
+            combo ^= hit[1]
+        else:
+            dependencies.append(combo)
+    return pivots, dependencies
+
+
 def gf2_solve(system: ParityConstraintSystem) -> GF2Solution:
-    """Gauss-Jordan elimination with combination tracking, over int bitsets."""
-    index = {key: i for i, key in enumerate(system.variables)}
-    reduced: list[list[int]] = []  # rows [pivot, mask, rhs, combo]
-    for eq_i, eq in enumerate(system.equations):
-        mask = 0
-        for key in eq.variables:
-            mask |= 1 << index[key]
-        rhs = eq.rhs
-        combo = 1 << eq_i
-        for row in reduced:
-            if (mask >> row[0]) & 1:
-                mask ^= row[1]
-                rhs ^= row[2]
-                combo ^= row[3]
-        if mask == 0:
-            if rhs == 1:
-                cert = tuple(i for i in range(len(system.equations)) if (combo >> i) & 1)
-                return GF2Solution(False, None, cert)
-            continue
-        pivot = (mask & -mask).bit_length() - 1
-        for row in reduced:
-            if (row[1] >> pivot) & 1:
-                row[1] ^= mask
-                row[2] ^= rhs
-                row[3] ^= combo
-        reduced.append([pivot, mask, rhs, combo])
-    witness = {key: 0 for key in system.variables}
-    for pivot, _mask, rhs, _combo in reduced:
-        witness[system.variables[pivot]] = rhs
+    """Solve a parity system, or certify that it has no solution.
+
+    Each equation's row mask, with its right-hand bit as one extra top bit,
+    goes through ``_eliminate`` in order. A row that reduces to that bit
+    alone says 0 = 1: its combination, read as equation indices, is the
+    certificate, the first dependency among the equations whose right-hand
+    sides sum to 1. That is the first inconsistent equation plus the unique
+    subset of earlier independent equations whose left sides sum to its own.
+    Otherwise back-substitution from the highest pivot down gives the
+    witness with every free variable 0.
+    """
+    top = len(system.variables)
+    pivots = _eliminate(row | eq.rhs << top for row, eq in zip(system._rows, system.equations))[0]
+    contradiction = pivots.get(1 << top)
+    if contradiction is not None:
+        return GF2Solution(False, None, _bit_indices(contradiction[1]))
+    values = 0
+    for low, (row, _) in sorted(pivots.items(), reverse=True):  # a row's other bits are higher
+        if ((row >> top) ^ (row & values).bit_count()) & 1:
+            values |= low
+    witness = {key: (values >> i) & 1 for i, key in enumerate(system.variables)}
     return GF2Solution(True, witness, None)
 
 
@@ -292,14 +317,13 @@ def certain_subsets(g: Graph, m: Measurement) -> Iterator[tuple[tuple[int, ...],
 def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int], list[int]]:
     """(support, kernel basis, sign bits): bit 1 for a basis word of sign -1.
 
-    The basis comes from one elimination pass over the support's monomial
-    masks (``_kernel_basis``), the columns of the map, read in one pass over
+    The basis is the dependencies of one ``_eliminate`` pass over the
+    support's monomial masks, the columns of the map, read in one pass over
     the letters through ``LETTER_COINS``. Each basis word is confirmed
     certain by ``classify``; certain words are closed under products, so
     that confirms the whole kernel.
     """
-    if len(m) != g.n:
-        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
+    g.check_measurement(m)
     support = []
     cols = []
     for j, (letter, neighbours) in enumerate(zip(m.letters, g.neighbor_masks)):
@@ -307,7 +331,7 @@ def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int]
             own, other = LETTER_COINS[letter]
             support.append(j + 1)
             cols.append((1 << j) & own | neighbours & other)
-    basis = _kernel_basis(cols)
+    basis = _eliminate(cols)[1]
     bits = []
     for vec in basis:
         sub = m.restricted_to(_sites(support, vec))
@@ -329,36 +353,6 @@ def _check_walk(basis: list[int]) -> None:
             f"{2 ** len(basis)} certain subsets (kernel dimension {len(basis)}) exceed "
             f"the guard of 2^{_KERNEL_GUARD}"
         )
-
-
-def _kernel_basis(cols: Sequence[int]) -> list[int]:
-    """Basis of {x : XOR of cols[i] over the bits i of x is 0}, as bitmasks.
-
-    Forward elimination over the columns in order, each reduced column
-    carrying the bitmask of the columns it combines. Pivots are keyed by
-    their lowest set bit, so a column is reduced only by the pivots at its
-    lowest bit, which rises with every step. A column that reduces to zero
-    gives a kernel vector: its own bit plus earlier pivot columns, the
-    unique combination of those independent columns. No other vector
-    contains that own bit, which is also its highest, and the vectors come
-    in ascending order of it. This is the basis ``gf2_nullspace`` returns
-    for the transposed rows.
-    """
-    basis = []
-    pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (reduced column, combination)
-    for i, col in enumerate(cols):
-        combo = 1 << i
-        while col:
-            low = col & -col
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (col, combo)
-                break
-            col ^= hit[0]
-            combo ^= hit[1]
-        else:
-            basis.append(combo)
-    return basis
 
 
 def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int]]:
@@ -657,7 +651,7 @@ _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bit_indices(mask: int) -> tuple[int, ...]:
-    """The positions of a positive mask's set bits, ascending."""
+    """The positions of a non-negative mask's set bits, ascending."""
     return tuple(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)))
 
 
@@ -826,8 +820,7 @@ def site_invariance_system(
     cost follows the number of orbits, not the order of the group, so no
     size limit is applied here.
     """
-    if len(global_m) != g.n:
-        raise ValueError(f"measurement length {len(global_m)} does not match n={g.n}")
+    g.check_measurement(global_m)
     coloring = NodeColoring(tuple(global_m.letters))
     orbs = automorphism_orbits(g, coloring)
     orbit_of: dict[int, OrbitVariable] = {}

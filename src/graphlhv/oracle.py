@@ -97,8 +97,7 @@ def classify(g: Graph, m: Measurement) -> Verdict:
     X/Y support of the word. It only remains to compare letters and take the
     sign of the product in closed form.
     """
-    if len(m) != g.n:
-        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
+    g.check_measurement(m)
     mx, mz = m.bits()
     if _z_image(g, mx) != mz:
         return Verdict.uniform()
@@ -144,8 +143,7 @@ def statevector_verdict(g: Graph, m: Measurement) -> Verdict:
         raise UnsupportedSizeError(
             f"state-vector check is guarded at {_STATEVECTOR_GUARD} qubits, got {g.n}"
         )
-    if len(m) != g.n:
-        raise ValueError(f"measurement length {len(m)} does not match n={g.n}")
+    g.check_measurement(m)
     scaled = _expectation(g, m, _build_state(g))
     if scaled == 0:
         return Verdict.uniform()

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from graphlhv import chain_protocol, lhv, nogo, oracle
 from graphlhv.graphs import (
     CLOCKWISE_2X3,
     Graph,
@@ -33,6 +34,7 @@ from graphlhv.graphs import (
     ring,
     star,
 )
+from graphlhv.pauli import Measurement
 
 
 def test_ring_shape():
@@ -99,6 +101,31 @@ def test_graph_validation():
         Graph(3, ((1, 2), (2, 1)))  # reversed duplicate
     with pytest.raises(GraphFormatError):
         from_edge_list(2, [(1, 2), (1, 2)])
+
+
+# Every entry point that takes a graph and a measurement word refuses a word of
+# the wrong length through `Graph.check_measurement`, with one message.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, m: oracle.classify(g, m),
+        lambda g, m: oracle.statevector_verdict(g, m),
+        lambda g, m: lhv.communication_round(g, m),
+        lambda g, m: lhv.product_report(g, m),
+        lambda g, m: chain_protocol.flip_decision(g, m, 2),
+        lambda g, m: chain_protocol.run_chain_protocol(g, m, (1, 1, 1, 1)),
+        lambda g, m: nogo._signed_kernel(g, m),
+        lambda g, m: nogo.site_invariance_system(g, m, ()),
+    ],
+    ids=["classify", "statevector_verdict", "communication_round", "product_report",
+         "flip_decision", "run_chain_protocol", "signed_kernel", "site_invariance_system"],
+)
+@pytest.mark.parametrize("letters", ["XXX", "XXXXX"], ids=["short", "long"])
+def test_measurement_length_is_checked_once(call, letters):
+    g = chain(4)
+    with pytest.raises(ValueError, match=rf"^measurement length {len(letters)} does not match n=4$"):
+        call(g, Measurement(letters))
+    g.check_measurement(Measurement("XXXX"))
 
 
 def test_neighborhood_symmetry_over_families():
