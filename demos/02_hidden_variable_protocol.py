@@ -16,7 +16,6 @@ from graphlhv import (
     classify,
     communication_round,
     derive_xy,
-    flip_sites,
     product_report,
     product_verdict,
     ring,
@@ -49,7 +48,7 @@ print("flip sites:", sorted(rep.flipped), "| leftover monomial:", rep.monomial,
 
 # A different flip policy that also reproduces every global prediction:
 agree = all(
-    product_verdict(g3, Measurement("".join(p)), rules=SYMMETRIC_RULES)
+    product_verdict(g3, Measurement("".join(p)), protocol=SYMMETRIC_RULES)
     == classify(g3, Measurement("".join(p)))
     for p in itertools.product("IXYZ", repeat=3)
 )

@@ -10,10 +10,10 @@ decisions are constant on automorphism orbits hits a parity contradiction.
 
 from graphlhv import (
     Measurement,
+    STANDARD_RULES,
     automorphisms,
     embedded_grid_counterexample,
     find_certain_submeasurements,
-    flip_sites,
     gf2_solve,
     grid,
     orbits,
@@ -28,7 +28,7 @@ report = verify_all_submeasurements(g, m)
 print("rules-based protocol on the 2x3 grid, all-Y measurement:")
 for c in report.mismatches:
     print(f"  subset {c.sites}: oracle {c.oracle} but protocol {c.lhv}")
-print("flips chosen under the global measurement:", sorted(flip_sites(g, m)))
+print("flips chosen under the global measurement:", sorted(STANDARD_RULES.flip_sites(g, m)))
 
 auts = automorphisms(g)
 print("\ngraph automorphisms preserving the all-Y coloring:", len(auts))

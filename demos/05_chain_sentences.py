@@ -9,6 +9,7 @@ every site can make from the broadcast X/Z positions alone.
 """
 
 from graphlhv import (
+    ChainBroadcast,
     Measurement,
     chain,
     classify,
@@ -16,7 +17,7 @@ from graphlhv import (
     decompose,
     decomposition_sign,
     flip_sites_for,
-    run_chain_protocol,
+    run,
     verify_chain_exhaustive,
 )
 
@@ -38,7 +39,7 @@ print(f"\n{m}: flip sites = {sorted(flip_sites_for(m))} "
 # Running the protocol reproduces the certain signs for every coin vector:
 g = chain(10)
 m10 = Measurement(word)
-signs = {run_chain_protocol(g, m10, z).product_over(m10.support())
+signs = {run(g, m10, z, ChainBroadcast()).product_over(m10.support())
          for z in [tuple(1 if (i >> k) & 1 else -1 for k in range(10)) for i in range(16)]}
 print("protocol product over the word's support (16 sampled coin vectors):", signs)
 

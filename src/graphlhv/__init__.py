@@ -53,14 +53,13 @@ from .lhv import (
     SYMMETRIC_RULES,
     STANDARD_RULES,
     CommunicationState,
+    FlipProtocol,
     FlipRules,
     HiddenAssignment,
     ProtocolOutputs,
     all_assignments,
     communication_round,
     derive_xy,
-    flip_sites,
-    local_output,
     product_report,
     product_verdict,
     run,
@@ -91,6 +90,7 @@ from .nogo import (
     y_stabilizer_supports,
 )
 from .chain_protocol import (
+    ChainBroadcast,
     ChainReport,
     NotStabilizerShaped,
     Sentence,
@@ -98,9 +98,7 @@ from .chain_protocol import (
     compare_readings,
     decompose,
     decomposition_sign,
-    flip_decision,
     flip_sites_for,
-    run_chain_protocol,
     verify_chain_exhaustive,
 )
 

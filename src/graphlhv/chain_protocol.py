@@ -12,8 +12,10 @@ rule reads: the run is odd, the site is its middle, both neighbours may be
 Y, and their sentence closes on each side. Closing on the left is one
 forward pass over the word; the grammar is mirror-symmetric, so closing on
 the right is the same pass over the reversed word. Whether Y sites stay
-silent (the default) or broadcast too is a configuration switch; the
-exhaustive verifier arbitrates between the two readings.
+silent (the default) or broadcast too is the ``ChainBroadcast`` value,
+a flip protocol that ``lhv.run``, ``lhv.product_report`` and
+``nogo.verify_all_submeasurements`` accept; the exhaustive verifier
+arbitrates between the two readings.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .graphs import Graph, UnsupportedSizeError, chain, is_chain
-from . import lhv
 from .nogo import certain_subsets
 from .pauli import Measurement
 
@@ -224,40 +225,23 @@ def flip_sites_for(m: Measurement, broadcast_y: bool = False) -> frozenset[int]:
     return frozenset(flips)
 
 
-def flip_decision(g: Graph, m: Measurement, j: int, broadcast_y: bool = False) -> bool:
-    """Does the X site j flip? True iff some assignment of Y/I to the silent
-    sites yields a sentence, consistent with the broadcast view and bracketed
-    by broadcast Zs or chain ends, in which j is the middle of an odd-length
-    Y X..X Y word. That word's Xs are the X run around j, so j flips iff the
-    run is odd with j in its middle, both its neighbours may be Y, and their
-    sentence closes to the left and, by the same pass on the reversed word,
-    to the right (see ``flip_sites_for``)."""
-    _require_chain(g)
-    g.check_measurement(m)
-    if m.letter(j) != "X":
-        raise ValueError(f"site {j} measures {m.letter(j)}, not X")
-    return j in flip_sites_for(m, broadcast_y)
+@dataclass(frozen=True)
+class ChainBroadcast:
+    """The broadcast protocol as a flip protocol: Y sites silent (the default)
+    or, with ``broadcast_y``, broadcasting like X and Z sites."""
 
+    broadcast_y: bool = False
 
-def _require_chain(g: Graph) -> None:
-    if not is_chain(g):
-        raise ValueError("this protocol is defined on chain graphs only")
+    @property
+    def name(self) -> str:
+        return "chain-broadcast-y" if self.broadcast_y else "chain-silent-y"
 
-
-def run_chain_protocol(
-    g: Graph,
-    m: Measurement,
-    z: Sequence[int],
-    broadcast_y: bool = False,
-) -> lhv.ProtocolOutputs:
-    """Protocol outputs: the hidden entries, negated at the flip sites (X sites only)."""
-    _require_chain(g)
-    g.check_measurement(m)
-    entries = lhv.run(g, m, z, lhv.NO_COMMUNICATION).v
-    flips = flip_sites_for(m, broadcast_y)
-    return lhv.ProtocolOutputs(
-        tuple(-v if j in flips else v for j, v in enumerate(entries, start=1))
-    )
+    def flip_sites(self, g: Graph, m: Measurement) -> frozenset[int]:
+        """``flip_sites_for`` on a chain graph; any other graph is refused."""
+        if not is_chain(g):
+            raise ValueError("this protocol is defined on chain graphs only")
+        g.check_measurement(m)
+        return flip_sites_for(m, self.broadcast_y)
 
 
 @dataclass(frozen=True)

@@ -481,4 +481,4 @@ def automorphism_orbits(g: Graph, coloring: NodeColoring | None = None) -> tuple
 
 def is_chain(g: Graph) -> bool:
     """True when g is exactly the path 1-2-...-n."""
-    return g.edges == chain(g.n).edges
+    return g.edges == tuple((j, j + 1) for j in range(1, g.n))

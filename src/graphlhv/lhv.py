@@ -10,17 +10,31 @@ eight rule bits: X must flip at t = 2 but not 0, Y at t = 3 but not 1.
 ``STANDARD_RULES`` is the default; ``SYMMETRIC_RULES`` (X and Y flip under
 the same counts) is the documented alternate. The two differ on
 submeasurements, where the other parities are exercised.
+
+A protocol is any object with a ``name`` and a ``flip_sites(g, m)`` method
+(``FlipProtocol``): the flips depend on (g, m) only, never on the coins, so
+``run``, ``product_report`` and ``nogo.verify_all_submeasurements`` take the
+rule tables here and ``chain_protocol.ChainBroadcast`` alike.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .graphs import Graph
 from .oracle import Verdict
 from .pauli import Measurement
+
+
+class FlipProtocol(Protocol):
+    """A flip protocol: its name and the measured sites whose entry it negates."""
+
+    @property
+    def name(self) -> str: ...
+
+    def flip_sites(self, g: Graph, m: Measurement) -> frozenset[int]: ...
 
 
 @dataclass(frozen=True)
@@ -31,12 +45,13 @@ class FlipRules:
     x_flips: frozenset[int]
     y_flips: frozenset[int]
 
-    def flips(self, letter: str, t: int) -> bool:
-        if letter == "X":
-            return t in self.x_flips
-        if letter == "Y":
-            return t in self.y_flips
-        return False
+    def flip_sites(self, g: Graph, m: Measurement) -> frozenset[int]:
+        """Sites whose entry the rules negate; a function of (g, m) only, never of z."""
+        rule = {"X": self.x_flips, "Y": self.y_flips}
+        t = communication_round(g, m).t
+        return frozenset(
+            j for j, letter in enumerate(m.letters, start=1) if t[j - 1] in rule.get(letter, ())
+        )
 
 
 STANDARD_RULES = FlipRules("standard", frozenset({2, 3}), frozenset({0, 3}))
@@ -102,21 +117,6 @@ def communication_round(g: Graph, m: Measurement) -> CommunicationState:
     return CommunicationState(c, t)
 
 
-def local_output(letter: str, x_j: int, y_j: int, z_j: int, t_j: int, rules: FlipRules = STANDARD_RULES) -> int:
-    """Output of one site given its measurement, hidden entries and count t_j."""
-    if t_j not in (0, 1, 2, 3):
-        raise ValueError(f"t must be in 0..3, got {t_j}")
-    if letter == "I":
-        return 1
-    if letter == "Z":
-        return z_j
-    if letter == "X":
-        return -x_j if t_j in rules.x_flips else x_j
-    if letter == "Y":
-        return -y_j if t_j in rules.y_flips else y_j
-    raise ValueError(f"unknown letter {letter!r}")
-
-
 @dataclass(frozen=True)
 class ProtocolOutputs:
     """Per-site outputs v in {+1, -1}^n; unmeasured sites output +1."""
@@ -130,16 +130,25 @@ class ProtocolOutputs:
         return prod
 
 
-def run(g: Graph, m: Measurement, z: "HiddenAssignment | Sequence[int]", rules: FlipRules = STANDARD_RULES) -> ProtocolOutputs:
-    """Full protocol: derive entries, one communication round, apply the rules."""
+def run(
+    g: Graph,
+    m: Measurement,
+    z: "HiddenAssignment | Sequence[int]",
+    protocol: FlipProtocol = STANDARD_RULES,
+) -> ProtocolOutputs:
+    """Full protocol: the derived entries, negated at ``protocol.flip_sites(g, m)``.
+
+    A Z site outputs its coin, an X site its x entry, a Y site its y entry
+    and an unmeasured site +1.
+    """
     zs = _as_z(z, g.n)
+    flips = protocol.flip_sites(g, m)
     xs, ys = derive_xy(g, zs)
-    comm = communication_round(g, m)
-    v = tuple(
-        local_output(m.letters[i], xs[i], ys[i], zs[i], comm.t[i], rules)
-        for i in range(g.n)
-    )
-    return ProtocolOutputs(v)
+    entries = {"I": (1,) * g.n, "X": xs, "Y": ys, "Z": zs}
+    return ProtocolOutputs(tuple(
+        -entries[letter][j - 1] if j in flips else entries[letter][j - 1]
+        for j, letter in enumerate(m.letters, start=1)
+    ))
 
 
 # Which coins a site's output carries before flips, as (own, neighbours) masks
@@ -152,14 +161,6 @@ def site_monomial_mask(g: Graph, m: Measurement, j: int) -> int:
     over z indices (bit k-1 for z_k)."""
     own, neighbours = LETTER_COINS[m.letter(j)]
     return (1 << (j - 1)) & own | g.neighbor_masks[j - 1] & neighbours
-
-
-def flip_sites(g: Graph, m: Measurement, rules: FlipRules = STANDARD_RULES) -> frozenset[int]:
-    """Sites whose entry the rules negate; a function of (g, m) only, never of z."""
-    comm = communication_round(g, m)
-    return frozenset(
-        j for j in range(1, g.n + 1) if rules.flips(m.letters[j - 1], comm.t[j - 1])
-    )
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def _sampled_minus_count(
     g: Graph,
     m: Measurement,
     sites: Sequence[int],
-    rules: FlipRules,
+    flips: frozenset[int],
     samples: int,
     seed: int,
 ) -> int:
@@ -205,7 +206,7 @@ def _sampled_minus_count(
 
     The same steps as ``run``, on a block of coin rows at a time, with bit 1
     standing for the value -1 so that products become XORs: coins, derived
-    entries, one communication round, the flip rules, then the product.
+    entries, the entries negated at ``flips``, then the product.
     numpy draws {0, 1} values one 32-bit word each and the generator's state
     carries across calls, so a (rows, n) draw continues the stream exactly as
     rows draws of size n would: the counts do not depend on the chunk size.
@@ -213,8 +214,7 @@ def _sampled_minus_count(
     """
     import numpy as np
 
-    comm = communication_round(g, m)
-    flip = [int(rules.flips(letter, t)) for letter, t in zip(m.letters, comm.t)]
+    flip = [int(j in flips) for j in range(1, g.n + 1)]
     neighbor_cols = [[k - 1 for k in block] for block in g.neighbors]
     cols = [j - 1 for j in sites]
     rng = np.random.default_rng(seed)
@@ -237,20 +237,21 @@ def product_report(
     g: Graph,
     m: Measurement,
     subset: Iterable[int] | None = None,
-    rules: FlipRules = STANDARD_RULES,
+    protocol: FlipProtocol = STANDARD_RULES,
     samples: int | None = None,
     seed: int = 0,
 ) -> ProductReport:
     """Distribution of the product of outputs over a subset of sites.
 
-    Exact mode: the flips depend only on (g, m), so the product is a fixed
-    sign times a monomial in the coins; the verdict is deterministic exactly
+    Both modes take the flip set from one ``protocol.flip_sites`` call; it
+    depends only on (g, m). Exact mode: the product is then a fixed sign
+    times a monomial in the coins, and the verdict is deterministic exactly
     when the monomial is empty. Sampling mode draws seeded coin vectors and
     reports the empirical outcome. It is evaluated in batches of coin rows,
     yet equal seeds give equal counts across versions: the rows come from
-    the same stream as one draw of n coins per sample. It simulates the
-    protocol step by step and shares no shortcut with exact mode, so it
-    stays an independent check of exact mode's formula.
+    the same stream as one draw of n coins per sample. It simulates coins,
+    entries and product step by step and shares no other shortcut with exact
+    mode, so it stays an independent check of exact mode's formula.
     """
     g.check_measurement(m)
     sites = tuple(sorted(set(subset))) if subset is not None else m.support()
@@ -259,25 +260,25 @@ def product_report(
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
+    flips = protocol.flip_sites(g, m)
+    flipped = tuple(sorted(flips.intersection(sites)))
     if samples is None:
-        flipped = tuple(sorted(flip_sites(g, m, rules) & set(sites)))
         sign = -1 if len(flipped) % 2 else 1
         mask = 0
         for j in sites:
             mask ^= site_monomial_mask(g, m, j)
         monomial = tuple(k + 1 for k in range(g.n) if (mask >> k) & 1)
         verdict = Verdict.deterministic(sign) if mask == 0 else Verdict.uniform()
-        return ProductReport(verdict, "exact", sites, flipped, monomial, rules.name)
+        return ProductReport(verdict, "exact", sites, flipped, monomial, protocol.name)
 
-    minus = _sampled_minus_count(g, m, sites, rules, samples, seed)
+    minus = _sampled_minus_count(g, m, sites, flips, samples, seed)
     plus = samples - minus
     if plus and minus:
         verdict = Verdict.uniform()
     else:
         verdict = Verdict.deterministic(1 if plus else -1)
-    flipped = tuple(sorted(flip_sites(g, m, rules) & set(sites)))
     return ProductReport(
-        verdict, "sampling", sites, flipped, (), rules.name, samples, seed, (plus, minus)
+        verdict, "sampling", sites, flipped, (), protocol.name, samples, seed, (plus, minus)
     )
 
 
@@ -285,9 +286,9 @@ def product_verdict(
     g: Graph,
     m: Measurement,
     subset: Iterable[int] | None = None,
-    rules: FlipRules = STANDARD_RULES,
+    protocol: FlipProtocol = STANDARD_RULES,
     samples: int | None = None,
     seed: int = 0,
 ) -> Verdict:
     """Verdict for the product of protocol outputs over a subset of sites."""
-    return product_report(g, m, subset, rules, samples, seed).verdict
+    return product_report(g, m, subset, protocol, samples, seed).verdict

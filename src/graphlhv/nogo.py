@@ -47,7 +47,7 @@ from .graphs import (
     padded_ring,
     ring,
 )
-from .lhv import FlipRules, LETTER_COINS, STANDARD_RULES, flip_sites
+from .lhv import LETTER_COINS, STANDARD_RULES, FlipProtocol
 from .oracle import Verdict, classify
 from .pauli import Measurement, generator_product_sign, is_submeasurement
 
@@ -374,21 +374,22 @@ def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int
 
 
 def verify_all_submeasurements(
-    g: Graph, m: Measurement, rules: FlipRules = STANDARD_RULES
+    g: Graph, m: Measurement, protocol: FlipProtocol = STANDARD_RULES
 ) -> SubmeasurementReport:
     """Compare the oracle with the protocol on every subset of the support.
 
     The protocol's product over a subset is a fixed sign times the XOR of the
     site monomials, so both sides are certain on exactly the certain subsets
     and agree (uniform) everywhere else. On a certain subset the oracle sign
-    is compared with the parity of the flipped sites in it; both are linear
-    on the kernel, so the word is clean iff they agree on its k basis
-    vectors, and otherwise they disagree on exactly half of it. Only then is
+    is compared with the parity of the protocol's flip sites in it, from one
+    ``protocol.flip_sites(g, m)`` call; both are linear on the kernel, so the
+    word is clean iff they agree on its k basis vectors, and otherwise they
+    disagree on exactly half of it. Only then is
     the kernel walked, to list the mismatches in ascending subset-mask order
     over the sorted support, each confirmed by its own ``classify`` call.
     """
+    flips = protocol.flip_sites(g, m)
     support, basis, bits = _signed_kernel(g, m)
-    flips = flip_sites(g, m, rules)
     flip_mask = sum(1 << i for i, j in enumerate(support) if j in flips)
     # label bit 0: the oracle sign is -1; bit 1: the protocol's sign differs
     labels = []
@@ -409,7 +410,7 @@ def verify_all_submeasurements(
                 raise RuntimeError(f"{sub}: the kernel basis gives {oracle}, the oracle {verdict}")
             mismatches.append(SubsetCheck(sites, sub, oracle, Verdict.deterministic(-oracle.value)))
     return SubmeasurementReport(
-        m, rules.name, 1 << len(support), 1 << len(basis), tuple(mismatches)
+        m, protocol.name, 1 << len(support), 1 << len(basis), tuple(mismatches)
     )
 
 

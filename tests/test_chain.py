@@ -9,6 +9,7 @@ import pytest
 
 from graphlhv import chain_protocol
 from graphlhv.chain_protocol import (
+    ChainBroadcast,
     NotStabilizerShaped,
     Sentence,
     Word,
@@ -16,13 +17,12 @@ from graphlhv.chain_protocol import (
     compare_readings,
     decompose,
     decomposition_sign,
-    flip_decision,
     flip_sites_for,
-    run_chain_protocol,
     verify_chain_exhaustive,
 )
 from graphlhv.graphs import UnsupportedSizeError, chain, ring
-from graphlhv.lhv import all_assignments
+from graphlhv.lhv import all_assignments, run
+from graphlhv.nogo import verify_all_submeasurements
 from graphlhv.oracle import classify, enumerate_stabilizer_measurements
 from graphlhv.pauli import Measurement, generator_product
 
@@ -143,18 +143,12 @@ def test_prefix_freeness_of_word_set():
 
 
 def test_flip_decision_examples():
-    g = chain(3)
-    assert flip_decision(g, Measurement("YXY"), 2)
-    assert not flip_decision(chain(3), Measurement("ZXZ"), 2)
-    g10 = chain(10)
-    m = Measurement("IZYXXXYZII")
-    assert flip_decision(g10, m, 5)
-    assert not flip_decision(g10, m, 4)
-    assert not flip_decision(g10, m, 6)
+    protocol = ChainBroadcast()
+    assert protocol.flip_sites(chain(3), Measurement("YXY")) == frozenset({2})
+    assert protocol.flip_sites(chain(3), Measurement("ZXZ")) == frozenset()
+    assert protocol.flip_sites(chain(10), Measurement("IZYXXXYZII")) == frozenset({5})
     with pytest.raises(ValueError):
-        flip_decision(g, Measurement("YXY"), 1)  # site 1 measures Y
-    with pytest.raises(ValueError):
-        flip_decision(ring(4), Measurement("XXXX"), 1)
+        protocol.flip_sites(ring(4), Measurement("XXXX"))
 
 
 def test_flip_sites_silent_vs_broadcast():
@@ -279,10 +273,10 @@ def test_flip_sites_on_a_long_sentence():
     middles = frozenset(range(2, n, 4))
     assert flip_sites_for(m) == flip_sites_for(m, broadcast_y=True) == middles
     g = chain(n)
-    assert flip_decision(g, m, 2)
+    assert 2 in ChainBroadcast().flip_sites(g, m)
     rng = random.Random(11)
     z = [rng.choice((1, -1)) for _ in range(n)]
-    assert run_chain_protocol(g, m, z).product_over(m.support()) == classify(g, m).value == -1
+    assert run(g, m, z, ChainBroadcast()).product_over(m.support()) == classify(g, m).value == -1
 
 
 def test_flip_decisions_commute_with_reversal():
@@ -300,13 +294,13 @@ def test_flip_decisions_commute_with_reversal():
 def test_run_chain_protocol_signs():
     g = chain(3)
     for z in all_assignments(3):
-        assert run_chain_protocol(g, Measurement("YXY"), z).product_over((1, 2, 3)) == -1
+        assert run(g, Measurement("YXY"), z, ChainBroadcast()).product_over((1, 2, 3)) == -1
     g10 = chain(10)
     m = Measurement("YXYIYYZZXZ")
     for _ in range(10):
         rng = random.Random(_)
         z = [rng.choice((1, -1)) for _ in range(10)]
-        assert run_chain_protocol(g10, m, z).product_over(m.support()) == -1
+        assert run(g10, m, z, ChainBroadcast()).product_over(m.support()) == -1
 
 
 def test_run_chain_protocol_plus_sentences_unflipped():
@@ -317,12 +311,14 @@ def test_run_chain_protocol_plus_sentences_unflipped():
     assert decomposition_sign(sentences) == 1
     assert flip_sites_for(m) == frozenset()
     for z in all_assignments(6):
-        assert run_chain_protocol(g, m, z).product_over(m.support()) == 1
+        assert run(g, m, z, ChainBroadcast()).product_over(m.support()) == 1
 
 
 def test_run_chain_protocol_rejects_non_chain():
-    with pytest.raises(ValueError):
-        run_chain_protocol(ring(4), Measurement("XXXX"), (1, 1, 1, 1))
+    with pytest.raises(ValueError, match="chain graphs only"):
+        ChainBroadcast().flip_sites(ring(4), Measurement("XXXX"))
+    with pytest.raises(ValueError, match="chain graphs only"):
+        run(ring(4), Measurement("XXXX"), (1, 1, 1, 1), ChainBroadcast())
 
 
 def test_protocol_matches_pointwise_enumeration_small():
@@ -338,7 +334,7 @@ def test_protocol_matches_pointwise_enumeration_small():
                     if not verdict.is_deterministic:
                         continue
                     for z in all_assignments(n):
-                        out = run_chain_protocol(g, m, z)
+                        out = run(g, m, z, ChainBroadcast())
                         assert out.product_over(subset) == verdict.value
 
 
@@ -398,16 +394,53 @@ def test_flip_sites_are_found_only_for_a_nonempty_certain_subset(monkeypatch, br
     assert calls == expected and len(calls) == 59
 
 
+def _every_x(m, broadcast_y=False):
+    return frozenset(j for j, ch in enumerate(m.letters, start=1) if ch == "X")
+
+
+class _EveryX:
+    """A flip protocol that flips every X site."""
+
+    name = "every-x"
+
+    def flip_sites(self, g, m):
+        return _every_x(m)
+
+
 def test_deferred_flips_still_decide_every_sign(monkeypatch):
     # flipping every X site breaks the odd Y X..X Y words' signs and more
-    def every_x(m, broadcast_y=False):
-        return frozenset(j for j, ch in enumerate(m.letters, start=1) if ch == "X")
-
-    monkeypatch.setattr(chain_protocol, "flip_sites_for", every_x)
+    monkeypatch.setattr(chain_protocol, "flip_sites_for", _every_x)
     for broadcast_y in (False, True):
         report = verify_chain_exhaustive(4, broadcast_y=broadcast_y)
         assert len(report.violations) == 48
         assert all(v.reason == "wrong constant sign" for v in report.violations)
+
+
+@pytest.mark.parametrize("broadcast_y", [False, True])
+def test_checker_and_submeasurement_verifier_agree(broadcast_y):
+    # Two independent deciders of the same protocol: the checker signs each
+    # certain subset along the kernel walk, the verifier compares signs on
+    # the kernel basis only.
+    protocol = ChainBroadcast(broadcast_y)
+    for m in _all_words(6):
+        g = chain(len(m))
+        violations, overlaps = [], []
+        chain_protocol._check_measurement(g, m, broadcast_y, violations, overlaps)
+        assert violations == [] and overlaps == [], m
+        assert verify_all_submeasurements(g, m, protocol).clean, m
+
+
+def test_checker_and_submeasurement_verifier_list_the_same_wrong_signs(monkeypatch):
+    g = chain(4)
+    verifier = [
+        (m, c.sites) for m in _measurements(4, None, 0)
+        for c in verify_all_submeasurements(g, m, _EveryX()).mismatches
+    ]
+    monkeypatch.setattr(chain_protocol, "flip_sites_for", _every_x)
+    report = verify_chain_exhaustive(4)
+    checker = [(v.measurement, v.sites) for v in report.violations
+               if v.reason == "wrong constant sign"]
+    assert checker == verifier and len(verifier) == 48
 
 
 def test_overlap_pairs_are_checked():

@@ -112,8 +112,8 @@ def test_graph_validation():
         lambda g, m: oracle.statevector_verdict(g, m),
         lambda g, m: lhv.communication_round(g, m),
         lambda g, m: lhv.product_report(g, m),
-        lambda g, m: chain_protocol.flip_decision(g, m, 2),
-        lambda g, m: chain_protocol.run_chain_protocol(g, m, (1, 1, 1, 1)),
+        lambda g, m: chain_protocol.ChainBroadcast().flip_sites(g, m),
+        lambda g, m: lhv.run(g, m, (1, 1, 1, 1), chain_protocol.ChainBroadcast()),
         lambda g, m: nogo._signed_kernel(g, m),
         lambda g, m: nogo.site_invariance_system(g, m, ()),
     ],
@@ -424,5 +424,8 @@ def test_named_graph_specs():
 
 def test_is_chain():
     assert is_chain(chain(4))
+    assert is_chain(chain(1))
     assert not is_chain(ring(4))
     assert not is_chain(star(4))
+    assert not is_chain(Graph(3, ((1, 3), (2, 3))))  # a path, but not 1-2-3
+    assert not is_chain(Graph(4, chain(4).edges + ((1, 3),)))

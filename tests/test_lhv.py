@@ -17,8 +17,6 @@ from graphlhv.lhv import (
     all_assignments,
     communication_round,
     derive_xy,
-    flip_sites,
-    local_output,
     product_report,
     product_verdict,
     run,
@@ -76,15 +74,21 @@ def test_communication_round_ring_pattern():
 
 
 def test_local_output_rule_table():
-    assert local_output("Z", 1, 1, -1, 0) == -1
-    assert local_output("X", 1, 1, 1, 2) == -1
-    assert local_output("X", 1, 1, 1, 1) == 1
-    assert local_output("Y", 1, 1, 1, 0) == -1
-    assert local_output("Y", 1, 1, 1, 1) == 1
-    assert local_output("Y", 1, 1, 1, 2) == 1
-    assert local_output("I", -1, -1, -1, 3) == 1
-    with pytest.raises(ValueError):
-        local_output("X", 1, 1, 1, 4)
+    # (graph, word, site j, t_j, coins, j flips under the standard rules, j's output)
+    cases = [
+        (chain(1), "Z", 1, 0, (-1,), False, -1),
+        (chain(3), "YXY", 2, 2, (1, 1, 1), True, -1),
+        (chain(2), "XX", 1, 1, (1, 1), False, 1),
+        (chain(1), "Y", 1, 0, (1,), True, -1),
+        (chain(2), "YX", 1, 1, (1, 1), False, 1),
+        (chain(3), "XYX", 2, 2, (1, 1, 1), False, 1),
+        (star(4), "IXXX", 1, 3, (-1, -1, -1, -1), False, 1),
+    ]
+    for g, letters, j, t, z, flips, out in cases:
+        m = Measurement(letters)
+        assert communication_round(g, m).t[j - 1] == t
+        assert (j in STANDARD_RULES.flip_sites(g, m)) == flips
+        assert run(g, m, z).v[j - 1] == out
 
 
 def test_run_generator_always_plus_one():
@@ -126,7 +130,7 @@ def test_product_verdict_full_support_matches_classify():
 def test_symmetric_rules_also_globally_correct():
     for g in SMALL_SUITE:
         for m in _all_measurements(g.n):
-            assert product_verdict(g, m, rules=SYMMETRIC_RULES) == classify(g, m)
+            assert product_verdict(g, m, protocol=SYMMETRIC_RULES) == classify(g, m)
 
 
 def test_breaking_a_forced_rule_bit_fails_globally():
@@ -136,7 +140,7 @@ def test_breaking_a_forced_rule_bit_fails_globally():
     failures = 0
     for g in SMALL_SUITE:
         for m in _all_measurements(g.n):
-            if product_verdict(g, m, rules=broken) != classify(g, m):
+            if product_verdict(g, m, protocol=broken) != classify(g, m):
                 failures += 1
     assert failures > 0
 
@@ -186,7 +190,7 @@ def test_no_communication_baseline_plus_one_on_stabilizer_words():
 
     for g in (chain(3), ring(4), star(4)):
         for m, _sign in enumerate_stabilizer_measurements(g):
-            report = product_report(g, m, rules=NO_COMMUNICATION)
+            report = product_report(g, m, protocol=NO_COMMUNICATION)
             assert report.verdict == Verdict.deterministic(1)
             for z in all_assignments(g.n):
                 assert run(g, m, z, NO_COMMUNICATION).product_over(m.support()) == 1
@@ -195,8 +199,8 @@ def test_no_communication_baseline_plus_one_on_stabilizer_words():
 def test_flips_depend_only_on_graph_and_measurement():
     g = grid(2, 3)
     m = Measurement("YYYYYY")
-    assert flip_sites(g, m) == frozenset({2, 5})
-    assert flip_sites(g, Measurement("YYYIYI")) == frozenset({2})
+    assert STANDARD_RULES.flip_sites(g, m) == frozenset({2, 5})
+    assert STANDARD_RULES.flip_sites(g, Measurement("YYYIYI")) == frozenset({2})
 
 
 def test_subset_expectations_determine_joint_distribution():
