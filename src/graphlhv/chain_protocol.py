@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graphs import Graph, UnsupportedSizeError, chain, is_chain
-from .nogo import certain_subsets
+from .nogo import _check_walk, _sign_labels, _signed_kernel, _walk_kernel
 from .pauli import Measurement
 
-# The full sweep visits 4^n measurements: about 1 s at n = 7 and 4.2-4.4 s at
-# n = 8 on a shared 2-vCPU VM.
+# The full sweep visits 4^n measurements: 0.17-0.22 s at n = 7 and 0.78-0.87 s
+# at n = 8 per reading on a shared 2-vCPU VM (Intel Xeon).
 _FULL_SWEEP_GUARD = 7
 
 # Byte k of a sampled code row becomes the k-th letter of "IXYZ".
@@ -210,17 +210,22 @@ def flip_sites_for(m: Measurement, broadcast_y: bool = False) -> frozenset[int]:
     run may be Y, the left neighbour's sentence closes on the left and the
     right neighbour's closes on the right. The grammar is mirror-symmetric,
     so closing on the right is the left-hand pass run on the reversed word.
+    The two passes run only once some run passes the first three tests.
     """
     letters = m.letters
     n = len(letters)
     ends = "Y" if broadcast_y else "IY"
-    left = _closable(letters, ends)
-    right = _closable(letters[::-1], ends)
+    left = right = None
     w = "Z" + letters + "Z"
     flips = set()
     for run in re.finditer("X+", letters):
         a, b = run.start(), run.end() + 1  # the run's neighbours, as sites
-        if (b - a) % 2 == 0 and w[a] in ends and w[b] in ends and left[a] and right[n + 1 - b]:
+        if (b - a) % 2 or w[a] not in ends or w[b] not in ends:
+            continue
+        if left is None:
+            left = _closable(letters, ends)
+            right = _closable(letters[::-1], ends)
+        if left[a] and right[n + 1 - b]:
             flips.add((a + b) // 2)
     return frozenset(flips)
 
@@ -310,51 +315,100 @@ class ChainReport:
         }
 
 
+# A sub word is coded as an int whose byte j - 1 holds letter j XOR "I". An I
+# byte is 0, so the code of a subset's word is the XOR of its sites' codes and
+# the kernel walk carries it like a subset mask.
+_I = ord("I")
+
+# What the checker keeps of one certain word's parse: the grammar's rejection,
+# the (left, right, site mask) of its only sentence (bit j for site j), or None
+# when it holds several sentences.
+_Parse = NotStabilizerShaped | tuple[int, int, int] | None
+
+
+def _parse(word: str) -> _Parse:
+    try:
+        sentences = decompose(word)
+    except NotStabilizerShaped as exc:
+        return exc
+    if len(sentences) != 1:
+        return None
+    sent = sentences[0]
+    return sent.left, sent.right, sum(1 << j for j, ch in enumerate(word, start=1) if ch != "I")
+
+
 def _check_measurement(
     g: Graph,
     m: Measurement,
     broadcast_y: bool,
     violations: list[Violation],
     overlap_violations: list[OverlapViolation],
+    parses: dict[str, _Parse],
 ) -> tuple[int, int]:
     """Check all deterministic submeasurements of one global measurement.
 
-    They are the subsets ``certain_subsets`` walks: those on which the XOR of
-    the outputs' coin monomials vanishes, so the protocol's product there is
-    a constant sign by construction and only that sign is compared, with the
-    oracle sign the walk derives from the kernel basis.
-    The empty subset is counted and passed over: its word is the identity,
-    of sign +1 on both sides, and holds no sentence. It is often the only
-    certain subset, so the flip sites are found at the first nonempty one.
+    They are the certain subsets: the kernel on which the XOR of the outputs'
+    coin monomials vanishes, so the protocol's product there is a constant
+    sign by construction and only that sign is compared with the oracle's.
+    Both signs are linear on the kernel, so ``_sign_labels`` decides them on
+    the basis and the walk carries each subset's label (and its word's code)
+    by one XOR per step. The empty subset is counted and passed over: its
+    word is the identity, of sign +1 on both sides, and holds no sentence.
+    It is the only certain subset for most measurements, which return before
+    the flip sites are found. Each distinct word is parsed once per
+    ``parses`` dict, which the sweep creates and drops.
     Returns (deterministic subs checked, overlap pairs checked).
     """
-    flips = None
+    support, basis, bits = _signed_kernel(g, m)
+    if not basis:
+        return 1, 0
+    _check_walk(basis)
+    labels = _sign_labels(support, basis, bits, flip_sites_for(m, broadcast_y))
+    letters = m.letters
+    n = len(letters)
+    site_codes = [(ord(letters[j - 1]) ^ _I) << 8 * (j - 1) for j in support]
+    codes = [sum(c for i, c in enumerate(site_codes) if vec >> i & 1) for vec in basis]
+    blank = int.from_bytes(b"I" * n, "little")
 
-    det_checked = 0
-    spans: list[tuple[int, int, int]] = []  # (left, right, site mask) of single sentences
-    for sites, sign in certain_subsets(g, m):
-        det_checked += 1
-        if not sites:
+    spans: list[tuple[int, int, int]] = []
+    for code, label in _walk_kernel(codes, labels):
+        if not code:
             continue
-        if flips is None:
-            flips = flip_sites_for(m, broadcast_y)
-        protocol_sign = -1 if len(flips.intersection(sites)) % 2 else 1
-        if protocol_sign != sign:
-            violations.append(Violation(m, sites, sign, protocol_sign, "wrong constant sign"))
-        try:
-            sentences = decompose(m.restricted_to(sites))
-        except NotStabilizerShaped as exc:
+        word = (code ^ blank).to_bytes(n, "little").decode()
+        sign = -1 if label & 1 else 1
+        if label >> 1:
+            violations.append(Violation(m, _kept(word), sign, -sign, "wrong constant sign"))
+        if word not in parses:
+            parses[word] = _parse(word)
+        parsed = parses[word]
+        if isinstance(parsed, NotStabilizerShaped):
             violations.append(
-                Violation(m, sites, sign, None, f"grammar rejected a certain word: {exc}")
+                Violation(m, _kept(word), sign, None, f"grammar rejected a certain word: {parsed}")
             )
-            continue
-        if len(sentences) == 1:
-            spans.append((sentences[0].left, sentences[0].right, sum(1 << j for j in sites)))
+        elif parsed is not None:
+            spans.append(parsed)
 
-    # Bit j of a site mask is site j. Both subs restrict m, so strictly inside
-    # both spans (where none of the four brackets lies) their letters differ
-    # exactly at the sites one of them keeps; the lowest such bit is the first.
+    pairs, found = _overlap_violations(m, spans)
+    overlap_violations.extend(found)
+    return 1 << len(basis), pairs
+
+
+def _kept(word: str) -> tuple[int, ...]:
+    return tuple(j for j, ch in enumerate(word, start=1) if ch != "I")
+
+
+def _overlap_violations(
+    m: Measurement, spans: list[tuple[int, int, int]]
+) -> tuple[int, list[OverlapViolation]]:
+    """(overlapping pairs, violations) among single-sentence subs of m.
+
+    Each span is (left, right, site mask), bit j for site j. Both subs
+    restrict m, so strictly inside both spans (where none of the four
+    brackets lies) their letters differ exactly at the sites one of them
+    keeps; the lowest such site is reported.
+    """
     pairs = 0
+    found = []
     for (l1, r1, s1), (l2, r2, s2) in itertools.combinations(spans, 2):
         lo = max(l1, l2)
         hi = min(r1, r2)
@@ -364,8 +418,14 @@ def _check_measurement(
         differ = ((s1 ^ s2) >> (lo + 1) << (lo + 1)) & ((1 << hi) - 1)
         if differ:
             position = (differ & -differ).bit_length() - 1
-            overlap_violations.append(OverlapViolation(m, (l1, r1), (l2, r2), position))
-    return det_checked, pairs
+            found.append(OverlapViolation(m, (l1, r1), (l2, r2), position))
+    return pairs, found
+
+
+def check_chain_length(n: int) -> None:
+    """Refuse a chain of no sites, whose only word is the empty one."""
+    if n < 1:
+        raise ValueError(f"a chain needs at least 1 site, got n = {n}")
 
 
 def _measurements(n: int, sample: int | None, seed: int) -> Iterator[Measurement]:
@@ -374,8 +434,7 @@ def _measurements(n: int, sample: int | None, seed: int) -> Iterator[Measurement
     The sample is one draw of ``sample`` rows of n letter codes, the same
     letters as drawing the rows one by one from the same generator.
     """
-    if n < 1:
-        raise ValueError(f"a chain needs at least 1 site, got n = {n}")
+    check_chain_length(n)
     if sample is None:
         if n > _FULL_SWEEP_GUARD:
             raise UnsupportedSizeError(
@@ -404,19 +463,22 @@ def verify_chain_exhaustive(
     without enumerating coin vectors; only the subsets with an empty monomial
     (a GF(2) kernel, not all 2^|support| subsets) are visited. Also checks,
     for each global measurement, that its single-sentence certain
-    submeasurements agree on overlaps except at bracketing Zs. Full sweep
-    up to n = 7; beyond that a seeded sample of measurements is required.
+    submeasurements agree on overlaps except at bracketing Zs. Each distinct
+    certain word is parsed once per call, in a dict that ends with the call.
+    Full sweep up to n = 7; beyond that a seeded sample of measurements is
+    required.
     """
     measurements = _measurements(n, sample, seed)
     g = chain(n)
     violations: list[Violation] = []
     overlap_violations: list[OverlapViolation] = []
+    parses: dict[str, _Parse] = {}
     det_total = 0
     pair_total = 0
     count = 0
     for m in measurements:
         count += 1
-        det, pairs = _check_measurement(g, m, broadcast_y, violations, overlap_violations)
+        det, pairs = _check_measurement(g, m, broadcast_y, violations, overlap_violations, parses)
         det_total += det
         pair_total += pairs
     return ChainReport(

@@ -37,6 +37,7 @@ from .oracle import classify
 from .pauli import Measurement
 from .chain_protocol import (
     NotStabilizerShaped,
+    check_chain_length,
     decompose,
     decomposition_sign,
     verify_chain_exhaustive,
@@ -242,6 +243,7 @@ def _cmd_chain_verify(args: argparse.Namespace) -> int:
 def _cmd_chain_decompose(args: argparse.Namespace) -> int:
     try:
         m = Measurement(args.measurement)
+        check_chain_length(len(m))
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
     try:

@@ -373,6 +373,17 @@ def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int
         yield smask, label
 
 
+def _sign_labels(
+    support: tuple[int, ...], basis: list[int], bits: list[int], flips: frozenset[int]
+) -> list[int]:
+    """One label per basis vector. Bit 0: the oracle sign is -1. Bit 1: the
+    parity of the flip sites in it differs from that sign, so the protocol's
+    sign is wrong. Both are linear on the kernel, so ``_walk_kernel`` carries
+    them to every certain subset."""
+    flip_mask = sum(1 << i for i, j in enumerate(support) if j in flips)
+    return [bit | (bit ^ (vec & flip_mask).bit_count() & 1) << 1 for vec, bit in zip(basis, bits)]
+
+
 def verify_all_submeasurements(
     g: Graph, m: Measurement, protocol: FlipProtocol = STANDARD_RULES
 ) -> SubmeasurementReport:
@@ -390,12 +401,7 @@ def verify_all_submeasurements(
     """
     flips = protocol.flip_sites(g, m)
     support, basis, bits = _signed_kernel(g, m)
-    flip_mask = sum(1 << i for i, j in enumerate(support) if j in flips)
-    # label bit 0: the oracle sign is -1; bit 1: the protocol's sign differs
-    labels = []
-    for vec, bit in zip(basis, bits):
-        differs = bit ^ (vec & flip_mask).bit_count() & 1
-        labels.append(bit | differs << 1)
+    labels = _sign_labels(support, basis, bits, flips)
     mismatches: list[SubsetCheck] = []
     if any(label >> 1 for label in labels):
         _check_walk(basis)

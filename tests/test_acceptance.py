@@ -184,6 +184,20 @@ def chain_reports():
     }
 
 
+@pytest.mark.parametrize("broadcast_y", [False, True])
+def test_chain_sweep_counts_are_pinned(chain_reports, broadcast_y):
+    # Per-n counts of the exhaustive sweep, the same in both readings: the
+    # certain subsets (empty ones included) and the overlapping pairs of
+    # single-sentence subs, whatever walk or parse the checker uses.
+    det = [5, 19, 80, 325, 1340, 5500, 22625]
+    pairs = [0, 0, 3, 12, 74, 334, 1602]
+    for n in range(1, 8):
+        report = chain_reports[n, broadcast_y]
+        assert report.measurements_checked == 4 ** n
+        assert report.deterministic_subs_checked == det[n - 1], n
+        assert report.overlap_pairs_checked == pairs[n - 1], n
+
+
 def test_criterion_7_chain_protocol_and_grammar(capsys, chain_reports):
     t0 = time.time()
     det_total = 0

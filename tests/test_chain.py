@@ -22,7 +22,7 @@ from graphlhv.chain_protocol import (
 )
 from graphlhv.graphs import UnsupportedSizeError, chain, ring
 from graphlhv.lhv import all_assignments, run
-from graphlhv.nogo import verify_all_submeasurements
+from graphlhv.nogo import find_certain_submeasurements, verify_all_submeasurements
 from graphlhv.oracle import classify, enumerate_stabilizer_measurements
 from graphlhv.pauli import Measurement, generator_product
 
@@ -416,6 +416,38 @@ def test_deferred_flips_still_decide_every_sign(monkeypatch):
         assert all(v.reason == "wrong constant sign" for v in report.violations)
 
 
+def test_each_occurrence_of_a_rejected_word_is_reported(monkeypatch):
+    # The sweep parses each distinct certain word once, but a rejection is
+    # reported for every (measurement, subset) in which the word occurs.
+    target = "XZII"  # X1 Z2, the first generator: certain in 16 measurements
+    g = chain(4)
+    occurrences = [
+        (m, tuple(sorted(sites))) for m in _measurements(4, None, 0)
+        for sites, _ in find_certain_submeasurements(g, m)
+        if m.restricted_to(sites).letters == target
+    ]
+    assert len(occurrences) == 16
+    original = chain_protocol.decompose
+    parsed = []
+
+    def rejecting(word):
+        parsed.append(str(word))
+        if str(word) == target:
+            raise NotStabilizerShaped("rejected for the test")
+        return original(word)
+
+    monkeypatch.setattr(chain_protocol, "decompose", rejecting)
+    for sweep in (1, 2):  # no parse outlives its sweep
+        report = verify_chain_exhaustive(4)
+        rejected = [(v.measurement, v.sites) for v in report.violations
+                    if v.reason.startswith("grammar rejected")]
+        assert rejected == occurrences
+        assert all(v.expected_sign == 1 and v.protocol_sign is None
+                   for v in report.violations)
+        assert parsed.count(target) == sweep
+        assert len(parsed) == len(set(parsed)) * sweep
+
+
 @pytest.mark.parametrize("broadcast_y", [False, True])
 def test_checker_and_submeasurement_verifier_agree(broadcast_y):
     # Two independent deciders of the same protocol: the checker signs each
@@ -425,7 +457,7 @@ def test_checker_and_submeasurement_verifier_agree(broadcast_y):
     for m in _all_words(6):
         g = chain(len(m))
         violations, overlaps = [], []
-        chain_protocol._check_measurement(g, m, broadcast_y, violations, overlaps)
+        chain_protocol._check_measurement(g, m, broadcast_y, violations, overlaps, {})
         assert violations == [] and overlaps == [], m
         assert verify_all_submeasurements(g, m, protocol).clean, m
 
@@ -449,18 +481,6 @@ def test_overlap_pairs_are_checked():
     assert report.overlap_violations == ()
 
 
-def _crafted_subs(monkeypatch, *words):
-    """Make the given words the certain subs of sign +1, whether or not they
-    restrict the measurement: a stand-in for ``certain_subsets`` yields their
-    sites, and ``Measurement.restricted_to`` hands back the word for them."""
-    by_sites = {tuple(j for j, ch in enumerate(w, start=1) if ch != "I"): w for w in words}
-    assert len(by_sites) == len(words)
-    monkeypatch.setattr(chain_protocol, "certain_subsets",
-                        lambda g, m: ((sites, 1) for sites in by_sites))
-    monkeypatch.setattr(Measurement, "restricted_to",
-                        lambda self, sites: Measurement(by_sites[tuple(sites)]))
-
-
 @pytest.mark.parametrize(
     "words, expected",
     [
@@ -471,17 +491,15 @@ def _crafted_subs(monkeypatch, *words):
     ],
     ids=["differ-inside", "differ-at-ends"],
 )
-def test_overlap_check_reports_the_lowest_site_strictly_inside(monkeypatch, words, expected):
+def test_overlap_check_reports_the_lowest_site_strictly_inside(words, expected):
     # No pair of real certain subs with n <= 7 reaches the reporting branch,
     # nor any two single-sentence restrictions of one word with n <= 6, so
-    # two single-sentence words are fed in directly.
-    for letters in words:
-        assert len(decompose(letters)) == 1
-    _crafted_subs(monkeypatch, *words)
+    # the spans of two crafted single-sentence words are fed in directly.
+    spans = [chain_protocol._parse(w) for w in words]
+    assert all(isinstance(span, tuple) for span in spans)  # one sentence each
     m = Measurement("YXXXYZ")
-    violations, overlaps = [], []
-    checked, pairs = chain_protocol._check_measurement(chain(6), m, False, violations, overlaps)
-    assert (checked, pairs) == (2, 1)
+    pairs, overlaps = chain_protocol._overlap_violations(m, spans)
+    assert pairs == 1
     assert [(o.first_span, o.second_span, o.position) for o in overlaps] == expected
     assert all(o.measurement == m for o in overlaps)
 

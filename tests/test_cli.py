@@ -539,6 +539,21 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, graph_json):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_decompose_refuses_the_empty_word_like_verify(capsys):
+    # a chain has at least one site, whichever command is given its length
+    code, out, err = _run(capsys, "chain", "decompose", "--measurement", "")
+    assert (code, out, err) == (2, "", "error: a chain needs at least 1 site, got n = 0\n")
+    assert _run(capsys, "chain", "verify", "--n", "0") == (code, out, err)
+
+
+def test_kernel_walk_guard_refuses_a_huge_kernel(capsys):
+    # the one sampled word on 2000 sites has a 66-dimensional kernel
+    code, out, err = _run(capsys, "chain", "verify", "--n", "2000", "--sample", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: 73786976294838206464 certain subsets (kernel dimension 66) "
+                   "exceed the guard of 2^20\n")
+
+
 def test_negative_seed_names_the_flag(capsys):
     code, _, err = _run(capsys, "chain", "verify", "--n", "8", "--sample", "4", "--seed", "-3")
     assert code == 2

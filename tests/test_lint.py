@@ -48,3 +48,31 @@ def test_numpy_is_imported_only_inside_functions():
         if _imports_numpy(node)
     ]
     assert found == []
+
+
+_PROCESS_CACHES = {"cache", "lru_cache"}
+
+
+def _uses_process_cache(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(a.name in _PROCESS_CACHES for a in node.names)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in _PROCESS_CACHES
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    )
+
+
+def test_no_process_wide_caches_in_the_library():
+    # A memo that outlives its call would let repeated commands in one process
+    # (library users, benchmark passes) share warm state; per-call dicts only.
+    assert _uses_process_cache(ast.parse("from functools import lru_cache").body[0])
+    assert _uses_process_cache(ast.parse("functools.cache").body[0].value)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _uses_process_cache(node)
+    ]
+    assert found == []
