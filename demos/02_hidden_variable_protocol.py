@@ -17,7 +17,6 @@ from graphlhv import (
     communication_round,
     derive_xy,
     product_report,
-    product_verdict,
     ring,
     run,
     star,
@@ -48,7 +47,7 @@ print("flip sites:", sorted(rep.flipped), "| leftover monomial:", rep.monomial,
 
 # A different flip policy that also reproduces every global prediction:
 agree = all(
-    product_verdict(g3, Measurement("".join(p)), protocol=SYMMETRIC_RULES)
+    product_report(g3, Measurement("".join(p)), protocol=SYMMETRIC_RULES).verdict
     == classify(g3, Measurement("".join(p)))
     for p in itertools.product("IXYZ", repeat=3)
 )

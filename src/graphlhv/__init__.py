@@ -12,16 +12,13 @@ from .graphs import (
     CLOCKWISE_2X3,
     Graph,
     GraphFormatError,
-    NodeColoring,
     UnsupportedSizeError,
     automorphism_orbits,
     automorphisms,
     ball,
     chain,
     complete_bipartite,
-    connected_component,
     diameter,
-    from_edge_list,
     graph_from_json,
     grid,
     is_chain,
@@ -55,13 +52,11 @@ from .lhv import (
     CommunicationState,
     FlipProtocol,
     FlipRules,
-    HiddenAssignment,
     ProtocolOutputs,
     all_assignments,
     communication_round,
     derive_xy,
     product_report,
-    product_verdict,
     run,
 )
 from .nogo import (
@@ -75,7 +70,6 @@ from .nogo import (
     RingInstance,
     SubmeasurementReport,
     build_ring_instance,
-    certain_subsets,
     certify_distance,
     distance_bound,
     distance_constraint_system,

@@ -44,6 +44,7 @@ from .chain_protocol import (
 )
 
 _RULES = {"standard": STANDARD_RULES, "symmetric": SYMMETRIC_RULES, "none": NO_COMMUNICATION}
+_SITE_INVARIANCE_NODES = 12  # nogo site-invariance refuses larger graphs before any work
 
 
 class CommandError(Exception):
@@ -198,7 +199,7 @@ def _cmd_nogo_ring(args: argparse.Namespace) -> int:
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
     g, source, m = _graph_and_measurement(args)
     try:
-        check_automorphism_size(g, args.max_nodes)  # before the certain-subset walk
+        check_automorphism_size(g, _SITE_INVARIANCE_NODES)  # before the certain-subset walk
         subs, system, solution, orbits = _orbit_flip_system(g, m)
     except UnsupportedSizeError as exc:
         raise CommandError(str(exc)) from exc
@@ -386,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = nogo_sub.add_parser("site-invariance", help="orbit-flip contradiction")
     p.add_argument("--graph", required=True)
     p.add_argument("--measurement", required=True)
-    p.add_argument("--max-nodes", type=int, default=12)
     p.add_argument("--expect", choices=["consistent", "inconsistent"])
     p.set_defaults(func="_cmd_nogo_site")
 

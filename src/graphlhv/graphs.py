@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Sized
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized
 
 
 class GraphFormatError(ValueError):
@@ -94,13 +94,6 @@ class Graph:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class NodeColoring:
-    """Total labeling of nodes 1..n, used to restrict automorphisms."""
-
-    labels: tuple
-
-
 def _cycle_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, j + 1) for j in range(1, n)) + ((n, 1),)
 
@@ -154,10 +147,6 @@ def complete_bipartite(a: int, b: int) -> Graph:
         raise ValueError(f"part sizes must be positive, got {a}, {b}")
     edges = tuple((u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1))
     return Graph(a + b, edges)
-
-
-def from_edge_list(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    return Graph(n, tuple(tuple(e) for e in edges))
 
 
 # Relabeling of the row-major 2x3 grid that numbers the nodes around the
@@ -285,10 +274,6 @@ def ball_masks(g: Graph, d: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def connected_component(g: Graph, j: int) -> frozenset[int]:
-    return ball(g, j, g.n)
-
-
 def diameter(g: Graph) -> int:
     """Largest eccentricity over all nodes, taken within each component."""
     best = 0
@@ -308,16 +293,16 @@ def diameter(g: Graph) -> int:
 
 
 def check_automorphism_size(g: Graph, max_nodes: int) -> None:
-    """The guard of ``automorphisms``, and the command line's node limit for
-    ``nogo site-invariance`` (``--max-nodes``), applied before other work."""
+    """The guard of ``automorphisms``, which ``nogo site-invariance`` also
+    applies at 12 nodes before other work."""
     if g.n > max_nodes:
         raise UnsupportedSizeError(
             f"automorphism search is guarded at {max_nodes} nodes, got {g.n}"
         )
 
 
-def automorphisms(g: Graph, coloring: NodeColoring | None = None, max_nodes: int = 12) -> list[tuple[int, ...]]:
-    """All node permutations preserving edges and the coloring.
+def automorphisms(g: Graph, labels: Sequence[Hashable] | None = None, max_nodes: int = 12) -> list[tuple[int, ...]]:
+    """All node permutations preserving edges and the node labels (labels[j-1] for node j).
 
     The exhaustive reference: a complete backtracking enumeration with pruning
     on degree and color, whose cost grows with the order of the group (8! on
@@ -328,9 +313,10 @@ def automorphisms(g: Graph, coloring: NodeColoring | None = None, max_nodes: int
     graphs known to be rigid enough to enumerate.
     """
     check_automorphism_size(g, max_nodes)
-    labels = coloring.labels if coloring is not None else ("*",) * g.n
+    if labels is None:
+        labels = ("*",) * g.n
     if len(labels) != g.n:
-        raise ValueError("coloring must label every node")
+        raise ValueError("labels must name every node")
     degs = [g.degree(j) for j in range(1, g.n + 1)]
     adj = [set(g.neighbors[j]) for j in range(g.n)]
 
@@ -441,10 +427,10 @@ def _extend(nbrs, adj, labels, a: list[int], b: list[int]) -> list[int] | None:
     return None
 
 
-def automorphism_orbits(g: Graph, coloring: NodeColoring | None = None) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the automorphisms preserving edges and the coloring.
+def automorphism_orbits(g: Graph, labels: Sequence[Hashable] | None = None) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the automorphisms preserving edges and the node labels.
 
-    Same result as ``orbits(g.n, automorphisms(g, coloring))``, from a
+    Same result as ``orbits(g.n, automorphisms(g, labels))``, from a
     generating set instead of the whole group (the individualization and
     refinement scheme of nauty/Traces). The coloring is refined to the
     coarsest equitable partition; then each node v is matched against one
@@ -454,9 +440,10 @@ def automorphism_orbits(g: Graph, coloring: NodeColoring | None = None) -> tuple
     are merged by ``orbits``, so the work follows the number of orbits and
     of nodes, not the order of the group. Labels need only be hashable.
     """
-    labels = coloring.labels if coloring is not None else ("*",) * g.n
+    if labels is None:
+        labels = ("*",) * g.n
     if len(labels) != g.n:
-        raise ValueError("coloring must label every node")
+        raise ValueError("labels must name every node")
     nbrs = [[k - 1 for k in block] for block in g.neighbors]
     adj = [set(nb) for nb in nbrs]
     index: dict = {}

@@ -59,25 +59,13 @@ SYMMETRIC_RULES = FlipRules("symmetric", frozenset({2, 3}), frozenset({2, 3}))
 NO_COMMUNICATION = FlipRules("no-communication", frozenset(), frozenset())
 
 
-@dataclass(frozen=True)
-class HiddenAssignment:
-    """One draw of the local coins: a vector in {+1, -1}^n."""
-
-    z: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(v not in (1, -1) for v in self.z):
-            raise ValueError("hidden values must be +1 or -1")
+def all_assignments(n: int) -> Iterable[tuple[int, ...]]:
+    """Every coin vector in {+1, -1}^n, in a fixed enumeration order."""
+    return itertools.product((1, -1), repeat=n)
 
 
-def all_assignments(n: int) -> Iterable[HiddenAssignment]:
-    """Every hidden assignment, in a fixed enumeration order."""
-    for z in itertools.product((1, -1), repeat=n):
-        yield HiddenAssignment(z)
-
-
-def _as_z(z: "HiddenAssignment | Sequence[int]", n: int) -> tuple[int, ...]:
-    values = tuple(z.z if isinstance(z, HiddenAssignment) else z)
+def _as_z(z: Sequence[int], n: int) -> tuple[int, ...]:
+    values = tuple(z)
     if len(values) != n:
         raise ValueError(f"hidden vector length {len(values)} does not match n={n}")
     if any(v not in (1, -1) for v in values):
@@ -85,7 +73,7 @@ def _as_z(z: "HiddenAssignment | Sequence[int]", n: int) -> tuple[int, ...]:
     return values
 
 
-def derive_xy(g: Graph, z: "HiddenAssignment | Sequence[int]") -> tuple[tuple[int, ...], tuple[int, ...]]:
+def derive_xy(g: Graph, z: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Derived x and y entries: x_j is the parity of the neighborhood coins,
     y_j = z_j * x_j. An isolated node has the empty product x_j = +1."""
     zs = _as_z(z, g.n)
@@ -133,7 +121,7 @@ class ProtocolOutputs:
 def run(
     g: Graph,
     m: Measurement,
-    z: "HiddenAssignment | Sequence[int]",
+    z: Sequence[int],
     protocol: FlipProtocol = STANDARD_RULES,
 ) -> ProtocolOutputs:
     """Full protocol: the derived entries, negated at ``protocol.flip_sites(g, m)``.
@@ -280,15 +268,3 @@ def product_report(
     return ProductReport(
         verdict, "sampling", sites, flipped, (), protocol.name, samples, seed, (plus, minus)
     )
-
-
-def product_verdict(
-    g: Graph,
-    m: Measurement,
-    subset: Iterable[int] | None = None,
-    protocol: FlipProtocol = STANDARD_RULES,
-    samples: int | None = None,
-    seed: int = 0,
-) -> Verdict:
-    """Verdict for the product of protocol outputs over a subset of sites."""
-    return product_report(g, m, subset, protocol, samples, seed).verdict

@@ -39,7 +39,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
-    NodeColoring,
     UnsupportedSizeError,
     automorphism_orbits,
     ball,
@@ -121,6 +120,8 @@ class ParityConstraintSystem:
         bit = {key: 1 << i for i, key in enumerate(self.variables)}
         rows = []
         for eq in self.equations:
+            if eq.rhs not in (0, 1):
+                raise ValueError(f"equation {eq.label!r} has right-hand side {eq.rhs}, not a bit")
             missing = frozenset(v for v in eq.variables if v not in bit)
             if missing:
                 raise ValueError(f"equation {eq.label!r} references undeclared variables {missing}")
@@ -293,27 +294,6 @@ class SubmeasurementReport:
         }
 
 
-def certain_subsets(g: Graph, m: Measurement) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every subset of the support whose restricted word is certain, with its sign.
-
-    A subset S is certain exactly when the XOR of the site monomials over S
-    is empty (the oracle's z-image test, written per site), so the certain
-    subsets form the kernel of one GF(2) map. For two of them,
-    m|_S · m|_T = m|_{S△T} with no phase, so the sign is a homomorphism on
-    the kernel: ``classify`` decides the k basis words (``_signed_kernel``)
-    and every other sign is a product of theirs. Each basis vector owns a
-    highest bit that no other contains, so counting through their
-    combinations in binary yields the subsets in ascending subset-mask order
-    (bit i for support[i]), the order of a sweep over every subset, each sign
-    updated by one XOR. Yields (sites, sign); ``m.restricted_to(sites)`` is
-    the word. Deciding costs k ``classify`` calls; only this walk costs 2^k,
-    and it is guarded at kernel dimension 20, i.e. 2^20 subsets.
-    """
-    support, basis, bits = _signed_kernel(g, m)
-    _check_walk(basis)
-    return ((_sites(support, smask), -1 if bit else 1) for smask, bit in _walk_kernel(basis, bits))
-
-
 def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int], list[int]]:
     """(support, kernel basis, sign bits): bit 1 for a basis word of sign -1.
 
@@ -347,16 +327,16 @@ def _sites(support: tuple[int, ...], smask: int) -> tuple[int, ...]:
     return tuple(j for i, j in enumerate(support) if (smask >> i) & 1)
 
 
-def _check_walk(basis: list[int]) -> None:
+def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int]]:
+    """Every (subset mask, label) of the span, labels XORed along with the masks.
+
+    Refuses a span of more than 2^20 elements before its first step.
+    """
     if len(basis) > _KERNEL_GUARD:
         raise UnsupportedSizeError(
             f"{2 ** len(basis)} certain subsets (kernel dimension {len(basis)}) exceed "
             f"the guard of 2^{_KERNEL_GUARD}"
         )
-
-
-def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int]]:
-    """Every (subset mask, label) of the span, labels XORed along with the masks."""
     # Stepping the counter to k flips its bits 0..t, t the lowest set bit of k.
     prefix = []
     acc = label = 0
@@ -404,7 +384,6 @@ def verify_all_submeasurements(
     labels = _sign_labels(support, basis, bits, flips)
     mismatches: list[SubsetCheck] = []
     if any(label >> 1 for label in labels):
-        _check_walk(basis)
         for smask, label in _walk_kernel(basis, labels):
             if not label >> 1:
                 continue
@@ -421,9 +400,26 @@ def verify_all_submeasurements(
 
 
 def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[frozenset[int], int], ...]:
-    """All subsets of the support whose restricted measurement is deterministic,
-    with their signs, in ascending subset-mask order."""
-    return tuple((frozenset(sites), sign) for sites, sign in certain_subsets(g, m))
+    """Every subset of the support whose restricted word is certain, with its sign.
+
+    A subset S is certain exactly when the XOR of the site monomials over S
+    is empty (the oracle's z-image test, written per site), so the certain
+    subsets form the kernel of one GF(2) map. For two of them,
+    m|_S · m|_T = m|_{S△T} with no phase, so the sign is a homomorphism on
+    the kernel: ``classify`` decides the k basis words (``_signed_kernel``)
+    and every other sign is a product of theirs. Each basis vector owns a
+    highest bit that no other contains, so counting through their
+    combinations in binary yields the subsets in ascending subset-mask order
+    (bit i for support[i]), the order of a sweep over every subset, each sign
+    updated by one XOR. Returns (sites, sign) pairs; ``m.restricted_to(sites)``
+    is the word. Deciding costs k ``classify`` calls; only the walk costs
+    2^k, and it is guarded at kernel dimension 20, i.e. 2^20 subsets.
+    """
+    support, basis, bits = _signed_kernel(g, m)
+    return tuple(
+        (frozenset(_sites(support, smask)), -1 if bit else 1)
+        for smask, bit in _walk_kernel(basis, bits)
+    )
 
 
 def y_stabilizer_supports(g: Graph) -> tuple[tuple[frozenset[int], int], ...]:
@@ -434,12 +430,12 @@ def y_stabilizer_supports(g: Graph) -> tuple[tuple[frozenset[int], int], ...]:
     the generator product. Sorted by size, then by sites.
     """
     out = []
-    for sites, sign in certain_subsets(g, Measurement("Y" * g.n)):
+    for sites, sign in find_certain_submeasurements(g, Measurement("Y" * g.n)):
         if generator_product_sign(g, sites) != sign:
             raise RuntimeError(
-                f"Y on {list(sites)}: oracle and generator product disagree on the sign"
+                f"Y on {sorted(sites)}: oracle and generator product disagree on the sign"
             )
-        out.append((frozenset(sites), sign))
+        out.append((sites, sign))
     return tuple(sorted(out, key=lambda p: (len(p[0]), sorted(p[0]))))
 
 
@@ -632,6 +628,10 @@ def _distance_system(
             )
         if not is_submeasurement(sub, glob):
             raise ValueError(f"case {case.name}: {sub} is not a submeasurement of {glob}")
+        if case.expected_sign not in (1, -1):
+            raise ValueError(
+                f"case {case.name}: expected sign must be +1 or -1, got {case.expected_sign}"
+            )
     words = [case.global_measurement.letters for case in cases]
     differ = [k - 1 for k, column in enumerate(zip(*words), start=1) if len(set(column)) > 1]
     all_masks = ball_masks(g, d)
@@ -828,8 +828,7 @@ def site_invariance_system(
     size limit is applied here.
     """
     g.check_measurement(global_m)
-    coloring = NodeColoring(tuple(global_m.letters))
-    orbs = automorphism_orbits(g, coloring)
+    orbs = automorphism_orbits(g, global_m.letters)
     orbit_of: dict[int, OrbitVariable] = {}
     declared = []
     for orb in orbs:
@@ -843,6 +842,8 @@ def site_invariance_system(
     equations = []
     for k, (support, sign) in enumerate(certain_subs):
         sites = sorted(set(support))
+        if sign not in (1, -1):
+            raise ValueError(f"sub{k}:{sites}: sign must be +1 or -1, got {sign}")
         for j in sites:
             g.check_node(j)
             if global_m.letter(j) == "I":

@@ -19,7 +19,7 @@ from graphlhv.chain_protocol import (
     verify_chain_exhaustive,
 )
 from graphlhv.graphs import chain, complete_bipartite, grid, ring, star
-from graphlhv.lhv import product_verdict
+from graphlhv.lhv import product_report
 from graphlhv.nogo import (
     build_ring_instance,
     certify_distance,
@@ -70,7 +70,7 @@ def test_criterion_2_global_correctness(capsys):
     checked = 0
     for g in GRAPH_SUITE:
         for m in _all_measurements(g.n):
-            assert product_verdict(g, m) == classify(g, m), (g.n, str(m))
+            assert product_report(g, m).verdict == classify(g, m), (g.n, str(m))
             checked += 1
     _announce(
         capsys,

@@ -184,6 +184,22 @@ def test_site_invariance_guard_refuses_before_subset_walk(monkeypatch, capsys):
     assert err == "error: automorphism search is guarded at 12 nodes, got 18\n"
 
 
+def test_site_invariance_runs_at_the_node_limit(capsys):
+    code, out, err = _run(capsys, "nogo", "site-invariance", "--graph", "grid:3x4",
+                          "--measurement", "Y" * 12, "--expect", "consistent")
+    assert code == 0
+    assert json.loads(out)["result"]["orbits"] == [[1, 4, 9, 12], [2, 3, 10, 11], [5, 8], [6, 7]]
+    assert err == "orbit flip system is consistent (4 orbits)\n"
+
+
+def test_max_nodes_flag_is_gone(capsys):
+    code, out, err = _run(capsys, "nogo", "site-invariance", "--graph", "star:18",
+                          "--measurement", "X" * 18, "--max-nodes", "20")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --max-nodes 20" in err
+    assert "Traceback" not in err
+
+
 def test_verify_sub_decides_a_clean_word_beyond_the_walk_guard(capsys):
     # the 199 leaves share one monomial: kernel dimension 198, decided from
     # 198 basis words without walking the kernel

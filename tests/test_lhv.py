@@ -13,12 +13,10 @@ from graphlhv.lhv import (
     STANDARD_RULES,
     SYMMETRIC_RULES,
     FlipRules,
-    HiddenAssignment,
     all_assignments,
     communication_round,
     derive_xy,
     product_report,
-    product_verdict,
     run,
 )
 from graphlhv.oracle import Verdict, classify
@@ -124,13 +122,13 @@ def test_unmeasured_sites_output_plus_one():
 def test_product_verdict_full_support_matches_classify():
     for g in SMALL_SUITE:
         for m in _all_measurements(g.n):
-            assert product_verdict(g, m) == classify(g, m)
+            assert product_report(g, m).verdict == classify(g, m)
 
 
 def test_symmetric_rules_also_globally_correct():
     for g in SMALL_SUITE:
         for m in _all_measurements(g.n):
-            assert product_verdict(g, m, protocol=SYMMETRIC_RULES) == classify(g, m)
+            assert product_report(g, m, protocol=SYMMETRIC_RULES).verdict == classify(g, m)
 
 
 def test_breaking_a_forced_rule_bit_fails_globally():
@@ -140,7 +138,7 @@ def test_breaking_a_forced_rule_bit_fails_globally():
     failures = 0
     for g in SMALL_SUITE:
         for m in _all_measurements(g.n):
-            if product_verdict(g, m, protocol=broken) != classify(g, m):
+            if product_report(g, m, protocol=broken).verdict != classify(g, m):
                 failures += 1
     assert failures > 0
 
@@ -148,12 +146,12 @@ def test_breaking_a_forced_rule_bit_fails_globally():
 def test_grid_2x3_submeasurement_mismatch():
     g = grid(2, 3)
     m = Measurement("YYYYYY")
-    assert product_verdict(g, m, {1, 2, 3, 5}) == Verdict.deterministic(1)
+    assert product_report(g, m, {1, 2, 3, 5}).verdict == Verdict.deterministic(1)
     assert classify(g, Measurement("YYYIYI")) == Verdict.deterministic(-1)
 
 
 def test_empty_subset():
-    assert product_verdict(ring(4), Measurement("XXXX"), ()) == Verdict.deterministic(1)
+    assert product_report(ring(4), Measurement("XXXX"), ()).verdict == Verdict.deterministic(1)
 
 
 def test_exact_verdict_matches_brute_force():
@@ -171,7 +169,7 @@ def test_exact_verdict_matches_brute_force():
             expected = (
                 Verdict.deterministic(values.pop()) if len(values) == 1 else Verdict.uniform()
             )
-            assert product_verdict(g, m, subset) == expected
+            assert product_report(g, m, subset).verdict == expected
 
 
 def test_uniform_subsets_are_balanced():
@@ -181,7 +179,7 @@ def test_uniform_subsets_are_balanced():
     for k in range(1, 5):
         for subset in itertools.combinations(m.support(), k):
             products = [run(g, m, z).product_over(subset) for z in all_assignments(4)]
-            if product_verdict(g, m, subset) == Verdict.uniform():
+            if product_report(g, m, subset).verdict == Verdict.uniform():
                 assert products.count(1) == products.count(-1)
 
 
@@ -218,7 +216,7 @@ def test_subset_expectations_determine_joint_distribution():
             for r in range(len(support) + 1):
                 for subset_idx in itertools.combinations(range(len(support)), r):
                     subset = tuple(support[i] for i in subset_idx)
-                    v = product_verdict(g, m, subset)
+                    v = product_report(g, m, subset).verdict
                     e = v.value if v.is_deterministic else 0
                     chi = 1
                     for i in subset_idx:
@@ -298,7 +296,7 @@ def test_sampling_counts_do_not_depend_on_chunk_size(monkeypatch):
 
 def test_hidden_assignment_validation():
     with pytest.raises(ValueError):
-        HiddenAssignment((1, 0, 1))
+        run(ring(3), Measurement("XXX"), (1, 0, 1))
     with pytest.raises(ValueError):
         run(ring(3), Measurement("XXX"), (1, 1))
 

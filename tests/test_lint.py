@@ -1,6 +1,8 @@
 """Source checks that the test run itself can enforce."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import graphlhv
@@ -76,3 +78,24 @@ def test_no_process_wide_caches_in_the_library():
         if _uses_process_cache(node)
     ]
     assert found == []
+
+
+def _bench_tracer():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves():
+    # The benchmark's traced run wraps these names; one that is renamed or
+    # removed would leave its layer silently untraced.
+    missing = []
+    for modname, attr, _ in _bench_tracer().LAYERS:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{modname}.{attr}")
+    assert missing == []

@@ -17,7 +17,7 @@ from graphlhv.graphs import (
     ring,
     star,
 )
-from graphlhv.lhv import STANDARD_RULES, SYMMETRIC_RULES, all_assignments, product_verdict, run
+from graphlhv.lhv import STANDARD_RULES, SYMMETRIC_RULES, all_assignments, product_report, run
 from graphlhv.nogo import (
     CertainSubmeasurement,
     ContextVariable,
@@ -121,6 +121,13 @@ def test_gf2_nullspace():
 def test_undeclared_variable_rejected():
     with pytest.raises(ValueError):
         ParityConstraintSystem((), (Equation(frozenset({"ghost"}), 0),))
+
+
+@pytest.mark.parametrize("rhs", [3, -1, 2])
+def test_right_hand_side_must_be_a_bit(rhs):
+    # solved mod 2, yet the report would print the raw value
+    with pytest.raises(ValueError, match=f"right-hand side {rhs}"):
+        ParityConstraintSystem((), (Equation(frozenset(), rhs, "odd"),))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +416,15 @@ def test_distance_system_rejects_malformed_cases(glob, sub):
     assert distance_constraint_system(g, [good], 1).variables[0].observable == "x"
 
 
+@pytest.mark.parametrize("sign", [0, 2])
+def test_distance_system_rejects_a_sign_that_is_not_plus_or_minus_one(sign):
+    g = ring(6)
+    good = CertainSubmeasurement("ok", Measurement("XIIIII"), Measurement("XIIIII"), 1)
+    bad = CertainSubmeasurement("bad", Measurement("XIIIII"), Measurement("XIIIII"), sign)
+    with pytest.raises(ValueError, match=f"case bad: .*got {sign}"):
+        distance_constraint_system(g, [good, bad], 1)
+
+
 # ---------------------------------------------------------------------------
 # Submeasurement verification
 # ---------------------------------------------------------------------------
@@ -452,7 +468,7 @@ def test_verify_matches_product_verdict_pointwise():
     for k in range(len(m.support()) + 1):
         for subset in itertools.combinations(m.support(), k):
             oracle_v = classify(g, m.restricted_to(subset))
-            lhv_v = product_verdict(g, m, subset)
+            lhv_v = product_report(g, m, subset).verdict
             if oracle_v != lhv_v:
                 expected.append((subset, oracle_v, lhv_v))
     report = verify_all_submeasurements(g, m)
@@ -630,6 +646,13 @@ def test_site_invariance_rejects_unmeasured_support():
     g = grid(2, 3)
     with pytest.raises(ValueError):
         site_invariance_system(g, Measurement("YYYIYI"), [({4,}, 1)])
+
+
+@pytest.mark.parametrize("sign", [0, 2])
+def test_site_invariance_rejects_a_sign_that_is_not_plus_or_minus_one(sign):
+    g = grid(2, 3)
+    with pytest.raises(ValueError, match=rf"\[1, 2, 3, 5\].*got {sign}"):
+        site_invariance_system(g, Measurement("YYYYYY"), [({1, 2, 3, 5}, sign)])
 
 
 def test_complete_bipartite_subs_clean():
