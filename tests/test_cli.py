@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from graphlhv import cli
+from graphlhv import chain_protocol, cli
 from graphlhv.cli import main
 from graphlhv.graphs import Graph, grid, star
 
@@ -465,6 +465,49 @@ def test_emitted_report_is_pinned(capsys, argv, code, digest, err):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _flip_every_x(m, broadcast_y=False):
+    return frozenset(j for j, ch in enumerate(m.letters, start=1) if ch == "X")
+
+
+_decompose = chain_protocol.decompose
+
+
+def _reject_first_generator(word):
+    if str(word) == "XZII":
+        raise chain_protocol.NotStabilizerShaped("rejected for the test")
+    return _decompose(word)
+
+
+def _one_overlap(m, spans):
+    return 1, [chain_protocol.OverlapViolation(m, (1, 3), (2, 4), 2)]
+
+
+# (exit code, sha256 of stdout, stderr) of `chain verify --n 4` with a broken
+# protocol, grammar or overlap pass, so that the report lists violations of
+# each kind; recorded while each violation class wrote its own JSON dict.
+# Version-bound like the digests above.
+@pytest.mark.parametrize(
+    "attr, fake, code, digest, err",
+    [
+        ("flip_sites_for", _flip_every_x, 1,
+         "dbf8ddb3baa6e0e674eaaa8bd83bacb68a66942e88649173f0d5a52f8d1761be",
+         "n=4 (exhaustive): 325 deterministic subs, 48 violations, 0 overlap violations\n"),
+        ("decompose", _reject_first_generator, 1,
+         "5cce7d3d3f6120cdcaf68682a7f1243fc44f66dd5ae0b87bf3df5dd717ca77dc",
+         "n=4 (exhaustive): 325 deterministic subs, 16 violations, 0 overlap violations\n"),
+        ("_overlap_violations", _one_overlap, 1,
+         "c60f7c399f606110d8e393a2e9d2940bc1bd5cf343eddf1e100ba14b28e0850d",
+         "n=4 (exhaustive): 325 deterministic subs, 0 violations, 59 overlap violations\n"),
+    ],
+    ids=["wrong-sign", "grammar-rejected", "overlap"],
+)
+def test_chain_violation_report_is_pinned(monkeypatch, capsys, attr, fake, code, digest, err):
+    monkeypatch.setattr(chain_protocol, attr, fake)
+    got_code, out, got_err = _run(capsys, "chain", "verify", "--n", "4")
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_internal_error_exits_3_on_one_line(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("oracle and state vector disagree\non ring:4")
@@ -537,12 +580,14 @@ def test_byte_identical_reports(capsys):
           "--seed", "-1"], None),
         (["chain", "verify", "--n", "3", "--seed", "-1"], None),
         (["chain", "verify", "--n", "8", "--sample", "4", "--seed", "-1"], None),
+        (["nogo", "ring", "--f", "1", "--d", "-1"], None),
+        (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--subset", "1,x"], None),
     ],
     ids=["samples-0", "samples-negative", "chain-n-0", "chain-sample-0", "graph-dir",
          "float-endpoints", "string-endpoint", "bool-n", "edges-not-a-list",
          "subset-repeats-site", "subset-repeats-site-apart", "seed-negative-lhv-exact",
          "seed-negative-lhv-sampled", "seed-negative-chain-exhaustive",
-         "seed-negative-chain-sampled"],
+         "seed-negative-chain-sampled", "ring-distance-negative", "subset-not-an-integer"],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, graph_json):
     path = tmp_path / "g.json"

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from graphlhv import chain_protocol, lhv, nogo, oracle
+from graphlhv import chain_protocol, graphs, lhv, nogo, oracle
 from graphlhv.graphs import (
     CLOCKWISE_2X3,
     Graph,
@@ -369,6 +369,29 @@ def test_orbit_search_backtracks_past_dead_candidates():
                    (6, 10), (7, 8)))
     assert automorphism_orbits(g) == ((1, 2, 5, 7, 8, 9), (3, 4, 6, 10, 11))
     assert automorphism_orbits(g) == orbits(11, automorphisms(g))
+
+
+def test_extension_fails_when_every_candidate_fails():
+    # C6 and two triangles: colouring the hexagon 0 and the triangles 1 on one
+    # side and the other way round on the other gives two equitable colourings
+    # with equal colour counts, yet no automorphism swaps the components, so
+    # every candidate of the first branch dies and the search returns None.
+    g = Graph(12, tuple((j, j % 6 + 1) for j in range(1, 7)) + (
+        (7, 8), (8, 9), (7, 9), (10, 11), (11, 12), (10, 12)))
+    nbrs = [[k - 1 for k in block] for block in g.neighbors]
+    adj = [set(nb) for nb in nbrs]
+    labels = ("*",) * g.n
+    hexagon_first = [0] * 6 + [1] * 6
+    triangles_first = [1] * 6 + [0] * 6
+    a, b = graphs._refine(nbrs, [hexagon_first, triangles_first])
+    assert sorted(a) == sorted(b) and len(set(a)) > 1
+    assert graphs._extend(nbrs, adj, labels, a, b) is None
+
+    a, b = graphs._refine(nbrs, [hexagon_first, hexagon_first])
+    perm = graphs._extend(nbrs, adj, labels, a, b)
+    assert sorted(perm) == list(range(g.n))
+    assert all(perm[k] in adj[perm[j]] for j, nb in enumerate(nbrs) for k in nb)
+    assert [hexagon_first[p] for p in perm] == hexagon_first
 
 
 def test_orbit_search_accepts_unorderable_labels():
