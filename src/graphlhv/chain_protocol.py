@@ -257,15 +257,6 @@ class Violation:
     protocol_sign: int | None
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "measurement": str(self.measurement),
-            "sites": list(self.sites),
-            "expected_sign": self.expected_sign,
-            "protocol_sign": self.protocol_sign,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class OverlapViolation:
@@ -273,14 +264,6 @@ class OverlapViolation:
     first_span: tuple[int, int]
     second_span: tuple[int, int]
     position: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "measurement": str(self.measurement),
-            "first_span": list(self.first_span),
-            "second_span": list(self.second_span),
-            "position": self.position,
-        }
 
 
 @dataclass(frozen=True)
@@ -299,20 +282,6 @@ class ChainReport:
     @property
     def clean(self) -> bool:
         return not self.violations and not self.overlap_violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "broadcast_y": self.broadcast_y,
-            "mode": self.mode,
-            "measurements_checked": self.measurements_checked,
-            "deterministic_subs_checked": self.deterministic_subs_checked,
-            "violations": [v.to_json_dict() for v in self.violations],
-            "overlap_pairs_checked": self.overlap_pairs_checked,
-            "overlap_violations": [v.to_json_dict() for v in self.overlap_violations],
-            "sample": self.sample,
-            "seed": self.seed,
-        }
 
 
 # A sub word is coded as an int whose byte j - 1 holds letter j XOR "I". An I

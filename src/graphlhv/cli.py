@@ -9,6 +9,7 @@ Reports are byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,7 +34,7 @@ from .nogo import (
     site_invariance_system,
     verify_all_submeasurements,
 )
-from .oracle import classify
+from .oracle import Verdict, classify
 from .pauli import Measurement
 from .chain_protocol import (
     NotStabilizerShaped,
@@ -113,7 +114,19 @@ def _check_seed(seed: int) -> None:
         raise CommandError(f"--seed must be a non-negative integer, got {seed}")
 
 
-def _emit(command: str, inputs: dict, result: dict, ok: bool | None, human: str) -> int:
+def _as_json(value: object) -> object:
+    """The JSON form of a result value: a measurement is its letters, a value
+    with ``to_json_dict`` is that dict, any other dataclass is its fields."""
+    if isinstance(value, Measurement):  # a dataclass too, so tested first
+        return value.letters
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"{type(value).__name__} has no JSON form")
+
+
+def _emit(command: str, inputs: dict, result: object, ok: bool | None, human: str) -> int:
     """Print the JSON report on stdout and the human line on stderr; return the exit code."""
     report = {
         "schema_version": 1,
@@ -123,8 +136,8 @@ def _emit(command: str, inputs: dict, result: dict, ok: bool | None, human: str)
         "result": result,
         "ok": ok,
     }
-    # every report is a freshly built tree, so the encoder's cycle check finds nothing
-    print(json.dumps(report, sort_keys=True, check_circular=False))
+    # fresh dicts over frozen result values hold no cycle for the encoder's check to find
+    print(json.dumps(report, sort_keys=True, check_circular=False, default=_as_json))
     if human:
         print(human, file=sys.stderr)
     return 0 if ok in (None, True) else 1
@@ -142,7 +155,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     g, source, m = _graph_and_measurement(args)
     verdict = classify(g, m)
     return _emit(
-        "oracle", {"graph": source, "measurement": str(m)}, verdict.to_json_dict(), None,
+        "oracle", {"graph": source, "measurement": str(m)}, verdict, None,
         f"{m}: {verdict}",
     )
 
@@ -159,7 +172,7 @@ def _cmd_lhv_run(args: argparse.Namespace) -> int:
     return _emit(
         "lhv run",
         {"graph": source, "measurement": str(m), "subset": list(rep.subset)},
-        rep.to_json_dict(),
+        rep,
         None,
         f"product over {list(rep.subset)}: {rep.verdict} [{rep.mode}]",
     )
@@ -177,9 +190,7 @@ def _cmd_verify_sub(args: argparse.Namespace) -> int:
         f"{rep.subsets_checked} subsets checked, {rep.deterministic_subsets} deterministic, "
         f"{len(rep.mismatches)} mismatches"
     )
-    return _emit(
-        "verify-sub", {"graph": source, "measurement": str(m)}, rep.to_json_dict(), ok, human
-    )
+    return _emit("verify-sub", {"graph": source, "measurement": str(m)}, rep, ok, human)
 
 
 def _cmd_nogo_ring(args: argparse.Namespace) -> int:
@@ -193,7 +204,7 @@ def _cmd_nogo_ring(args: argparse.Namespace) -> int:
     human = f"ring n={cert.n}, d={cert.d} (bound {cert.bound}): system {state}"
     if cert.solution.certificate is not None:
         human += f"; certificate uses equations {list(cert.solution.certificate)}"
-    return _emit("nogo ring", {"f": args.f, "d": cert.d}, cert.to_json_dict(), cert.ok, human)
+    return _emit("nogo ring", {"f": args.f, "d": cert.d}, cert, cert.ok, human)
 
 
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
@@ -212,7 +223,7 @@ def _cmd_nogo_site(args: argparse.Namespace) -> int:
         ],
         "consistent": solution.consistent,
         "certificate": list(solution.certificate) if solution.certificate else None,
-        "system": system.to_json_dict(),
+        "system": system,
         "model_class": "site-invariant sign flips over parity hidden variables "
                        "whose baseline product on any signed stabilizer word is +1",
     }
@@ -235,7 +246,7 @@ def _cmd_chain_verify(args: argparse.Namespace) -> int:
     return _emit(
         "chain verify",
         {"n": args.n, "broadcast_y": args.broadcast_y, "sample": args.sample, "seed": args.seed},
-        rep.to_json_dict(),
+        rep,
         rep.clean,
         human,
     )
@@ -326,13 +337,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     _subs, system, solution, orbits = _orbit_flip_system(g, m)
     ok = (
         target is not None
-        and target.oracle.to_json_dict() == {"kind": "deterministic", "value": -1}
-        and target.lhv.to_json_dict() == {"kind": "deterministic", "value": 1}
+        and target.oracle == Verdict.deterministic(-1)
+        and target.lhv == Verdict.deterministic(1)
         and not solution.consistent
     )
     result = {
-        "mismatches": [c.to_json_dict() for c in rep.mismatches],
-        "highlight": target.to_json_dict() if target else None,
+        "mismatches": rep.mismatches,
+        "highlight": target,
         "orbits": orbits,
         "site_invariance_consistent": solution.consistent,
         "constraints": _render_system(system),

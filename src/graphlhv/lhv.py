@@ -147,6 +147,7 @@ LETTER_COINS = {"I": (0, 0), "X": (0, -1), "Y": (-1, -1), "Z": (-1, 0)}
 def site_monomial_mask(g: Graph, m: Measurement, j: int) -> int:
     """The output of site j, before flips, as a product of coins: a bitmask
     over z indices (bit k-1 for z_k)."""
+    g.check_measurement(m)
     own, neighbours = LETTER_COINS[m.letter(j)]
     return (1 << (j - 1)) & own | g.neighbor_masks[j - 1] & neighbours
 
@@ -164,19 +165,6 @@ class ProductReport:
     samples: int | None = None
     seed: int | None = None
     counts: tuple[int, int] | None = None  # (#(+1), #(-1)) in sampling mode
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.to_json_dict(),
-            "mode": self.mode,
-            "subset": list(self.subset),
-            "flipped": list(self.flipped),
-            "monomial": list(self.monomial),
-            "rules": self.rules,
-            "samples": self.samples,
-            "seed": self.seed,
-            "counts": list(self.counts) if self.counts is not None else None,
-        }
 
 
 _SAMPLE_CHUNK = 1024  # coin rows drawn and evaluated at once in sampling mode

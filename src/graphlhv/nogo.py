@@ -104,11 +104,12 @@ class Equation:
 
 
 def parity_equation(keys: Iterable[Hashable], rhs: int, label: str = "") -> Equation:
-    """Reduce a variable multiset mod 2 and attach the right-hand bit."""
+    """Reduce a variable multiset mod 2 and attach the right-hand bit as given,
+    so that ``ParityConstraintSystem`` refuses one that is not 0 or 1."""
     odd: set = set()
     for k in keys:
         odd ^= {k}
-    return Equation(frozenset(odd), rhs & 1, label)
+    return Equation(frozenset(odd), rhs, label)
 
 
 @dataclass(frozen=True)
@@ -283,15 +284,6 @@ class SubmeasurementReport:
     @property
     def clean(self) -> bool:
         return not self.mismatches
-
-    def to_json_dict(self) -> dict:
-        return {
-            "measurement": str(self.measurement),
-            "rules": self.rules,
-            "subsets_checked": self.subsets_checked,
-            "deterministic_subsets": self.deterministic_subsets,
-            "mismatches": [c.to_json_dict() for c in self.mismatches],
-        }
 
 
 def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int], list[int]]:
@@ -579,6 +571,7 @@ def build_ring_instance(f: int) -> RingInstance:
 
 def measurement_view(g: Graph, m: Measurement, j: int, d: int) -> tuple[tuple[int, str], ...]:
     """Measurement letters on the distance-d ball of j, in canonical node order."""
+    g.check_measurement(m)
     return tuple((k, m.letter(k)) for k in sorted(ball(g, j, d)))
 
 

@@ -113,9 +113,12 @@ def test_graph_validation():
         lambda g, m: lhv.run(g, m, (1, 1, 1, 1), chain_protocol.ChainBroadcast()),
         lambda g, m: nogo._signed_kernel(g, m),
         lambda g, m: nogo.site_invariance_system(g, m, ()),
+        lambda g, m: nogo.measurement_view(g, m, 1, 1),
+        lambda g, m: lhv.site_monomial_mask(g, m, 1),
     ],
     ids=["classify", "statevector_verdict", "communication_round", "product_report",
-         "flip_decision", "run_chain_protocol", "signed_kernel", "site_invariance_system"],
+         "flip_decision", "run_chain_protocol", "signed_kernel", "site_invariance_system",
+         "measurement_view", "site_monomial_mask"],
 )
 @pytest.mark.parametrize("letters", ["XXX", "XXXXX"], ids=["short", "long"])
 def test_measurement_length_is_checked_once(call, letters):

@@ -125,9 +125,11 @@ def test_undeclared_variable_rejected():
 
 @pytest.mark.parametrize("rhs", [3, -1, 2])
 def test_right_hand_side_must_be_a_bit(rhs):
-    # solved mod 2, yet the report would print the raw value
-    with pytest.raises(ValueError, match=f"right-hand side {rhs}"):
-        ParityConstraintSystem((), (Equation(frozenset(), rhs, "odd"),))
+    # solved mod 2, yet the report would print the raw value; parity_equation
+    # must not reduce a stray sign or count to a bit on the way in
+    for eq in (Equation(frozenset(), rhs, "odd"), parity_equation([], rhs, "odd")):
+        with pytest.raises(ValueError, match=f"right-hand side {rhs}"):
+            ParityConstraintSystem((), (eq,))
 
 
 # ---------------------------------------------------------------------------
