@@ -43,6 +43,7 @@ from .oracle import (
     Verdict,
     classify,
     enumerate_stabilizer_measurements,
+    stabilizer_word,
     statevector_verdict,
 )
 from .lhv import (

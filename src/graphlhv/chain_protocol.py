@@ -473,10 +473,11 @@ class ReadingDiscrepancy:
     broadcast_reading: bool
 
 
-def compare_readings(n: int, sample: int | None = None, seed: int = 0) -> tuple[ReadingDiscrepancy, ...]:
-    """Flip-decision differences between the silent-Y and broadcast-Y readings."""
+def compare_readings(n: int) -> tuple[ReadingDiscrepancy, ...]:
+    """Flip-decision differences between the silent-Y and broadcast-Y readings,
+    over every measurement on n sites (guarded at n = 7)."""
     out = []
-    for m in _measurements(n, sample, seed):
+    for m in _measurements(n, None, 0):
         silent = flip_sites_for(m, broadcast_y=False)
         loud = flip_sites_for(m, broadcast_y=True)
         for j in sorted(silent ^ loud):

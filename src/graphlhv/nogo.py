@@ -43,12 +43,13 @@ from .graphs import (
     automorphism_orbits,
     ball,
     ball_masks,
+    grid,
     padded_ring,
     ring,
 )
 from .lhv import LETTER_COINS, STANDARD_RULES, FlipProtocol
-from .oracle import Verdict, classify
-from .pauli import Measurement, generator_product_sign, is_submeasurement
+from .oracle import Verdict, classify, stabilizer_word
+from .pauli import Measurement, generator_product, generator_product_sign, is_submeasurement
 
 _KERNEL_GUARD = 20
 
@@ -456,7 +457,7 @@ class RingInstance:
     The ring is viewed as a triangle: three vertex nodes (multiples of 4f)
     whose measurement varies between X and Y, three midpoint nodes
     (odd multiples of 2f), odd nodes always measuring Y, and the remaining
-    segment nodes measuring X.
+    even nodes measuring X.
     """
 
     f: int
@@ -464,104 +465,57 @@ class RingInstance:
     graph: Graph
     vertices: frozenset[int]
     midpoints: frozenset[int]
-    odd_sites: frozenset[int]
-    left_sites: frozenset[int]
-    right_sites: frozenset[int]
-    segments: tuple[frozenset[int], ...]
     cases: tuple[CertainSubmeasurement, ...]
 
 
-def _ring_global(f: int, vertex_letters: tuple[str, str, str]) -> Measurement:
+# (name, letters at the vertices 4f, 8f, 12f, sign of the certain sub)
+_RING_CASES = (
+    ("xxx", "XXX", 1), ("yyy", "YYY", -1), ("yxy", "YXY", 1), ("yyx", "YYX", 1), ("xyy", "XYY", 1),
+)
+
+
+def _ring_cases(g: Graph, f: int) -> tuple[CertainSubmeasurement, ...]:
+    """The five cases on a ring of 12f nodes followed by any isolated extras.
+
+    Each certain sub is the product of the generators at one site set: every
+    even site (xxx), every site that is not a multiple of 4 (yyy), and for
+    yxy the sites 1 and 4f - 1, every even site from 4f on and 4j - 1, 4j,
+    4j + 1 for 0 < j < f; yyx and xyy turn that set by 4f and 8f. The
+    extras lie outside every set and every global measurement, so they read I.
+    """
     n = 12 * f
-    at = {4 * f: vertex_letters[0], 8 * f: vertex_letters[1], 12 * f: vertex_letters[2]}
-    out = []
-    for j in range(1, n + 1):
-        if j in at:
-            out.append(at[j])
-        elif j % 2 == 1:
-            out.append("Y")
-        else:
-            out.append("X")
-    return Measurement("".join(out))
-
-
-def _letters_on(n: int, assignment: dict[int, str]) -> Measurement:
-    return Measurement("".join(assignment.get(j, "I") for j in range(1, n + 1)))
+    yxy = {1, 4 * f - 1, *range(4 * f, n + 1, 2)}
+    for j in range(1, f):
+        yxy |= {4 * j - 1, 4 * j, 4 * j + 1}
+    site_sets = (
+        range(2, n + 1, 2),
+        (j for j in range(1, n + 1) if j % 4),
+        yxy,
+        ((j + 4 * f - 1) % n + 1 for j in yxy),
+        ((j + 8 * f - 1) % n + 1 for j in yxy),
+    )
+    cases = []
+    for (name, vertex_letters, sign), sites in zip(_RING_CASES, site_sets):
+        letters = list("YX" * 6 * f)  # Y on odd sites, X on even ones
+        letters[4 * f - 1::4 * f] = vertex_letters
+        glob = Measurement("".join(letters).ljust(g.n, "I"))
+        sub, product_sign = stabilizer_word(g, sites)
+        if product_sign != sign:
+            raise RuntimeError(f"case {name}: generator product has sign {product_sign:+d}")
+        if not is_submeasurement(sub, glob):
+            raise RuntimeError(f"case {name}: constructed sub is not a submeasurement")
+        cases.append(CertainSubmeasurement(name, glob, sub, sign))
+    return tuple(cases)
 
 
 def build_ring_instance(f: int) -> RingInstance:
     """Construct and validate the five certain submeasurements on ring(12f)."""
     if f < 1 or f % 2 == 0:
         raise ValueError(f"f must be an odd positive integer, got {f}")
-    n = 12 * f
-    g = ring(n)
-    vertices = frozenset({4 * f, 8 * f, 12 * f})
-    midpoints = frozenset({2 * f, 6 * f, 10 * f})
-    odd_sites = frozenset(j for j in range(1, n + 1) if j % 2 == 1)
-    left_sites = frozenset(
-        j for j in range(1, n + 1)
-        if j % 4 == 2 and j not in vertices and j not in midpoints
-    )
-    right_sites = frozenset(
-        j for j in range(1, n + 1)
-        if j % 4 == 0 and j not in vertices and j not in midpoints
-    )
-    segments = tuple(
-        frozenset(j for j in range(1, n + 1) if 2 * f * (k - 1) < j < 2 * f * k)
-        for k in range(1, 7)
-    )
-
-    def seg(i: int, k: int) -> frozenset[int]:
-        return segments[i - 1] | segments[k - 1]
-
-    def xs(sites: Iterable[int]) -> dict[int, str]:
-        return {j: "X" for j in sites}
-
-    def ys(sites: Iterable[int]) -> dict[int, str]:
-        return {j: "Y" for j in sites}
-
-    cases = []
-
-    sub = {**xs(midpoints | vertices | left_sites | right_sites)}
-    cases.append(("xxx", ("X", "X", "X"), sub, 1))
-
-    sub = {**xs(midpoints | left_sites), **ys(odd_sites)}
-    cases.append(("yyy", ("Y", "Y", "Y"), sub, -1))
-
-    sub = {
-        **ys({4 * f, 12 * f}), **xs({6 * f, 8 * f, 10 * f}),
-        **ys(odd_sites & seg(1, 2)), **xs(right_sites | (left_sites - seg(1, 2))),
-    }
-    cases.append(("yxy", ("Y", "X", "Y"), sub, 1))
-
-    sub = {
-        **xs({2 * f, 10 * f, 12 * f}), **ys({4 * f, 8 * f}),
-        **ys(odd_sites & seg(3, 4)), **xs(right_sites | (left_sites - seg(3, 4))),
-    }
-    cases.append(("yyx", ("Y", "Y", "X"), sub, 1))
-
-    sub = {
-        **xs({2 * f, 4 * f, 6 * f}), **ys({8 * f, 12 * f}),
-        **ys(odd_sites & seg(5, 6)), **xs(right_sites | (left_sites - seg(5, 6))),
-    }
-    cases.append(("xyy", ("X", "Y", "Y"), sub, 1))
-
-    built = []
-    for name, vletters, assignment, sign in cases:
-        glob = _ring_global(f, vletters)
-        sub_m = _letters_on(n, assignment)
-        if not is_submeasurement(sub_m, glob):
-            raise RuntimeError(f"case {name}: constructed sub is not a submeasurement")
-        verdict = classify(g, sub_m)
-        if verdict != Verdict.deterministic(sign):
-            raise RuntimeError(
-                f"case {name}: oracle gives {verdict}, expected deterministic({sign:+d})"
-            )
-        built.append(CertainSubmeasurement(name, glob, sub_m, sign))
-
+    g = ring(12 * f)
     return RingInstance(
-        f, n, g, vertices, midpoints, odd_sites, left_sites, right_sites,
-        segments, tuple(built),
+        f, 12 * f, g, frozenset({4 * f, 8 * f, 12 * f}), frozenset({2 * f, 6 * f, 10 * f}),
+        _ring_cases(g, f),
     )
 
 
@@ -731,25 +685,11 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
     g = padded_ring(n)
     ring_size = n - (n - 12) % 24
     f = ring_size // 12
-    inst = build_ring_instance(f)
-    pad = "I" * (n - ring_size)
-    cases = tuple(
-        CertainSubmeasurement(
-            c.name,
-            Measurement(c.global_measurement.letters + pad),
-            Measurement(c.sub.letters + pad),
-            c.expected_sign,
-        )
-        for c in inst.cases
-    )
-    for case in cases:
-        verdict = classify(g, case.sub)
-        if verdict != Verdict.deterministic(case.expected_sign):
-            raise RuntimeError(f"padded case {case.name}: oracle gives {verdict}")
+    cases = _ring_cases(g, f)
     system, masks = _distance_system(g, cases, d)
-    vertex_mask = sum(1 << (k - 1) for k in inst.vertices)
+    vertex_mask = sum(1 << (4 * f * k - 1) for k in (1, 2, 3))
     max_other = max(
-        ((vertex_mask & mask).bit_count() - (j in inst.vertices) for j, mask in masks.items()),
+        ((vertex_mask & mask & ~(1 << (j - 1))).bit_count() for j, mask in masks.items()),
         default=0,
     )
     solution = gf2_solve(system)
@@ -770,15 +710,13 @@ def embedded_grid_counterexample(p: int, q: int) -> tuple[Graph, Measurement, Me
     its bottom middle has sign -1, its support meets every orbit of the
     measurement-preserving automorphisms an even number of times, and the
     Z letters it needs are provided by the boundary. Returns (graph, global
-    measurement, certain submeasurement); the submeasurement's verdict is
-    validated against the oracle.
+    measurement, certain submeasurement); the submeasurement's letters and
+    closed-form sign are checked against the phase-tracked generator product.
     """
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be non-negative, got {p}, {q}")
     rows, cols = 2 + 2 * p, 3 + 2 * q
-    from .graphs import grid as _grid
-
-    g = _grid(rows, cols)
+    g = grid(rows, cols)
 
     def node(r: int, c: int) -> int:
         return (r - 1) * cols + c
@@ -788,17 +726,12 @@ def embedded_grid_counterexample(p: int, q: int) -> tuple[Graph, Measurement, Me
         "".join("Y" if j in set(block) else "Z" for j in range(1, g.n + 1))
     )
     a_sites = {block[0], block[1], block[2], block[4]}
-    sign = generator_product_sign(g, a_sites)
-    letters = []
-    for j in range(1, g.n + 1):
-        x = j in a_sites
-        z = sum(1 for k in g.neighborhood(j) if k in a_sites) % 2
-        letters.append("IXZY"[int(x) + 2 * z])
-    sub = Measurement("".join(letters))
+    sub, sign = stabilizer_word(g, a_sites)
+    reference = generator_product(g, [int(j in a_sites) for j in range(1, g.n + 1)])
+    if (sub.letters, sign) != (reference.letters, reference.sign):
+        raise RuntimeError("embedded counterexample: closed form and generator product disagree")
     if not is_submeasurement(sub, global_m):
         raise RuntimeError("embedded counterexample is not a submeasurement")
-    if classify(g, sub) != Verdict.deterministic(sign):
-        raise RuntimeError("embedded counterexample has an unexpected verdict")
     if sign != -1:
         raise RuntimeError("embedded counterexample lost its minus sign")
     return g, global_m, sub

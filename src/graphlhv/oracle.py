@@ -14,10 +14,10 @@ exact integer and every verdict is decided without rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import Graph, UnsupportedSizeError
-from .pauli import Measurement, letters_from_bits
+from .pauli import Measurement
 
 _STATEVECTOR_GUARD = 20
 
@@ -152,6 +152,27 @@ def statevector_verdict(g: Graph, m: Measurement) -> Verdict:
     raise RuntimeError(f"expectation value {scaled}/2^{g.n} is not -1, 0 or +1")
 
 
+def _signed_word(g: Graph, xmask: int) -> tuple[Measurement, int]:
+    """Letters and sign of the product of the generators at the sites of xmask."""
+    zmask = _z_image(g, xmask)
+    letters = "".join("IXZY"[(xmask >> j & 1) | (zmask >> j & 1) << 1] for j in range(g.n))
+    return Measurement(letters), _stabilizer_sign(g, xmask, zmask)
+
+
+def stabilizer_word(g: Graph, sites: Iterable[int]) -> tuple[Measurement, int]:
+    """The product of the generators at the sites, as (letters, sign).
+
+    X or Y stands on the sites themselves and Z or Y on the XOR of their
+    neighbourhoods; the sign is the closed form. A repeated site counts once,
+    and a site outside 1..n raises ValueError.
+    """
+    xmask = 0
+    for j in sites:
+        g.check_node(j)
+        xmask |= 1 << (j - 1)
+    return _signed_word(g, xmask)
+
+
 def enumerate_stabilizer_measurements(g: Graph) -> Iterator[tuple[Measurement, int]]:
     """Yield the 2^n signed stabilizer words as (letters, sign) pairs.
 
@@ -159,6 +180,5 @@ def enumerate_stabilizer_measurements(g: Graph) -> Iterator[tuple[Measurement, i
     site 1 in the lowest bit; letter strings are pairwise distinct because
     the X/Y support of a word reads the bit-vector back.
     """
-    for amask in range(1 << g.n):
-        zmask = _z_image(g, amask)
-        yield Measurement(letters_from_bits(g.n, amask, zmask)), _stabilizer_sign(g, amask, zmask)
+    for xmask in range(1 << g.n):
+        yield _signed_word(g, xmask)

@@ -136,15 +136,6 @@ class Measurement:
         return x, z
 
 
-def letters_from_bits(n: int, xbits: int, zbits: int) -> str:
-    out = []
-    for j in range(n):
-        x = (xbits >> j) & 1
-        z = (zbits >> j) & 1
-        out.append("IXZY"[x + 2 * z])
-    return "".join(out)
-
-
 def is_submeasurement(sub: Measurement, glob: Measurement) -> bool:
     """True when every non-identity letter of sub matches glob at that site."""
     if len(sub) != len(glob):

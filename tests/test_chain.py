@@ -510,6 +510,11 @@ def test_overlap_ten_qubit_sentences_disjoint():
     assert s1.right < s2.left  # no overlap, the property holds vacuously
 
 
+def test_compare_readings_keeps_the_full_sweep_guard():
+    with pytest.raises(UnsupportedSizeError, match="guarded at n = 7"):
+        compare_readings(8)
+
+
 def test_reading_discrepancies_are_harmless():
     # discrepancies exist (lone X between identities) but never inside a
     # deterministic submeasurement; both readings verify clean

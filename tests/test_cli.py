@@ -425,7 +425,9 @@ def test_sampling_stream_is_pinned(capsys, subset, counts, digest):
 # (exit code, sha256 of stdout, stderr) of the commands whose report assembly was
 # folded into one `_emit` call, recorded before the fold: the `--expect` outcome
 # of `verify-sub` and `nogo site-invariance` both ways, `oracle` both verdicts,
-# and an exact `lhv run` on a subset. Version-bound like the digests above.
+# and an exact `lhv run` on a subset. `chain decompose` of the identity word,
+# which no other test ran, was added later, recorded on the code before the
+# certain words became generator products. Version-bound like the digests above.
 @pytest.mark.parametrize(
     "argv, code, digest, err",
     [
@@ -455,9 +457,13 @@ def test_sampling_stream_is_pinned(capsys, subset, counts, digest):
           "--expect", "inconsistent"], 0,
          "9d89cfd082c4d5137f776dffb1b000ed41c8b49c67f28e9ee414d1e9c53c1e6a",
          "orbit flip system is inconsistent (2 orbits)\n"),
+        (["chain", "decompose", "--measurement", "IIII"], 0,
+         "6b283025786a33b5cc2176887e9ad7e5a682219e0ad7f525463a86167a0e6aa5",
+         "sign +1: (identity)\n"),
     ],
     ids=["oracle-certain", "oracle-uniform", "lhv-run-subset", "verify-sub-expect-clean",
-         "verify-sub-expect-mismatch", "site-expect-consistent", "site-expect-inconsistent"],
+         "verify-sub-expect-mismatch", "site-expect-consistent", "site-expect-inconsistent",
+         "decompose-identity"],
 )
 def test_emitted_report_is_pinned(capsys, argv, code, digest, err):
     got_code, out, got_err = _run(capsys, *argv)

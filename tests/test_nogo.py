@@ -1,5 +1,6 @@
 """Constraint systems, the ring distance certifier, and site invariance."""
 
+import hashlib
 import itertools
 import random
 
@@ -123,6 +124,15 @@ def test_undeclared_variable_rejected():
         ParityConstraintSystem((), (Equation(frozenset({"ghost"}), 0),))
 
 
+def test_plain_variable_is_written_by_repr():
+    # a key that is neither a context nor an orbit variable keeps its repr
+    system = ParityConstraintSystem(("a",), (Equation(frozenset({"a"}), 1, "e"),))
+    assert system.to_json_dict() == {
+        "variables": [{"name": "'a'"}],
+        "equations": [{"label": "e", "rhs": 1, "variables": [0]}],
+    }
+
+
 @pytest.mark.parametrize("rhs", [3, -1, 2])
 def test_right_hand_side_must_be_a_bit(rhs):
     # solved mod 2, yet the report would print the raw value; parity_equation
@@ -147,7 +157,6 @@ def test_ring_instance_f1_matches_hand_construction():
     assert inst.n == 12
     assert inst.vertices == frozenset({4, 8, 12})
     assert inst.midpoints == frozenset({2, 6, 10})
-    assert inst.left_sites == frozenset() and inst.right_sites == frozenset()
     subs = {c.name: str(c.sub) for c in inst.cases}
     assert subs == {
         "xxx": "IXIXIXIXIXIX",
@@ -196,6 +205,41 @@ def test_ring_subs_equal_explicit_generator_products(f):
     p = generator_product(g, a)
     assert p.letters == by_name["yxy"].sub.letters
     assert p.sign * (-1) ** (f - 1) == 1
+
+    # the other two cases turn that set by 4f and by 8f
+    for name, turn in (("yyx", 4 * f), ("xyy", 8 * f)):
+        turned = {(j + turn - 1) % n + 1 for j in sites}
+        p = generator_product(g, [1 if j in turned else 0 for j in range(1, n + 1)])
+        assert p.letters == by_name[name].sub.letters
+        assert p.sign == by_name[name].expected_sign == 1
+
+
+def _digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _case_rows(cases):
+    return [(c.name, c.global_measurement.letters, c.sub.letters, c.expected_sign) for c in cases]
+
+
+# sha256 over (name, global letters, sub letters, sign) of every case, recorded
+# while the ring's subs were assembled letter by letter from six site classes
+# and each was confirmed by ``classify``; building them as generator products
+# must not change a letter or a sign.
+def test_ring_cases_are_pinned():
+    rows = (row for f in range(1, 102, 2) for row in _case_rows(build_ring_instance(f).cases))
+    assert _digest(rows) == "610e24b2da5da47273d82aa917d403a4e3bff229402009f5942988cb8ee329c2"
+
+
+# The same digest over the padded rings, n = 12..139: every padding 0..23 and
+# ring sizes 12, 36, 60, 84, 108 and 132. `nogo ring` takes only f, so no
+# report pin covers an n that is not 12f.
+def test_padded_certify_cases_are_pinned():
+    rows = (row for n in range(12, 140) for row in _case_rows(certify_distance(n).cases))
+    assert _digest(rows) == "f3759ab263b33aa16e8dd8e5fb2c2b98cd8a17c1593ccf8cdae225a1b4d665dc"
 
 
 def test_ring_cases_are_cyclic_shifts():
@@ -636,6 +680,16 @@ def test_embedded_grid_counterexamples():
         sol = gf2_solve(system)
         assert not sol.consistent
         _check_certificate(system, sol.certificate)
+
+
+# sha256 over (n, edges, global letters, sub letters) for 0 <= p, q <= 3, recorded
+# while the sub was assembled by its own letter loop.
+def test_embedded_grid_counterexamples_are_pinned():
+    rows = []
+    for p, q in itertools.product(range(4), repeat=2):
+        g, glob, sub = embedded_grid_counterexample(p, q)
+        rows.append((g.n, g.edges, glob.letters, sub.letters))
+    assert _digest(rows) == "7f8d33a837cf5e2368629d7f5e11bbf4f67bffcd3afbbdb1371da0542a04f0cf"
 
 
 def test_embedded_counterexample_0_0_is_the_2x3_grid():

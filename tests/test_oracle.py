@@ -14,9 +14,10 @@ from graphlhv.oracle import (
     _expectation,
     classify,
     enumerate_stabilizer_measurements,
+    stabilizer_word,
     statevector_verdict,
 )
-from graphlhv.pauli import Measurement, generator_product
+from graphlhv.pauli import Measurement, generator_product, generator_product_sign
 
 _MATS = {
     "I": np.eye(2),
@@ -196,6 +197,32 @@ def test_statevector_matches_kron_oracle_on_random_graphs():
         _assert_matches_kron(g, Measurement(letters))
 
     check()
+
+
+def test_stabilizer_word_matches_generator_product():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_graphs(st, 8), st.data())
+    def check(g, data):
+        sites = data.draw(st.lists(st.integers(1, g.n), max_size=2 * g.n))
+        word, sign = stabilizer_word(g, sites)
+        p = generator_product(g, [int(j in sites) for j in range(1, g.n + 1)])
+        assert (word.letters, sign) == (p.letters, p.sign)
+
+    check()
+
+
+def test_stabilizer_word_validates_sites():
+    g = ring(5)
+    for bad in (0, 6):
+        with pytest.raises(ValueError, match=f"node {bad} outside 1..5"):
+            stabilizer_word(g, [1, bad])
+    # a repeated site counts once, as in generator_product_sign
+    word, sign = stabilizer_word(g, [2, 3, 2])
+    assert (word, sign) == stabilizer_word(g, [3, 2])
+    assert str(word) == "ZYYZI" and sign == generator_product_sign(g, [2, 3, 2]) == 1
 
 
 def test_closed_form_sign_matches_generator_product():
