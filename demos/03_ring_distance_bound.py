@@ -25,8 +25,8 @@ system = distance_constraint_system(inst.graph, inst.cases, d=1)
 print("\nconstraints at communication distance 1 "
       "(variables keyed by site, observable, and 1-ball view):")
 for eq in system.equations:
-    terms = " ".join(sorted(f"{v.observable}{v.site}" for v in eq.variables))
-    print(f"  [{eq.label}] {terms} = {'-1' if eq.rhs else '+1'}")
+    terms = " ".join(sorted(f"{v.observable}{v.site}" for v in system.keys(eq)))
+    print(f"  [{eq.label}] {terms} = {eq.sign:+d}")
 
 solution = gf2_solve(system)
 print("\nsolver:", "inconsistent" if not solution.consistent else "consistent",

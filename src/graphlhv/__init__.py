@@ -79,7 +79,6 @@ from .nogo import (
     gf2_nullspace,
     gf2_solve,
     measurement_view,
-    parity_equation,
     site_invariance_system,
     verify_all_submeasurements,
     y_stabilizer_supports,

@@ -66,13 +66,6 @@ class Word:
             return -1
         return 1
 
-    @property
-    def middle(self) -> int | None:
-        """The middle site of an odd Y X..X Y word, else None."""
-        if self.sign == -1:
-            return self.start + len(self.letters) // 2
-        return None
-
 
 @dataclass(frozen=True)
 class Sentence:

@@ -292,13 +292,17 @@ def _cmd_chain_decompose(args: argparse.Namespace) -> int:
 
 
 def _render_system(system) -> list[str]:
-    names: dict = {}
+    """One line per equation: its variables' short names, primed from the
+    second declared variable of a name on, ordered by site and observable."""
+    names = []
+    primes: dict[str, int] = {}
     for key in system.variables:
         base = key.short_name()
-        c = sum(1 for v in names.values() if v == base or v.startswith(base + "'"))
-        names[key] = base + "'" * c
+        primes[base] = c = primes.get(base, -1) + 1
+        names.append(base + "'" * c)
 
-    def order(key):
+    def order(i):
+        key = system.variables[i]
         site = getattr(key, "site", None)
         if site is None:
             site = key.sites[0]
@@ -306,9 +310,9 @@ def _render_system(system) -> list[str]:
 
     lines = []
     for eq in system.equations:
-        terms = [names[k] for k in sorted(eq.variables, key=order)]
-        rhs = "-1" if eq.rhs else "+1"
-        lines.append(f"[{eq.label}] {' * '.join(terms) or '1'} = {rhs}")
+        bits = (i for i in range(eq.row.bit_length()) if eq.row >> i & 1)
+        terms = [names[i] for i in sorted(bits, key=order)]
+        lines.append(f"[{eq.label}] {' * '.join(terms) or '1'} = {eq.sign:+d}")
     return lines
 
 
@@ -318,7 +322,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         ok = (
             not cert.solution.consistent
             and cert.solution.certificate == tuple(range(5))
-            and all(len(eq.variables) in (6, 7, 9) for eq in cert.system.equations)
+            and all(eq.row.bit_count() in (6, 7, 9) for eq in cert.system.equations)
         )
         result = cert.to_json_dict()
         result["constraints"] = _render_system(cert.system)

@@ -144,12 +144,24 @@ def run(
 LETTER_COINS = {"I": (0, 0), "X": (0, -1), "Y": (-1, -1), "Z": (-1, 0)}
 
 
+def _monomial_columns(g: Graph, letters: str, sites: Iterable[int]) -> list[int]:
+    """Each site's output, before flips, as a product of coins: a bitmask over
+    z indices (bit k-1 for z_k). The caller has checked the letters and sites
+    against g."""
+    masks = g.neighbor_masks
+    cols = []
+    for j in sites:
+        own, neighbours = LETTER_COINS[letters[j - 1]]
+        cols.append((1 << (j - 1)) & own | masks[j - 1] & neighbours)
+    return cols
+
+
 def site_monomial_mask(g: Graph, m: Measurement, j: int) -> int:
     """The output of site j, before flips, as a product of coins: a bitmask
     over z indices (bit k-1 for z_k)."""
     g.check_measurement(m)
-    own, neighbours = LETTER_COINS[m.letter(j)]
-    return (1 << (j - 1)) & own | g.neighbor_masks[j - 1] & neighbours
+    g.check_node(j)
+    return _monomial_columns(g, m.letters, (j,))[0]
 
 
 @dataclass(frozen=True)
@@ -241,8 +253,8 @@ def product_report(
     if samples is None:
         sign = -1 if len(flipped) % 2 else 1
         mask = 0
-        for j in sites:
-            mask ^= site_monomial_mask(g, m, j)
+        for col in _monomial_columns(g, m.letters, sites):
+            mask ^= col
         monomial = tuple(k + 1 for k in range(g.n) if (mask >> k) & 1)
         verdict = Verdict.deterministic(sign) if mask == 0 else Verdict.uniform()
         return ProductReport(verdict, "exact", sites, flipped, monomial, protocol.name)

@@ -26,8 +26,8 @@ again yields an unsatisfiable system on the right graphs.
 
 One GF(2) elimination, ``_eliminate``, serves both halves: a certain subset
 is a dependency among the support's monomial columns, and a certificate of
-impossibility is the first dependency among the equation rows whose
-right-hand sides sum to 1.
+impossibility is the first dependency among the equation rows whose signs
+multiply to -1.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -47,7 +47,7 @@ from .graphs import (
     padded_ring,
     ring,
 )
-from .lhv import LETTER_COINS, STANDARD_RULES, FlipProtocol
+from .lhv import STANDARD_RULES, FlipProtocol, _monomial_columns
 from .oracle import Verdict, classify, stabilizer_word
 from .pauli import Measurement, generator_product, generator_product_sign, is_submeasurement
 
@@ -63,22 +63,12 @@ class ContextVariable:
     """Hidden value at a site for one observable in one local view.
 
     The view is the measurement restricted to the site's distance-d ball,
-    written in canonical node order, so equal views get equal keys and the
-    same variable. The hash is computed once, at construction: a view holds
-    a pair per ball node, and the variables are set members and dict keys in
-    every step from building the equations to writing the report. Equality
-    still compares the fields.
+    written in canonical node order, so equal views mean equal restrictions.
     """
 
     site: int
     observable: str
     view: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.site, self.observable, self.view)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def short_name(self) -> str:
         return f"{self.observable}{self.site}"
@@ -97,45 +87,48 @@ class OrbitVariable:
 
 @dataclass(frozen=True)
 class Equation:
-    """A parity equation: the XOR of its variables equals rhs."""
+    """A parity equation: the product of the +/-1 values of the variables at
+    the set bits of ``row`` (bit i for the system's ``variables[i]``) is ``sign``."""
 
-    variables: frozenset
-    rhs: int
+    row: int
+    sign: int
     label: str = ""
 
+    def __post_init__(self) -> None:
+        if self.sign not in (1, -1):
+            raise ValueError(f"equation {self.label!r}: sign must be +1 or -1, got {self.sign}")
 
-def parity_equation(keys: Iterable[Hashable], rhs: int, label: str = "") -> Equation:
-    """Reduce a variable multiset mod 2 and attach the right-hand bit as given,
-    so that ``ParityConstraintSystem`` refuses one that is not 0 or 1."""
-    odd: set = set()
-    for k in keys:
-        odd ^= {k}
-    return Equation(frozenset(odd), rhs, label)
+
+def _rhs(eq: Equation) -> int:
+    """The right-hand bit that reports and the solver use: 1 for sign -1, else 0."""
+    return int(eq.sign == -1)
 
 
 @dataclass(frozen=True)
 class ParityConstraintSystem:
+    """Parity equations over declared variables, each a row bitmask over them."""
+
     variables: tuple
     equations: tuple[Equation, ...]
 
     def __post_init__(self) -> None:
-        bit = {key: 1 << i for i, key in enumerate(self.variables)}
-        rows = []
         for eq in self.equations:
-            if eq.rhs not in (0, 1):
-                raise ValueError(f"equation {eq.label!r} has right-hand side {eq.rhs}, not a bit")
-            missing = frozenset(v for v in eq.variables if v not in bit)
-            if missing:
-                raise ValueError(f"equation {eq.label!r} references undeclared variables {missing}")
-            rows.append(sum(bit[v] for v in eq.variables))
-        object.__setattr__(self, "_rows", tuple(rows))  # left sides, bit i for variables[i]
+            if eq.row < 0 or eq.row >> len(self.variables):
+                raise ValueError(
+                    f"equation {eq.label!r} names a variable outside the "
+                    f"{len(self.variables)} declared"
+                )
+
+    def keys(self, eq: Equation) -> tuple:
+        """The variables of an equation, in declaration order."""
+        return tuple(self.variables[i] for i in _bit_indices(eq.row))
 
     def to_json_dict(self) -> dict:
         return {
             "variables": [_variable_json(key) for key in self.variables],
             "equations": [
-                {"label": eq.label, "rhs": eq.rhs, "variables": list(_bit_indices(row))}
-                for eq, row in zip(self.equations, self._rows)
+                {"label": eq.label, "rhs": _rhs(eq), "variables": list(_bit_indices(eq.row))}
+                for eq in self.equations
             ],
         }
 
@@ -156,8 +149,8 @@ def _variable_json(key) -> dict:
 class GF2Solution:
     """Either a satisfying assignment or a certificate of inconsistency.
 
-    The certificate is a list of equation indices whose mod-2 sum has an
-    empty left side and right-hand bit 1.
+    The certificate is a list of equation indices whose rows XOR to zero
+    and whose signs multiply to -1.
     """
 
     consistent: bool
@@ -199,17 +192,17 @@ def _eliminate(cols: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[in
 def gf2_solve(system: ParityConstraintSystem) -> GF2Solution:
     """Solve a parity system, or certify that it has no solution.
 
-    Each equation's row mask, with its right-hand bit as one extra top bit,
+    Each equation's row, with its sign as one extra top bit (set for -1),
     goes through ``_eliminate`` in order. A row that reduces to that bit
-    alone says 0 = 1: its combination, read as equation indices, is the
-    certificate, the first dependency among the equations whose right-hand
-    sides sum to 1. That is the first inconsistent equation plus the unique
-    subset of earlier independent equations whose left sides sum to its own.
+    alone says 1 = -1: its combination, read as equation indices, is the
+    certificate, the first dependency among the equations whose signs
+    multiply to -1. That is the first inconsistent equation plus the unique
+    subset of earlier independent equations whose rows sum to its own.
     Otherwise back-substitution from the highest pivot down gives the
     witness with every free variable 0.
     """
     top = len(system.variables)
-    pivots = _eliminate(row | eq.rhs << top for row, eq in zip(system._rows, system.equations))[0]
+    pivots = _eliminate(eq.row | _rhs(eq) << top for eq in system.equations)[0]
     contradiction = pivots.get(1 << top)
     if contradiction is not None:
         return GF2Solution(False, None, _bit_indices(contradiction[1]))
@@ -291,20 +284,13 @@ def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int]
     """(support, kernel basis, sign bits): bit 1 for a basis word of sign -1.
 
     The basis is the dependencies of one ``_eliminate`` pass over the
-    support's monomial masks, the columns of the map, read in one pass over
-    the letters through ``LETTER_COINS``. Each basis word is confirmed
-    certain by ``classify``; certain words are closed under products, so
-    that confirms the whole kernel.
+    support's monomial masks, the columns of the map. Each basis word is
+    confirmed certain by ``classify``; certain words are closed under
+    products, so that confirms the whole kernel.
     """
     g.check_measurement(m)
-    support = []
-    cols = []
-    for j, (letter, neighbours) in enumerate(zip(m.letters, g.neighbor_masks)):
-        if letter != "I":
-            own, other = LETTER_COINS[letter]
-            support.append(j + 1)
-            cols.append((1 << j) & own | neighbours & other)
-    basis = _eliminate(cols)[1]
+    support = m.support()
+    basis = _eliminate(_monomial_columns(g, m.letters, support))[1]
     bits = []
     for vec in basis:
         sub = m.restricted_to(_sites(support, vec))
@@ -312,7 +298,7 @@ def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int]
         if not verdict.is_deterministic:
             raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
         bits.append(int(verdict.value == -1))
-    return tuple(support), basis, bits
+    return support, basis, bits
 
 
 def _sites(support: tuple[int, ...], smask: int) -> tuple[int, ...]:
@@ -463,8 +449,6 @@ class RingInstance:
     f: int
     n: int
     graph: Graph
-    vertices: frozenset[int]
-    midpoints: frozenset[int]
     cases: tuple[CertainSubmeasurement, ...]
 
 
@@ -513,10 +497,7 @@ def build_ring_instance(f: int) -> RingInstance:
     if f < 1 or f % 2 == 0:
         raise ValueError(f"f must be an odd positive integer, got {f}")
     g = ring(12 * f)
-    return RingInstance(
-        f, 12 * f, g, frozenset({4 * f, 8 * f, 12 * f}), frozenset({2 * f, 6 * f, 10 * f}),
-        _ring_cases(g, f),
-    )
+    return RingInstance(f, 12 * f, g, _ring_cases(g, f))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +529,8 @@ def distance_constraint_system(
     ball grows, so an oversized d costs no more than the graph's diameter.
     Variables are declared in order of first use, an equation's sites taken
     in decimal-string order. Raises ValueError unless every case's words
-    have length n and its sub is a submeasurement of its global measurement.
+    have length n, its sub is a submeasurement of its global measurement and
+    its sign is +1 or -1.
     """
     return _distance_system(g, cases, d)[0]
 
@@ -575,30 +557,28 @@ def _distance_system(
             )
         if not is_submeasurement(sub, glob):
             raise ValueError(f"case {case.name}: {sub} is not a submeasurement of {glob}")
-        if case.expected_sign not in (1, -1):
-            raise ValueError(
-                f"case {case.name}: expected sign must be +1 or -1, got {case.expected_sign}"
-            )
     words = [case.global_measurement.letters for case in cases]
     differ = [k - 1 for k, column in enumerate(zip(*words), start=1) if len(set(column)) > 1]
     all_masks = ball_masks(g, d)
     masks = {j: all_masks[j - 1] for j in sorted(set().union(*(case.support for case in cases)))}
     views = {j: _pairs_at(_bit_indices(mask)) for j, mask in masks.items()}
     probes = {j: tuple(i for i in differ if (mask >> i) & 1) for j, mask in masks.items()}
-    variables: dict[tuple, ContextVariable] = {}
+    index: dict[tuple, int] = {}  # (site, letter, probe letters) -> variable position
+    variables = []
     equations = []
     for case, word in zip(cases, words):
         pairs = tuple(enumerate(word, start=1))  # (node, letter) at index node - 1
         # sites in decimal-string order (1, 10, 2, ...): the published variable order
-        keys = []
+        row = 0
         for j in sorted(case.support, key=str):
             key = (j, word[j - 1], tuple(word[i] for i in probes[j]))
-            var = variables.get(key)
-            if var is None:
-                var = variables[key] = ContextVariable(j, word[j - 1].lower(), views[j](pairs))
-            keys.append(var)
-        equations.append(Equation(frozenset(keys), 0 if case.expected_sign == 1 else 1, case.name))
-    return ParityConstraintSystem(tuple(variables.values()), tuple(equations)), masks
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(variables)
+                variables.append(ContextVariable(j, word[j - 1].lower(), views[j](pairs)))
+            row |= 1 << i
+        equations.append(Equation(row, case.expected_sign, case.name))
+    return ParityConstraintSystem(tuple(variables), tuple(equations)), masks
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -642,11 +622,12 @@ class DistanceCertificate:
         return self.d <= self.bound
 
     @property
-    def ok(self) -> bool:
-        """True unless an in-bound distance unexpectedly admits a model."""
+    def ok(self) -> bool | None:
+        """Whether an in-bound distance is certified; None above the bound,
+        where no contradiction is expected and so nothing was checked."""
         if self.expected_inconsistent:
             return not self.solution.consistent
-        return True
+        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -659,7 +640,7 @@ class DistanceCertificate:
             "consistent": self.solution.consistent,
             "certificate": list(self.solution.certificate) if self.solution.certificate else None,
             "equations": [
-                {"label": eq.label, "rhs": eq.rhs, "size": len(eq.variables)}
+                {"label": eq.label, "rhs": _rhs(eq), "size": eq.row.bit_count()}
                 for eq in self.system.equations
             ],
             "system": self.system.to_json_dict(),
@@ -746,8 +727,8 @@ def site_invariance_system(
 
     The baseline product of hidden entries over any signed stabilizer word
     is +1, so the flips alone must account for each certain sign: for every
-    certain submeasurement, the XOR of its sites' orbit-flip variables must
-    equal the sign bit. Orbits are taken under automorphisms preserving the
+    certain submeasurement, the product of its sites' orbit flips must equal
+    its sign. Orbits are taken under automorphisms preserving the
     global measurement as a coloring, by ``automorphism_orbits``: a
     refinement search for one automorphism per merged pair of nodes, whose
     cost follows the number of orbits, not the order of the group, so no
@@ -755,25 +736,23 @@ def site_invariance_system(
     """
     g.check_measurement(global_m)
     orbs = automorphism_orbits(g, global_m.letters)
-    orbit_of: dict[int, OrbitVariable] = {}
+    orbit_bit: dict[int, int] = {}
     declared = []
     for orb in orbs:
         letter = global_m.letter(orb[0])
         if letter == "I":
             continue
-        var = OrbitVariable(orb, letter.lower())
-        declared.append(var)
         for j in orb:
-            orbit_of[j] = var
+            orbit_bit[j] = 1 << len(declared)
+        declared.append(OrbitVariable(orb, letter.lower()))
     equations = []
     for k, (support, sign) in enumerate(certain_subs):
         sites = sorted(set(support))
-        if sign not in (1, -1):
-            raise ValueError(f"sub{k}:{sites}: sign must be +1 or -1, got {sign}")
+        row = 0
         for j in sites:
             g.check_node(j)
             if global_m.letter(j) == "I":
                 raise ValueError(f"support site {j} is unmeasured in the global measurement")
-        keys = [orbit_of[j] for j in sites]
-        equations.append(parity_equation(keys, 0 if sign == 1 else 1, f"sub{k}:{sites}"))
+            row ^= orbit_bit[j]  # two sites of one orbit cancel
+        equations.append(Equation(row, sign, f"sub{k}:{sites}"))
     return ParityConstraintSystem(tuple(declared), tuple(equations))

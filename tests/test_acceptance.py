@@ -90,27 +90,27 @@ def test_criterion_3_triangle_ring_contradiction(capsys):
 
     system = distance_constraint_system(inst.graph, inst.cases, 1)
     expected_structure = [
-        ({("x", 2), ("x", 4), ("x", 6), ("x", 8), ("x", 10), ("x", 12)}, 0),
+        ({("x", 2), ("x", 4), ("x", 6), ("x", 8), ("x", 10), ("x", 12)}, 1),
         ({("y", 1), ("x", 2), ("y", 3), ("y", 5), ("x", 6), ("y", 7),
-          ("y", 9), ("x", 10), ("y", 11)}, 1),
-        ({("y", 1), ("y", 3), ("y", 4), ("x", 6), ("x", 8), ("x", 10), ("y", 12)}, 0),
-        ({("x", 2), ("y", 4), ("y", 5), ("y", 7), ("y", 8), ("x", 10), ("x", 12)}, 0),
-        ({("x", 2), ("x", 4), ("x", 6), ("y", 8), ("y", 9), ("y", 11), ("y", 12)}, 0),
+          ("y", 9), ("x", 10), ("y", 11)}, -1),
+        ({("y", 1), ("y", 3), ("y", 4), ("x", 6), ("x", 8), ("x", 10), ("y", 12)}, 1),
+        ({("x", 2), ("y", 4), ("y", 5), ("y", 7), ("y", 8), ("x", 10), ("x", 12)}, 1),
+        ({("x", 2), ("x", 4), ("x", 6), ("y", 8), ("y", 9), ("y", 11), ("y", 12)}, 1),
     ]
-    for eq, (names, rhs) in zip(system.equations, expected_structure):
-        assert {(v.observable, v.site) for v in eq.variables} == names
-        assert eq.rhs == rhs
+    for eq, (names, sign) in zip(system.equations, expected_structure):
+        assert {(v.observable, v.site) for v in system.keys(eq)} == names
+        assert eq.sign == sign
 
     solution = gf2_solve(system)
     assert not solution.consistent
     assert solution.certificate == (0, 1, 2, 3, 4)
     counts = {}
-    rhs = 0
+    sign = 1
     for i in solution.certificate:
-        rhs ^= system.equations[i].rhs
-        for v in system.equations[i].variables:
+        sign *= system.equations[i].sign
+        for v in system.keys(system.equations[i]):
             counts[v] = counts.get(v, 0) + 1
-    assert all(c % 2 == 0 for c in counts.values()) and rhs == 1
+    assert all(c % 2 == 0 for c in counts.values()) and sign == -1
     _announce(
         capsys,
         "ACCEPTANCE 3 PASS triangle-ring contradiction: five-equation "

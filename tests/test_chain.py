@@ -41,8 +41,6 @@ def test_word_signs():
     assert Word(1, "YXY").sign == -1
     assert Word(1, "YXXY").sign == 1
     assert Word(1, "YXXXY").sign == -1
-    assert Word(3, "YXY").middle == 4
-    assert Word(1, "YY").middle is None
 
 
 def test_decompose_ten_qubit_example():

@@ -314,8 +314,10 @@ def test_kernel_sweep_report_is_pinned(tmp_path, monkeypatch, capsys, argv, dige
 
 # sha256 of the stdout of `nogo ring`, recorded while every (case, site) view was
 # built in full and variables were ordered by sorting their reprs; the
-# difference-site keys must not change a byte. `reproduce fig1` is pinned
-# above. Version-bound like the digests around them.
+# difference-site keys must not change a byte. The three distances above the
+# bound were re-recorded when their `ok` became null, the only field that
+# changed. `reproduce fig1` is pinned above. Version-bound like the digests
+# around them.
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -328,9 +330,9 @@ def test_kernel_sweep_report_is_pinned(tmp_path, monkeypatch, capsys, argv, dige
         (("--f", "17"), "10cae136dc49ba08f71d72eb614b8e47d8c5d528a95b6aebab16beb4fbdbc599"),
         (("--f", "25"), "54ed95bdfe7fd3863e43b7737f86895583a76053371f29b3be52a03dd5aa6eea"),
         (("--f", "1", "--d", "0"), "f7cb3d238214163f391e472f1339daa2b33de62661d9823d97fdb91e510692d8"),
-        (("--f", "1", "--d", "2"), "1351843f52fae2c0212d5e73bc3fc3c3c5247749a73ca986d3822032579b18ff"),
-        (("--f", "1", "--d", "6"), "d8a0852b0e75e55474fb3214c1bd44459c244235e11cce49d10509f67e166d09"),
-        (("--f", "3", "--d", "9"), "ebec04fa0c364e5fc4acc914a02d1d2c331ea9b159a87030bd5a3a71ece73224"),
+        (("--f", "1", "--d", "2"), "20c60b29e30400af0075a3e05d59758ff85b493a14c4b6c8e5a8ef41c7f8294d"),
+        (("--f", "1", "--d", "6"), "717a93e8a3c1eb12f77d2d2ee113d1500bdee1fe2278b3fd8d5ebfb8a2bb782e"),
+        (("--f", "3", "--d", "9"), "abccf4d0bcc9ab85235e393d536f2ae0fcae74a0e88fb62cd5bd57c6f39b3ec7"),
     ],
     ids=["f1", "f3", "f5", "f7", "f9", "f13", "f17", "f25", "f1-d0", "f1-d2", "f1-d6", "f3-d9"],
 )
@@ -338,6 +340,37 @@ def test_ring_report_is_pinned(capsys, args, digest):
     code, out, _ = _run(capsys, "nogo", "ring", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ring_above_the_bound_checks_nothing(capsys):
+    # at f = 1 the bound is 1: d = 2 admits a model, as expected, so the
+    # report claims no check (ok null, exit 0); d = 1 is certified
+    code, out, _ = _run(capsys, "nogo", "ring", "--f", "1", "--d", "2")
+    report = json.loads(out)
+    assert (code, report["ok"], report["result"]["consistent"]) == (0, None, True)
+    code, out, _ = _run(capsys, "nogo", "ring", "--f", "1", "--d", "1")
+    report = json.loads(out)
+    assert (code, report["ok"], report["result"]["consistent"]) == (0, True, False)
+
+
+def test_rendered_constraints_prime_repeated_names():
+    # two views of site 1 share the short name x1: the second declared is
+    # primed, and each equation lists its terms by site, then observable
+    from graphlhv.nogo import ContextVariable, Equation, OrbitVariable, ParityConstraintSystem
+
+    x1, x1b, x1c = (ContextVariable(1, "x", ((1, "X"), (2, letter))) for letter in "XYZ")
+    y2 = ContextVariable(2, "y", ((2, "Y"),))
+    system = ParityConstraintSystem(
+        (y2, x1, x1b, x1c),
+        (Equation(0b1111, -1, "all"), Equation(0b1001, 1, "ends"), Equation(0, -1, "none")),
+    )
+    assert cli._render_system(system) == [
+        "[all] x1 * x1' * x1'' * y2 = -1", "[ends] x1'' * y2 = +1", "[none] 1 = -1",
+    ]
+    orbits = ParityConstraintSystem(
+        (OrbitVariable((2, 5), "y"), OrbitVariable((1, 3), "y")), (Equation(0b11, 1, "o"),)
+    )
+    assert cli._render_system(orbits) == ["[o] y{1,3} * y{2,5} = +1"]
 
 
 # sha256 of the stdout of sampled `chain verify --seed 1`, recorded while each

@@ -1,9 +1,9 @@
 """`gf2_solve` against brute force over every assignment.
 
 The solver is one forward elimination (`nogo._eliminate`) over the equations'
-row masks with the right-hand bit on top; these properties check its verdict,
-witness and certificate on small systems, empty and repeated equations
-included, without sharing any of its code.
+rows with the sign bit on top; these properties check its verdict, witness
+and certificate on small systems, empty and repeated equations included,
+without sharing any of its code.
 """
 
 import itertools
@@ -13,25 +13,30 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from graphlhv.nogo import ParityConstraintSystem, gf2_solve, parity_equation  # noqa: E402
+from graphlhv.nogo import Equation, ParityConstraintSystem, gf2_solve  # noqa: E402
 
 
 @st.composite
 def parity_systems(draw):
     nvars = draw(st.integers(0, 8))
     variables = tuple(f"v{i}" for i in range(nvars))
-    # keys may repeat inside an equation (reduced mod 2) and may be absent
-    # altogether (an empty left side); whole equations may repeat
-    keys = st.lists(st.sampled_from(variables), max_size=6) if variables else st.just([])
-    rows = draw(st.lists(st.tuples(keys, st.integers(0, 1)), max_size=12))
+    # a row may be empty (no variable at all); whole equations may repeat
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, (1 << nvars) - 1), st.sampled_from((1, -1))), max_size=12
+    ))
     if rows and draw(st.booleans()):
         rows.append(draw(st.sampled_from(rows)))
-    equations = tuple(parity_equation(k, rhs, f"e{i}") for i, (k, rhs) in enumerate(rows))
+    equations = tuple(Equation(row, sign, f"e{i}") for i, (row, sign) in enumerate(rows))
     return ParityConstraintSystem(variables, equations)
 
 
 def _satisfies(equations, assignment):
-    return all(sum(assignment[v] for v in eq.variables) % 2 == eq.rhs for eq in equations)
+    # assignment: variable -> bit, the bit 1 standing for the value -1
+    values = list(assignment.values())
+    return all(
+        (-1) ** sum(b for i, b in enumerate(values) if eq.row >> i & 1) == eq.sign
+        for eq in equations
+    )
 
 
 def _solvable(system, count):
@@ -55,11 +60,11 @@ def test_gf2_solve_matches_brute_force(system):
     assert sol.witness is None
     cert = sol.certificate
     assert list(cert) == sorted(set(cert))
-    left, rhs = frozenset(), 0
+    row, sign = 0, 1
     for i in cert:
-        left ^= system.equations[i].variables
-        rhs ^= system.equations[i].rhs
-    assert (left, rhs) == (frozenset(), 1)
+        row ^= system.equations[i].row
+        sign *= system.equations[i].sign
+    assert (row, sign) == (0, -1)
     # the certificate ends at the first equation that makes the prefix unsolvable
     first = next(k for k in range(1, len(system.equations) + 1) if not _solvable(system, k))
     assert cert[-1] == first - 1

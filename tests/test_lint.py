@@ -99,3 +99,61 @@ def test_every_traced_layer_resolves():
         if not callable(owner):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def _setattr_names(node):
+    """(line, name) of every ``object.__setattr__(obj, name, value)`` call in node,
+    the name None when it is not a string literal."""
+    for call in ast.walk(node):
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "__setattr__"
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "object"
+        ):
+            arg = call.args[1] if len(call.args) > 1 else None
+            name = arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else None
+            yield call.lineno, name
+
+
+def _hidden_attributes(tree):
+    """(line, name) of each ``object.__setattr__`` call that writes a name which
+    is not an annotated field of its innermost class (outside a class, none is)."""
+    owner = {}
+    for cls in ast.walk(tree):  # outer classes come first, so inner ones overwrite
+        if isinstance(cls, ast.ClassDef):
+            fields = {
+                stmt.target.id for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            }
+            for line, _ in _setattr_names(cls):
+                owner[line] = fields
+    return [(line, name) for line, name in _setattr_names(tree) if name not in owner.get(line, ())]
+
+
+def test_frozen_classes_set_only_their_own_fields():
+    # State written past a frozen dataclass's fields is invisible to ==, repr,
+    # dataclasses.replace and the report encoder; derive it where it is used.
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "        object.__setattr__(self, '_cache', 2)\n"
+        "    class B:\n"
+        "        y: int\n"
+        "        def f(self):\n"
+        "            object.__setattr__(self, 'y', 1)\n"
+        "            object.__setattr__(self, 'x', 1)\n"
+        "object.__setattr__(A(0), 'x', 3)\n"
+    )
+    assert sorted(_hidden_attributes(tree)) == [(7, "_cache"), (12, "x"), (13, "x")]
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for line, name in _hidden_attributes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []

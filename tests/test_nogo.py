@@ -33,7 +33,6 @@ from graphlhv.nogo import (
     gf2_nullspace,
     gf2_solve,
     measurement_view,
-    parity_equation,
     site_invariance_system,
     verify_all_submeasurements,
     y_stabilizer_supports,
@@ -48,19 +47,27 @@ from graphlhv.pauli import Measurement, generator_product, is_submeasurement
 
 def _check_witness(system, witness):
     for eq in system.equations:
-        assert sum(witness[v] for v in eq.variables) % 2 == eq.rhs
+        assert (-1) ** sum(witness[v] for v in system.keys(eq)) == eq.sign
 
 
 def _check_certificate(system, certificate):
     counts = {}
-    rhs = 0
+    sign = 1
     for i in certificate:
         eq = system.equations[i]
-        rhs ^= eq.rhs
-        for v in eq.variables:
+        sign *= eq.sign
+        for v in system.keys(eq):
             counts[v] = counts.get(v, 0) + 1
     assert all(c % 2 == 0 for c in counts.values())
-    assert rhs == 1
+    assert sign == -1
+
+
+def _row(system, keys):
+    """The row of an equation over the given keys, each counted mod 2."""
+    row = 0
+    for key in keys:
+        row ^= 1 << system.variables.index(key)
+    return row
 
 
 def test_gf2_empty_system():
@@ -69,17 +76,14 @@ def test_gf2_empty_system():
 
 
 def test_gf2_simple_systems():
-    eqs = (
-        parity_equation(["a", "b"], 1),
-        parity_equation(["b", "c"], 0),
-        parity_equation(["a", "c"], 1),
-    )
+    # a, b, c at bits 0, 1, 2
+    eqs = (Equation(0b011, -1), Equation(0b110, 1), Equation(0b101, -1))
     system = ParityConstraintSystem(("a", "b", "c"), eqs)
     sol = gf2_solve(system)
     assert sol.consistent
     _check_witness(system, sol.witness)
 
-    eqs_bad = eqs + (parity_equation(["a", "b"], 0),)
+    eqs_bad = eqs + (Equation(0b011, 1),)
     system_bad = ParityConstraintSystem(("a", "b", "c"), eqs_bad)
     sol_bad = gf2_solve(system_bad)
     assert not sol_bad.consistent
@@ -87,11 +91,13 @@ def test_gf2_simple_systems():
 
 
 def test_gf2_multiset_reduction():
-    eq = parity_equation(["a", "a", "b"], 1)
-    assert eq.variables == frozenset({"b"})
-    empty_odd = parity_equation(["a", "a"], 1)
-    assert empty_odd.variables == frozenset()
+    # a key counted twice cancels out of a row, leaving 1 = -1
+    system = ParityConstraintSystem(("a", "b"), ())
+    assert _row(system, ["a", "a", "b"]) == 0b10
+    empty_odd = Equation(_row(system, ["a", "a"]), -1)
+    assert empty_odd.row == 0
     system = ParityConstraintSystem(("a",), (empty_odd,))
+    assert system.keys(empty_odd) == ()
     assert not gf2_solve(system).consistent
 
 
@@ -100,12 +106,12 @@ def test_gf2_random_systems_round_trip():
     for _ in range(50):
         nvars = rng.randrange(1, 8)
         variables = tuple(f"v{i}" for i in range(nvars))
-        planted = {v: rng.randrange(2) for v in variables}
+        planted = [rng.randrange(2) for _ in variables]
         eqs = []
         for k in range(rng.randrange(1, 10)):
-            chosen = [v for v in variables if rng.randrange(2)]
-            rhs = sum(planted[v] for v in chosen) % 2
-            eqs.append(parity_equation(chosen, rhs, f"e{k}"))
+            row = rng.randrange(1 << nvars)
+            sign = (-1) ** sum(bit for i, bit in enumerate(planted) if row >> i & 1)
+            eqs.append(Equation(row, sign, f"e{k}"))
         system = ParityConstraintSystem(variables, tuple(eqs))
         sol = gf2_solve(system)
         assert sol.consistent  # planted solution exists
@@ -120,26 +126,34 @@ def test_gf2_nullspace():
 
 
 def test_undeclared_variable_rejected():
-    with pytest.raises(ValueError):
-        ParityConstraintSystem((), (Equation(frozenset({"ghost"}), 0),))
+    # a bit at or past the number of declared variables, or a negative row
+    for variables, row in (((), 0b1), (("a",), 0b100), (("a",), -1)):
+        with pytest.raises(ValueError, match="'ghost'"):
+            ParityConstraintSystem(variables, (Equation(row, 1, "ghost"),))
+    ParityConstraintSystem(("a",), (Equation(0b1, 1, "ghost"),))
 
 
 def test_plain_variable_is_written_by_repr():
-    # a key that is neither a context nor an orbit variable keeps its repr
-    system = ParityConstraintSystem(("a",), (Equation(frozenset({"a"}), 1, "e"),))
+    # a key that is neither a context nor an orbit variable keeps its repr,
+    # and the report keeps the right-hand bit: 1 for sign -1
+    system = ParityConstraintSystem(
+        ("a", "b"), (Equation(0b01, -1, "e"), Equation(0b11, 1, "f"))
+    )
     assert system.to_json_dict() == {
-        "variables": [{"name": "'a'"}],
-        "equations": [{"label": "e", "rhs": 1, "variables": [0]}],
+        "variables": [{"name": "'a'"}, {"name": "'b'"}],
+        "equations": [
+            {"label": "e", "rhs": 1, "variables": [0]},
+            {"label": "f", "rhs": 0, "variables": [0, 1]},
+        ],
     }
 
 
-@pytest.mark.parametrize("rhs", [3, -1, 2])
+@pytest.mark.parametrize("rhs", [0, 2, -2, 3])
 def test_right_hand_side_must_be_a_bit(rhs):
-    # solved mod 2, yet the report would print the raw value; parity_equation
-    # must not reduce a stray sign or count to a bit on the way in
-    for eq in (Equation(frozenset(), rhs, "odd"), parity_equation([], rhs, "odd")):
-        with pytest.raises(ValueError, match=f"right-hand side {rhs}"):
-            ParityConstraintSystem((), (eq,))
+    # the right-hand side is a sign: a bit 0 or a stray count must not be
+    # read as one, and the refusal names the equation
+    with pytest.raises(ValueError, match=f"'odd': sign must be \\+1 or -1, got {rhs}"):
+        Equation(0, rhs, "odd")
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +169,6 @@ def test_build_ring_instance_rejects_bad_f():
 def test_ring_instance_f1_matches_hand_construction():
     inst = build_ring_instance(1)
     assert inst.n == 12
-    assert inst.vertices == frozenset({4, 8, 12})
-    assert inst.midpoints == frozenset({2, 6, 10})
     subs = {c.name: str(c.sub) for c in inst.cases}
     assert subs == {
         "xxx": "IXIXIXIXIXIX",
@@ -274,25 +286,24 @@ def test_triangle_ring_constraint_structure():
     assert len(system.equations) == 5
 
     expected = [
-        ({("x", 2), ("x", 4), ("x", 6), ("x", 8), ("x", 10), ("x", 12)}, 0),
-        ({("y", 1), ("x", 2), ("y", 3), ("y", 5), ("x", 6), ("y", 7), ("y", 9), ("x", 10), ("y", 11)}, 1),
-        ({("y", 1), ("y", 3), ("y", 4), ("x", 6), ("x", 8), ("x", 10), ("y", 12)}, 0),
-        ({("x", 2), ("y", 4), ("y", 5), ("y", 7), ("y", 8), ("x", 10), ("x", 12)}, 0),
-        ({("x", 2), ("x", 4), ("x", 6), ("y", 8), ("y", 9), ("y", 11), ("y", 12)}, 0),
+        ({("x", 2), ("x", 4), ("x", 6), ("x", 8), ("x", 10), ("x", 12)}, 1),
+        ({("y", 1), ("x", 2), ("y", 3), ("y", 5), ("x", 6), ("y", 7), ("y", 9), ("x", 10), ("y", 11)}, -1),
+        ({("y", 1), ("y", 3), ("y", 4), ("x", 6), ("x", 8), ("x", 10), ("y", 12)}, 1),
+        ({("x", 2), ("y", 4), ("y", 5), ("y", 7), ("y", 8), ("x", 10), ("x", 12)}, 1),
+        ({("x", 2), ("x", 4), ("x", 6), ("y", 8), ("y", 9), ("y", 11), ("y", 12)}, 1),
     ]
-    for eq, (names, rhs) in zip(system.equations, expected):
-        assert {(v.observable, v.site) for v in eq.variables} == names
-        assert eq.rhs == rhs
+    for eq, (names, sign) in zip(system.equations, expected):
+        assert {(v.observable, v.site) for v in system.keys(eq)} == names
+        assert eq.sign == sign
 
     # at f=1, d=1 every (observable, site) pair names a single shared variable
     by_name = {}
-    for eq in system.equations:
-        for v in eq.variables:
-            by_name.setdefault((v.observable, v.site), set()).add(v)
-    assert all(len(keys) == 1 for keys in by_name.values())
+    for i, v in enumerate(system.variables):
+        by_name.setdefault((v.observable, v.site), []).append(i)
+    assert all(len(positions) == 1 for positions in by_name.values())
     # the midpoint variable x2 is shared across four equations
-    x2 = next(iter(by_name[("x", 2)]))
-    assert sum(1 for eq in system.equations if x2 in eq.variables) == 4
+    (x2,) = by_name[("x", 2)]
+    assert sum(1 for eq in system.equations if eq.row >> x2 & 1) == 4
 
     sol = gf2_solve(system)
     assert not sol.consistent
@@ -369,10 +380,10 @@ def test_certify_distance_finds_each_ball_once(monkeypatch):
     g = padded_ring(cert.n)
     for case, eq in zip(cert.cases, cert.system.equations):
         m = case.global_measurement
-        assert eq.variables == frozenset(
+        assert set(cert.system.keys(eq)) == {
             ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, cert.d))
             for j in case.support
-        )
+        }
 
 
 def test_certify_distance_padding_is_idle():
@@ -386,17 +397,20 @@ def test_certify_distance_padding_is_idle():
 def _reference_distance_system(g, cases, d):
     """The construction before difference-site keys: a full view per (case, site),
     variables declared in first-use order with each equation sorted by repr."""
-    equations = []
+    keyed = []
     for case in cases:
         m = case.global_measurement
-        keys = [ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, d))
-                for j in sorted(case.support)]
-        equations.append(parity_equation(keys, 0 if case.expected_sign == 1 else 1, case.name))
+        keyed.append({ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, d))
+                      for j in case.support})
     seen = {}
-    for eq in equations:
-        for key in sorted(eq.variables, key=repr):
-            seen.setdefault(key, None)
-    return ParityConstraintSystem(tuple(seen), tuple(equations))
+    for keys in keyed:
+        for key in sorted(keys, key=repr):
+            seen.setdefault(key, len(seen))
+    equations = tuple(
+        Equation(sum(1 << seen[key] for key in keys), case.expected_sign, case.name)
+        for case, keys in zip(cases, keyed)
+    )
+    return ParityConstraintSystem(tuple(seen), equations)
 
 
 def _assert_same_system(got, want):
@@ -467,7 +481,7 @@ def test_distance_system_rejects_a_sign_that_is_not_plus_or_minus_one(sign):
     g = ring(6)
     good = CertainSubmeasurement("ok", Measurement("XIIIII"), Measurement("XIIIII"), 1)
     bad = CertainSubmeasurement("bad", Measurement("XIIIII"), Measurement("XIIIII"), sign)
-    with pytest.raises(ValueError, match=f"case bad: .*got {sign}"):
+    with pytest.raises(ValueError, match=f"'bad': .*got {sign}"):
         distance_constraint_system(g, [good, bad], 1)
 
 
@@ -633,8 +647,8 @@ def test_grid_2x3_site_invariance_single_sub():
     system = site_invariance_system(g, Measurement("YYYYYY"), [({1, 2, 3, 5}, -1)])
     assert sorted(v.sites for v in system.variables) == [(1, 3, 4, 6), (2, 5)]
     assert len(system.equations) == 1
-    assert system.equations[0].variables == frozenset()  # orbits cancel pairwise
-    assert system.equations[0].rhs == 1
+    assert system.equations[0].row == 0  # orbits cancel pairwise
+    assert system.equations[0].sign == -1
     sol = gf2_solve(system)
     assert not sol.consistent
     assert sol.certificate == (0,)
@@ -709,6 +723,44 @@ def test_site_invariance_rejects_a_sign_that_is_not_plus_or_minus_one(sign):
     g = grid(2, 3)
     with pytest.raises(ValueError, match=rf"\[1, 2, 3, 5\].*got {sign}"):
         site_invariance_system(g, Measurement("YYYYYY"), [({1, 2, 3, 5}, sign)])
+
+
+def _orbit_flips_consistent(g, m):
+    return gf2_solve(site_invariance_system(g, m, find_certain_submeasurements(g, m))).consistent
+
+
+def test_orbit_flips_are_consistent_under_a_group_of_odd_order():
+    # Averaging a per-site solution over a group of odd order gives an
+    # orbit-constant one, and per-site flips always solve one word's system:
+    # so only a group of even order can make orbit flips inconsistent.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from graphlhv.graphs import automorphisms
+
+    @st.composite
+    def words(draw):
+        n = draw(st.integers(3, 7))
+        if draw(st.booleans()):
+            g = ring(n)
+        else:
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+            g = Graph(n, tuple(p for p, k in zip(pairs, keep) if k))
+        return g, Measurement(draw(st.text(alphabet="IXYZ", min_size=n, max_size=n)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(words())
+    def check(word):
+        g, m = word
+        if len(automorphisms(g, m.letters, max_nodes=g.n)) % 2:
+            assert _orbit_flips_consistent(g, m)
+
+    check()
+    # the first inconsistent word: its group has order 4
+    g, m = ring(6), Measurement("XYYXYY")
+    assert len(automorphisms(g, m.letters, max_nodes=g.n)) == 4
+    assert not _orbit_flips_consistent(g, m)
 
 
 def test_complete_bipartite_subs_clean():
