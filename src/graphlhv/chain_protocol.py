@@ -26,11 +26,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graphs import Graph, UnsupportedSizeError, chain, is_chain
-from .nogo import _sign_labels, _signed_kernel, _walk_kernel
+from .lhv import _monomial_columns
+from .nogo import _kernel_signs, _sign_labels, _walk_kernel
 from .pauli import Measurement
 
-# The full sweep visits 4^n measurements: 0.17-0.22 s at n = 7 and 0.78-0.87 s
-# at n = 8 per reading on a shared 2-vCPU VM (Intel Xeon).
+# The full sweep visits 4^n measurements: 0.14-0.22 s at n = 7 and 0.59-0.86 s
+# at n = 8 per reading on a shared 2-vCPU VM (Intel Xeon; best of 2-3 calls,
+# over four fresh processes).
 _FULL_SWEEP_GUARD = 7
 
 # Byte k of a sampled code row becomes the k-th letter of "IXYZ".
@@ -299,9 +301,16 @@ def _parse(word: str) -> _Parse:
     return sent.left, sent.right, sum(1 << j for j, ch in enumerate(word, start=1) if ch != "I")
 
 
+def _letter_columns(g: Graph) -> dict[str, list[int]]:
+    """Each site's monomial mask under each measured letter: ``cols[c][j - 1]``
+    for letter c at site j, so the columns of any word on g are read, not built."""
+    return {c: _monomial_columns(g, c * g.n, range(1, g.n + 1)) for c in "XYZ"}
+
+
 def _check_measurement(
     g: Graph,
-    m: Measurement,
+    letters: str,
+    cols: dict[str, list[int]],
     broadcast_y: bool,
     violations: list[Violation],
     overlap_violations: list[OverlapViolation],
@@ -310,22 +319,25 @@ def _check_measurement(
     """Check all deterministic submeasurements of one global measurement.
 
     They are the certain subsets: the kernel on which the XOR of the outputs'
-    coin monomials vanishes, so the protocol's product there is a constant
-    sign by construction and only that sign is compared with the oracle's.
-    Both signs are linear on the kernel, so ``_sign_labels`` decides them on
-    the basis and the walk carries each subset's label (and its word's code)
-    by one XOR per step. The empty subset is counted and passed over: its
-    word is the identity, of sign +1 on both sides, and holds no sentence.
-    It is the only certain subset for most measurements, which return before
-    the flip sites are found. Each distinct word is parsed once per
+    coin monomials (read from ``cols``, see ``_letter_columns``) vanishes,
+    so the protocol's product there is a constant sign by construction and
+    only that sign is compared with the oracle's. Both signs are linear on
+    the kernel, so ``_sign_labels`` decides them on the basis and the walk
+    carries each subset's label (and its word's code) by one XOR per step.
+    The empty subset is counted and passed over: its word is the identity,
+    of sign +1 on both sides, and holds no sentence. It is the only certain
+    subset for most measurements, which return before a ``Measurement`` is
+    built or the flip sites are found. Each distinct word is parsed once per
     ``parses`` dict, which the sweep creates and drops.
     Returns (deterministic subs checked, overlap pairs checked).
     """
-    support, basis, bits = _signed_kernel(g, m)
+    support = [j for j, ch in enumerate(letters, start=1) if ch != "I"]
+    columns = [cols[letters[j - 1]][j - 1] for j in support]
+    basis, bits = _kernel_signs(g, letters, support, columns)
     if not basis:
         return 1, 0
+    m = Measurement(letters)
     labels = _sign_labels(support, basis, bits, flip_sites_for(m, broadcast_y))
-    letters = m.letters
     n = len(letters)
     site_codes = [(ord(letters[j - 1]) ^ _I) << 8 * (j - 1) for j in support]
     codes = [sum(c for i, c in enumerate(site_codes) if vec >> i & 1) for vec in basis]
@@ -389,8 +401,9 @@ def check_chain_length(n: int) -> None:
         raise ValueError(f"a chain needs at least 1 site, got n = {n}")
 
 
-def _measurements(n: int, sample: int | None, seed: int) -> Iterator[Measurement]:
-    """Every measurement on n sites, or ``sample`` seeded random ones.
+def _measurements(n: int, sample: int | None, seed: int) -> Iterator[str]:
+    """The letters of every measurement on n sites, or of ``sample`` seeded
+    random ones. The letters come from "IXYZ" only, so they need no check.
 
     The sample is one draw of ``sample`` rows of n letter codes, the same
     letters as drawing the rows one by one from the same generator.
@@ -399,16 +412,17 @@ def _measurements(n: int, sample: int | None, seed: int) -> Iterator[Measurement
     if sample is None:
         if n > _FULL_SWEEP_GUARD:
             raise UnsupportedSizeError(
-                f"full sweep is guarded at n = {_FULL_SWEEP_GUARD}; pass sample= for larger n"
+                f"full sweep is guarded at n = {_FULL_SWEEP_GUARD}; "
+                f"pass --sample K (sample=K) for larger n"
             )
-        return (Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=n))
+        return map("".join, itertools.product("IXYZ", repeat=n))
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
     import numpy as np  # only the sampled sweep needs it
 
     codes = np.random.default_rng(seed).integers(0, 4, size=(sample, n))
     letters = codes.astype(np.uint8).tobytes().translate(_CODE_LETTERS).decode()
-    return (Measurement(letters[i:i + n]) for i in range(0, sample * n, n))
+    return (letters[i:i + n] for i in range(0, sample * n, n))
 
 
 def verify_chain_exhaustive(
@@ -424,22 +438,26 @@ def verify_chain_exhaustive(
     without enumerating coin vectors; only the subsets with an empty monomial
     (a GF(2) kernel, not all 2^|support| subsets) are visited. Also checks,
     for each global measurement, that its single-sentence certain
-    submeasurements agree on overlaps except at bracketing Zs. Each distinct
-    certain word is parsed once per call, in a dict that ends with the call.
+    submeasurements agree on overlaps except at bracketing Zs. The chain's
+    monomial columns are built once, and each distinct certain word is
+    parsed once, per call, in tables that end with the call.
     Full sweep up to n = 7; beyond that a seeded sample of measurements is
     required.
     """
     measurements = _measurements(n, sample, seed)
     g = chain(n)
+    cols = _letter_columns(g)
     violations: list[Violation] = []
     overlap_violations: list[OverlapViolation] = []
     parses: dict[str, _Parse] = {}
     det_total = 0
     pair_total = 0
     count = 0
-    for m in measurements:
+    for letters in measurements:
         count += 1
-        det, pairs = _check_measurement(g, m, broadcast_y, violations, overlap_violations, parses)
+        det, pairs = _check_measurement(
+            g, letters, cols, broadcast_y, violations, overlap_violations, parses
+        )
         det_total += det
         pair_total += pairs
     return ChainReport(
@@ -470,7 +488,8 @@ def compare_readings(n: int) -> tuple[ReadingDiscrepancy, ...]:
     """Flip-decision differences between the silent-Y and broadcast-Y readings,
     over every measurement on n sites (guarded at n = 7)."""
     out = []
-    for m in _measurements(n, None, 0):
+    for letters in _measurements(n, None, 0):
+        m = Measurement(letters)
         silent = flip_sites_for(m, broadcast_y=False)
         loud = flip_sites_for(m, broadcast_y=True)
         for j in sorted(silent ^ loud):

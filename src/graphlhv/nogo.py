@@ -149,12 +149,13 @@ def _variable_json(key) -> dict:
 class GF2Solution:
     """Either a satisfying assignment or a certificate of inconsistency.
 
-    The certificate is a list of equation indices whose rows XOR to zero
-    and whose signs multiply to -1.
+    The witness is a bitmask over the variables like an equation's row: bit i
+    set when ``variables[i]`` takes the value -1. The certificate is a list
+    of equation indices whose rows XOR to zero and whose signs multiply to -1.
     """
 
     consistent: bool
-    witness: dict | None = None
+    witness: int | None = None
     certificate: tuple[int, ...] | None = None
 
 
@@ -210,8 +211,7 @@ def gf2_solve(system: ParityConstraintSystem) -> GF2Solution:
     for low, (row, _) in sorted(pivots.items(), reverse=True):  # a row's other bits are higher
         if ((row >> top) ^ (row & values).bit_count()) & 1:
             values |= low
-    witness = {key: (values >> i) & 1 for i, key in enumerate(system.variables)}
-    return GF2Solution(True, witness, None)
+    return GF2Solution(True, values, None)
 
 
 def gf2_nullspace(rows: Sequence[int], ncols: int) -> list[int]:
@@ -281,27 +281,40 @@ class SubmeasurementReport:
 
 
 def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """(support, kernel basis, sign bits): bit 1 for a basis word of sign -1.
-
-    The basis is the dependencies of one ``_eliminate`` pass over the
-    support's monomial masks, the columns of the map. Each basis word is
-    confirmed certain by ``classify``; certain words are closed under
-    products, so that confirms the whole kernel.
-    """
+    """(support, kernel basis, sign bits) of a measurement on g, by ``_kernel_signs``
+    over the support's monomial masks."""
     g.check_measurement(m)
     support = m.support()
-    basis = _eliminate(_monomial_columns(g, m.letters, support))[1]
+    return support, *_kernel_signs(g, m.letters, support, _monomial_columns(g, m.letters, support))
+
+
+def _kernel_signs(
+    g: Graph, letters: str, support: Sequence[int], cols: list[int]
+) -> tuple[list[int], list[int]]:
+    """(kernel basis, sign bits) of the word ``letters``: bit 1 for a basis word
+    of sign -1. ``cols`` are the monomial masks of the ``support`` sites, the
+    columns of the map.
+
+    The basis is the dependencies of one ``_eliminate`` pass over the columns.
+    Each basis word, the letters at its sites and I elsewhere, is confirmed
+    certain by ``classify``; certain words are closed under products, so that
+    confirms the whole kernel. An empty kernel builds no word at all.
+    """
+    basis = _eliminate(cols)[1]
     bits = []
     for vec in basis:
-        sub = m.restricted_to(_sites(support, vec))
+        out = ["I"] * len(letters)
+        for j in _sites(support, vec):
+            out[j - 1] = letters[j - 1]
+        sub = Measurement("".join(out))
         verdict = classify(g, sub)
         if not verdict.is_deterministic:
             raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
         bits.append(int(verdict.value == -1))
-    return support, basis, bits
+    return basis, bits
 
 
-def _sites(support: tuple[int, ...], smask: int) -> tuple[int, ...]:
+def _sites(support: Sequence[int], smask: int) -> tuple[int, ...]:
     """The support sites at the set bits of a subset mask (bit i for support[i])."""
     return tuple(j for i, j in enumerate(support) if (smask >> i) & 1)
 
@@ -333,7 +346,7 @@ def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int
 
 
 def _sign_labels(
-    support: tuple[int, ...], basis: list[int], bits: list[int], flips: frozenset[int]
+    support: Sequence[int], basis: list[int], bits: list[int], flips: frozenset[int]
 ) -> list[int]:
     """One label per basis vector. Bit 0: the oracle sign is -1. Bit 1: the
     parity of the flip sites in it differs from that sign, so the protocol's

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from graphlhv import chain_protocol
+from graphlhv import chain_protocol, lhv, nogo, pauli
 from graphlhv.chain_protocol import (
     ChainBroadcast,
     NotStabilizerShaped,
@@ -361,14 +361,15 @@ def test_sample_is_the_per_row_draw():
     for n, sample, seed in ((1, 7, 0), (3, 40, 1), (8, 40, 2), (10, 25, 49), (40, 5, 3)):
         rng = np.random.default_rng(seed)
         rows = ["".join("IXYZ"[k] for k in rng.integers(0, 4, size=n)) for _ in range(sample)]
-        assert [m.letters for m in _measurements(n, sample, seed)] == rows
+        assert list(_measurements(n, sample, seed)) == rows
 
 
-def _has_nonempty_certain_subset(g, m):
+def _certain_subset_count(g, m):
+    """The certain subsets of m's support, the empty one included, by brute force."""
     support = m.support()
-    return any(
+    return sum(
         classify(g, m.restricted_to(subset)).is_deterministic
-        for k in range(1, len(support) + 1)
+        for k in range(len(support) + 1)
         for subset in itertools.combinations(support, k)
     )
 
@@ -387,9 +388,49 @@ def test_flip_sites_are_found_only_for_a_nonempty_certain_subset(monkeypatch, br
     g = chain(4)
     expected = [
         "".join(p) for p in itertools.product("IXYZ", repeat=4)
-        if _has_nonempty_certain_subset(g, Measurement("".join(p)))
+        if _certain_subset_count(g, Measurement("".join(p))) > 1
     ]
     assert calls == expected and len(calls) == 59
+
+
+def test_sweep_classifies_each_basis_word_once(monkeypatch):
+    # Each word's kernel is confirmed on its basis only: one classify call per
+    # basis word, Σ dim ker over the 256 words, counted before patching.
+    g = chain(4)
+    words = [Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=4)]
+    dims = [_certain_subset_count(g, m).bit_length() - 1 for m in words]
+    assert sum(dims) == 64
+    calls = []
+    original = nogo.classify
+    monkeypatch.setattr(nogo, "classify", lambda g, m: calls.append(m.letters) or original(g, m))
+    assert verify_chain_exhaustive(4).clean
+    assert len(calls) == sum(dims)
+
+
+def test_sweep_validates_letters_only_where_a_kernel_is_found(monkeypatch):
+    # Every Measurement and every parsed str goes through pauli._check_letters.
+    # The sweep's own letters come from "IXYZ" and are not checked; what is:
+    # the 59 words with a non-empty kernel (one Measurement each), their 64
+    # basis words (one classify each) and the 15 distinct non-empty certain
+    # words (one decompose each).
+    calls = []
+    original = pauli._check_letters
+    monkeypatch.setattr(
+        pauli, "_check_letters", lambda letters: calls.append(letters) or original(letters)
+    )
+    assert verify_chain_exhaustive(4).clean
+    assert len(calls) == 59 + 64 + 15
+
+
+def test_an_unconfirmed_basis_word_raises(monkeypatch):
+    # With Z carrying no coin a Z site's column is empty, so the word with Z
+    # there alone lands in the kernel, and the oracle finds it uniform.
+    monkeypatch.setitem(lhv.LETTER_COINS, "Z", (0, 0))
+    message = "IIZ has an empty monomial but the oracle finds it uniform"
+    with pytest.raises(RuntimeError, match=message):
+        verify_chain_exhaustive(3)
+    with pytest.raises(RuntimeError, match="IZI has an empty monomial"):
+        verify_all_submeasurements(chain(3), Measurement("XZX"))
 
 
 def _every_x(m, broadcast_y=False):
@@ -420,7 +461,7 @@ def test_each_occurrence_of_a_rejected_word_is_reported(monkeypatch):
     target = "XZII"  # X1 Z2, the first generator: certain in 16 measurements
     g = chain(4)
     occurrences = [
-        (m, tuple(sorted(sites))) for m in _measurements(4, None, 0)
+        (m, tuple(sorted(sites))) for m in map(Measurement, _measurements(4, None, 0))
         for sites, _ in find_certain_submeasurements(g, m)
         if m.restricted_to(sites).letters == target
     ]
@@ -455,7 +496,9 @@ def test_checker_and_submeasurement_verifier_agree(broadcast_y):
     for m in _all_words(6):
         g = chain(len(m))
         violations, overlaps = [], []
-        chain_protocol._check_measurement(g, m, broadcast_y, violations, overlaps, {})
+        chain_protocol._check_measurement(
+            g, m.letters, chain_protocol._letter_columns(g), broadcast_y, violations, overlaps, {}
+        )
         assert violations == [] and overlaps == [], m
         assert verify_all_submeasurements(g, m, protocol).clean, m
 
@@ -463,7 +506,7 @@ def test_checker_and_submeasurement_verifier_agree(broadcast_y):
 def test_checker_and_submeasurement_verifier_list_the_same_wrong_signs(monkeypatch):
     g = chain(4)
     verifier = [
-        (m, c.sites) for m in _measurements(4, None, 0)
+        (m, c.sites) for m in map(Measurement, _measurements(4, None, 0))
         for c in verify_all_submeasurements(g, m, _EveryX()).mismatches
     ]
     monkeypatch.setattr(chain_protocol, "flip_sites_for", _every_x)

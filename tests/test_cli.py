@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from graphlhv import chain_protocol, cli
+from graphlhv import chain_protocol, cli, lhv
 from graphlhv.cli import main
 from graphlhv.graphs import Graph, grid, star
 
@@ -564,6 +564,22 @@ def test_chain_verify(capsys):
     assert result["violations"] == [] and result["overlap_violations"] == []
     code, _, _ = _run(capsys, "chain", "verify", "--n", "3", "--broadcast-y")
     assert code == 0
+
+
+def test_chain_verify_names_the_sample_option_past_the_guard(capsys):
+    code, out, err = _run(capsys, "chain", "verify", "--n", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: full sweep is guarded at n = 7; pass --sample K (sample=K) for larger n\n"
+
+
+def test_chain_verify_reports_an_unconfirmed_basis_word_as_internal(capsys, monkeypatch):
+    # Z carrying no coin puts IIZ in a kernel the oracle does not confirm
+    monkeypatch.setitem(lhv.LETTER_COINS, "Z", (0, 0))
+    code, out, err = _run(capsys, "chain", "verify", "--n", "3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: internal RuntimeError: IIZ has an empty monomial but the oracle finds it uniform\n"
+    )
 
 
 def test_chain_decompose(capsys):

@@ -30,9 +30,8 @@ def parity_systems(draw):
     return ParityConstraintSystem(variables, equations)
 
 
-def _satisfies(equations, assignment):
-    # assignment: variable -> bit, the bit 1 standing for the value -1
-    values = list(assignment.values())
+def _satisfies(equations, values):
+    # values: one bit per variable, in order, the bit 1 standing for the value -1
     return all(
         (-1) ** sum(b for i, b in enumerate(values) if eq.row >> i & 1) == eq.sign
         for eq in equations
@@ -42,7 +41,7 @@ def _satisfies(equations, assignment):
 def _solvable(system, count):
     equations = system.equations[:count]
     return any(
-        _satisfies(equations, dict(zip(system.variables, bits)))
+        _satisfies(equations, bits)
         for bits in itertools.product((0, 1), repeat=len(system.variables))
     )
 
@@ -54,8 +53,9 @@ def test_gf2_solve_matches_brute_force(system):
     assert sol.consistent == _solvable(system, len(system.equations))
     if sol.consistent:
         assert sol.certificate is None
-        assert list(sol.witness) == list(system.variables)
-        assert _satisfies(system.equations, sol.witness)
+        nvars = len(system.variables)
+        assert 0 <= sol.witness < 1 << nvars  # one bit per variable, bit i for variables[i]
+        assert _satisfies(system.equations, [sol.witness >> i & 1 for i in range(nvars)])
         return
     assert sol.witness is None
     cert = sol.certificate

@@ -247,7 +247,9 @@ def _compare_chain_checks(letters, broadcast_y, silent):
     got_v, got_o = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain_protocol, "flip_sites_for", lambda m, broadcast_y: flips)
-        counts = _check_measurement(g, m, broadcast_y, got_v, got_o, {})
+        counts = _check_measurement(
+            g, letters, chain_protocol._letter_columns(g), broadcast_y, got_v, got_o, {}
+        )
     ref_v, ref_o = [], []
     assert counts == reference_check_measurement(g, m, flips, ref_v, ref_o)
     assert got_v == ref_v
@@ -257,7 +259,7 @@ def _compare_chain_checks(letters, broadcast_y, silent):
 
 @SWEEP
 @given(
-    st.integers(1, 6).flatmap(lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n)),
+    st.integers(1, 10).flatmap(lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n)),
     st.booleans(),
     st.booleans(),
 )
