@@ -294,6 +294,34 @@ def test_sampling_counts_do_not_depend_on_chunk_size(monkeypatch):
         assert [product_report(g, m, s, r, samples=300, seed=4).counts for s, r in cases] == expected
 
 
+# Exact (plus, minus) counts of sampling mode, pinned so that a rewrite of the
+# sampler keeps numpy's coin stream: sample counts straddle the chunk edges.
+_PIN_SAMPLES = (1, 1023, 1024, 1025, 2049)
+# An 11-node graph drawn once with random.Random(5), each pair an edge with
+# probability 0.35; under STANDARD_RULES its flip set is {2, 6, 10, 11}.
+_PIN_GRAPH = Graph(11, (
+    (1, 8), (2, 4), (2, 6), (2, 9), (2, 10), (2, 11), (3, 6), (3, 8), (3, 10),
+    (3, 11), (4, 6), (4, 7), (4, 10), (5, 8), (6, 8), (6, 10), (6, 11), (7, 8),
+    (7, 9), (7, 11), (8, 10), (8, 11), (10, 11),
+))
+
+
+@pytest.mark.parametrize("g, letters, subset, seed, counts", [
+    (ring(24), "X" * 24, None, 3,
+     [(1, 0), (1023, 0), (1024, 0), (1025, 0), (2049, 0)]),
+    (ring(24), "XYZI" * 6, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), 3,
+     [(0, 1), (532, 491), (533, 491), (534, 491), (1059, 990)]),
+    # the subset holds the I sites 4 and 7 and the flipped sites 2, 6, 10, 11
+    (_PIN_GRAPH, "XYZIXYIZXYX", (1, 2, 3, 4, 5, 6, 7, 9, 10, 11), 11,
+     [(1, 0), (501, 522), (502, 522), (502, 523), (1043, 1006)]),
+], ids=["ring24-all-x", "ring24-mixed", "random11-i-and-flips"])
+def test_sampling_counts_are_pinned(g, letters, subset, seed, counts):
+    m = Measurement(letters)
+    got = [product_report(g, m, subset, STANDARD_RULES, samples=s, seed=seed).counts
+           for s in _PIN_SAMPLES]
+    assert got == counts
+
+
 def test_hidden_assignment_validation():
     with pytest.raises(ValueError):
         run(ring(3), Measurement("XXX"), (1, 0, 1))
