@@ -401,20 +401,23 @@ def check_chain_length(n: int) -> None:
         raise ValueError(f"a chain needs at least 1 site, got n = {n}")
 
 
+def _check_full_sweep(n: int, advice: str) -> None:
+    """Refuse a sweep over all 4^n measurements past n = 7; each caller words
+    its own ``advice`` on getting past the guard, appended to the message."""
+    if n > _FULL_SWEEP_GUARD:
+        raise UnsupportedSizeError(f"full sweep is guarded at n = {_FULL_SWEEP_GUARD}{advice}")
+
+
 def _measurements(n: int, sample: int | None, seed: int) -> Iterator[str]:
     """The letters of every measurement on n sites, or of ``sample`` seeded
     random ones. The letters come from "IXYZ" only, so they need no check.
+    Callers of the full sweep apply ``_check_full_sweep`` first.
 
     The sample is one draw of ``sample`` rows of n letter codes, the same
     letters as drawing the rows one by one from the same generator.
     """
     check_chain_length(n)
     if sample is None:
-        if n > _FULL_SWEEP_GUARD:
-            raise UnsupportedSizeError(
-                f"full sweep is guarded at n = {_FULL_SWEEP_GUARD}; "
-                f"pass --sample K (sample=K) for larger n"
-            )
         return map("".join, itertools.product("IXYZ", repeat=n))
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
@@ -444,6 +447,8 @@ def verify_chain_exhaustive(
     Full sweep up to n = 7; beyond that a seeded sample of measurements is
     required.
     """
+    if sample is None:
+        _check_full_sweep(n, "; pass --sample K (sample=K) for larger n")
     measurements = _measurements(n, sample, seed)
     g = chain(n)
     cols = _letter_columns(g)
@@ -487,6 +492,7 @@ class ReadingDiscrepancy:
 def compare_readings(n: int) -> tuple[ReadingDiscrepancy, ...]:
     """Flip-decision differences between the silent-Y and broadcast-Y readings,
     over every measurement on n sites (guarded at n = 7)."""
+    _check_full_sweep(n, "")  # no sampled reading to point to
     out = []
     for letters in _measurements(n, None, 0):
         m = Measurement(letters)

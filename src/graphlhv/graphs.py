@@ -396,28 +396,44 @@ def _individualized(nbrs, a: list[int], b: list[int], x: int, y: int) -> list[li
     return _refine(nbrs, [a, b])
 
 
+def _candidate(a: list[int], b: list[int]) -> list[int]:
+    """One bijection carrying coloring a to coloring b (equal color counts):
+    a node with one color on both sides maps to itself, and the other nodes
+    of each color pair up in ascending order. On discrete colorings it is the
+    bijection matching equal colors."""
+    moved = [j for j in range(len(a)) if a[j] != b[j]]
+    perm = list(range(len(a)))
+    # stable sorts: within a color, both sides' moved nodes stay ascending
+    for x, y in zip(sorted(moved, key=a.__getitem__), sorted(moved, key=b.__getitem__)):
+        perm[x] = y
+    return perm
+
+
 def _extend(nbrs, adj, labels, a: list[int], b: list[int]) -> list[int] | None:
     """An automorphism carrying coloring a to coloring b, or None.
 
-    Both colorings are equitable and refined together. Branch on the first
-    cell with more than one node: fix one of its nodes on side a and try
-    every node of the cell on side b, since refinement does not tell which
-    of them lead to an automorphism. At a discrete leaf the bijection
-    matching equal colors is checked against every edge and label before
-    it is returned.
+    Both colorings are equitable and refined together. First try one early
+    leaf, ``_candidate(a, b)``, and return it if it preserves every label and
+    edge: on symmetric graphs the nodes that individualization left alone
+    usually stay put, so the search stops here instead of walking every
+    cell down to singletons. Otherwise branch on the first cell with more
+    than one node: fix one of its nodes on side a and try every node of the
+    cell on side b, since refinement does not tell which of them lead to an
+    automorphism. At a discrete leaf the candidate is the bijection matching
+    equal colors, which joint refinement makes an automorphism, so its
+    failure there raises ``RuntimeError``.
     """
     if sorted(a) != sorted(b):
         return None
+    perm = _candidate(a, b)
+    if all(labels[j] == labels[perm[j]] for j in range(len(a))) and all(
+        perm[k] in adj[perm[j]] for j, nb in enumerate(nbrs) for k in nb
+    ):
+        return perm
     cell = min((c for c, k in Counter(a).items() if k > 1), default=None)
     if cell is None:
-        where = {c: j for j, c in enumerate(b)}
-        perm = [where[c] for c in a]
-        # Joint refinement makes this hold; a failure is a bug, not a dead end.
-        if not (all(labels[j] == labels[perm[j]] for j in range(len(a))) and all(
-            perm[k] in adj[perm[j]] for j, nb in enumerate(nbrs) for k in nb
-        )):
-            raise RuntimeError("refined leaf is not an automorphism")
-        return perm
+        # Joint refinement makes the leaf hold; a failure is a bug, not a dead end.
+        raise RuntimeError("refined leaf is not an automorphism")
     x = a.index(cell)
     for y, c in enumerate(b):
         if c == cell:
@@ -435,10 +451,13 @@ def automorphism_orbits(g: Graph, labels: Sequence[Hashable] | None = None) -> t
     refinement scheme of nauty/Traces). The coloring is refined to the
     coarsest equitable partition; then each node v is matched against one
     representative u < v of every earlier orbit in its refined cell, by a
-    backtracking search for one automorphism with u -> v. Earlier orbits
-    are complete by then, so one success settles v. The automorphisms found
-    are merged by ``orbits``, so the work follows the number of orbits and
-    of nodes, not the order of the group. Labels need only be hashable.
+    backtracking search for one automorphism with u -> v (``_extend``).
+    Earlier orbits are complete by then, so one success settles v. The
+    automorphisms found are merged by ``orbits``, so the work follows the
+    number of orbits and of nodes, not the order of the group; with the
+    early leaf of ``_extend``, star:n and K_{a,b} take one individualization
+    per node. Every automorphism returned has been checked against every
+    edge and label. Labels need only be hashable.
     """
     if labels is None:
         labels = ("*",) * g.n

@@ -193,8 +193,11 @@ def _sampled_minus_count(
     """Runs of the protocol, out of ``samples``, whose product over ``sites`` is -1.
 
     The same steps as ``run``, on a block of coin rows at a time, with bit 1
-    standing for the value -1 so that products become XORs: coins, derived
-    entries, the entries negated at ``flips``, then the product.
+    standing for the value -1 so that products become XORs. The block is
+    bit-sliced: each coin column becomes one Python int with bit r for row
+    r, so a site's entry is the XOR of its neighbours' ints (and its own for
+    Y and Z), a flip XORs it with all ones, the product over ``sites`` is the
+    XOR of their entries and its -1 rows are counted by ``bit_count``.
     numpy draws {0, 1} values one 32-bit word each and the generator's state
     carries across calls, so a (rows, n) draw continues the stream exactly as
     rows draws of size n would: the counts do not depend on the chunk size.
@@ -202,22 +205,27 @@ def _sampled_minus_count(
     """
     import numpy as np
 
-    flip = [int(j in flips) for j in range(1, g.n + 1)]
-    neighbor_cols = [[k - 1 for k in block] for block in g.neighbors]
-    cols = [j - 1 for j in sites]
+    # (column, neighbour columns, letter, flipped) of each measured site
+    steps = [(j - 1, [k - 1 for k in g.neighbors[j - 1]], m.letters[j - 1], j in flips)
+             for j in sites if m.letters[j - 1] != "I"]  # unmeasured sites output +1
     rng = np.random.default_rng(seed)
     minus = 0
     for start in range(0, samples, _SAMPLE_CHUNK):
-        z = rng.integers(0, 2, size=(min(_SAMPLE_CHUNK, samples - start), g.n))
-        x = np.empty_like(z)
-        for i, nbrs in enumerate(neighbor_cols):
-            x[:, i] = np.bitwise_xor.reduce(z[:, nbrs], axis=1)
-        entries = {"X": x, "Y": x ^ z, "Z": z}
-        v = np.zeros_like(z)  # unmeasured sites output +1
-        for i, letter in enumerate(m.letters):
-            if letter in entries:
-                v[:, i] = entries[letter][:, i] ^ flip[i]
-        minus += int(np.bitwise_xor.reduce(v[:, cols], axis=1).sum())
+        rows = min(_SAMPLE_CHUNK, samples - start)
+        z = rng.integers(0, 2, size=(rows, g.n))
+        packed = np.packbits(z.T, axis=1, bitorder="little")
+        width = packed.shape[1]
+        raw = packed.tobytes()
+        coins = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+        ones = (1 << rows) - 1
+        product = 0
+        for i, nbrs, letter, flipped in steps:
+            entry = 0 if letter == "X" else coins[i]  # Y and Z carry their own coin
+            if letter != "Z":  # X and Y carry the parity of the neighbourhood
+                for k in nbrs:
+                    entry ^= coins[k]
+            product ^= entry ^ ones if flipped else entry
+        minus += product.bit_count()
     return minus
 
 

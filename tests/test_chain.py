@@ -552,7 +552,8 @@ def test_overlap_ten_qubit_sentences_disjoint():
 
 
 def test_compare_readings_keeps_the_full_sweep_guard():
-    with pytest.raises(UnsupportedSizeError, match="guarded at n = 7"):
+    # compare_readings has no sampled mode, so its guard must not point to one
+    with pytest.raises(UnsupportedSizeError, match="^full sweep is guarded at n = 7$"):
         compare_readings(8)
 
 

@@ -313,6 +313,72 @@ def test_orbit_search_on_symmetric_graphs_with_known_orbits(g, letters, expected
     assert automorphism_orbits(g, letters) == expected
 
 
+def _disjoint_stars(copies, size):
+    """``copies`` stars of ``size`` nodes each, star i centred at node 1 + i*size."""
+    return Graph(copies * size, tuple(
+        (1 + i * size, j + i * size) for i in range(copies) for j in range(2, size + 1)))
+
+
+def _cocktail_party(m):
+    """K_{2m} minus the perfect matching {1, 2}, {3, 4}, ..."""
+    n = 2 * m
+    return Graph(n, tuple((u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+                          if not (u % 2 and v == u + 1)))
+
+
+# Families whose groups are far past the enumeration cap, with their orbits
+# known in closed form: centre and leaves, the two parts (one orbit when equal),
+# centres and leaves of equal stars, and every node of the cocktail party graph.
+_SYMMETRIC_FAMILIES = [
+    (star(12), ((1,), tuple(range(2, 13)))),
+    (star(40), ((1,), tuple(range(2, 41)))),
+    (complete_bipartite(5, 10), (tuple(range(1, 6)), tuple(range(6, 16)))),
+    (complete_bipartite(15, 20), (tuple(range(1, 16)), tuple(range(16, 36)))),
+    (complete_bipartite(10, 10), (tuple(range(1, 21)),)),
+    (complete_bipartite(20, 20), (tuple(range(1, 41)),)),
+    (_disjoint_stars(3, 4), ((1, 5, 9), (2, 3, 4, 6, 7, 8, 10, 11, 12))),
+    (_disjoint_stars(5, 8), (tuple(range(1, 41, 8)),
+                             tuple(j for j in range(1, 41) if j % 8 != 1))),
+    (_cocktail_party(6), (tuple(range(1, 13)),)),
+    (_cocktail_party(20), (tuple(range(1, 41)),)),
+]
+
+
+@pytest.mark.parametrize("g, expected", _SYMMETRIC_FAMILIES,
+                         ids=["star12", "star40", "K5,10", "K15,20", "K10,10", "K20,20",
+                              "3stars4", "5stars8", "cocktail12", "cocktail40"])
+def test_orbit_search_on_symmetric_families_past_the_cap(g, expected):
+    assert _group_order_bound(g, ("X",) * g.n) > _ENUMERATION_CAP
+    assert automorphism_orbits(g, ("X",) * g.n) == expected
+
+
+def _individualized_calls(monkeypatch, g):
+    calls = []
+    real = graphs._individualized
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "_individualized", counting)
+    automorphism_orbits(g, ("X",) * g.n)
+    return len(calls)
+
+
+@pytest.mark.parametrize("build", [
+    star,
+    lambda n: complete_bipartite(n // 4, n - n // 4),
+    lambda n: complete_bipartite(n // 2, n - n // 2),
+], ids=["star", "K_{n/4,3n/4}", "K_{n/2,n/2}"])
+def test_orbit_search_work_grows_linearly(monkeypatch, build):
+    # The work of the search, counted without timing it: every node after the
+    # first of its orbit costs one individualization, because the early leaf
+    # maps the nodes that individualization left alone to themselves. Walking
+    # each pair search down the leaf cell instead costs about n^2 of them.
+    for n in (8, 16, 24, 32, 40):
+        assert _individualized_calls(monkeypatch, build(n)) <= n - 2
+
+
 # Every fixed graph of at most 10 nodes that the suite builds elsewhere; the last
 # is the eight-mismatch instance of test_kernel_sweep.py.
 _SUITE_GRAPHS = [
@@ -395,6 +461,17 @@ def test_extension_fails_when_every_candidate_fails():
     assert sorted(perm) == list(range(g.n))
     assert all(perm[k] in adj[perm[j]] for j, nb in enumerate(nbrs) for k in nb)
     assert [hexagon_first[p] for p in perm] == hexagon_first
+
+
+def test_a_discrete_leaf_that_is_no_automorphism_raises():
+    # _extend trusts joint refinement at a discrete leaf: colorings whose color
+    # bijection breaks an edge there are a bug, not a dead end
+    g = chain(3)
+    nbrs = [[k - 1 for k in block] for block in g.neighbors]
+    adj = [set(nb) for nb in nbrs]
+    with pytest.raises(RuntimeError, match="^refined leaf is not an automorphism$"):
+        graphs._extend(nbrs, adj, ("*",) * 3, [0, 1, 2], [1, 0, 2])
+    assert graphs._extend(nbrs, adj, ("*",) * 3, [0, 1, 2], [2, 1, 0]) == [2, 1, 0]
 
 
 def test_orbit_search_accepts_unorderable_labels():
