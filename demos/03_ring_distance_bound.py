@@ -8,36 +8,28 @@ contains a certain submeasurement. Writing one +/-1 variable per
 equations whose product is the contradiction 1 = -1.
 """
 
-from graphlhv import (
-    build_ring_instance,
-    certify_distance,
-    distance_bound,
-    distance_constraint_system,
-    gf2_solve,
-)
+from graphlhv import certify_distance, distance_constraint_system, gf2_solve, ring
 
-inst = build_ring_instance(1)
+cert = certify_distance(12, 1)
 print("ring(12), the five certain submeasurements:")
-for c in inst.cases:
+for c in cert.cases:
     print(f"  [{c.name}] global {c.global_measurement} contains {c.sub} -> {c.expected_sign:+d}")
 
-system = distance_constraint_system(inst.graph, inst.cases, d=1)
 print("\nconstraints at communication distance 1 "
       "(variables keyed by site, observable, and 1-ball view):")
-for eq in system.equations:
-    terms = " ".join(sorted(f"{v.observable}{v.site}" for v in system.keys(eq)))
+for eq in cert.system.equations:
+    terms = " ".join(sorted(f"{v.observable}{v.site}" for v in cert.system.keys(eq)))
     print(f"  [{eq.label}] {terms} = {eq.sign:+d}")
 
-solution = gf2_solve(system)
-print("\nsolver:", "inconsistent" if not solution.consistent else "consistent",
-      "| certificate = equations", solution.certificate)
+print("\nsolver:", "inconsistent" if not cert.solution.consistent else "consistent",
+      "| certificate = equations", cert.solution.certificate)
 
 # Every variable appears an even number of times across the five equations,
 # but the right-hand sides multiply to -1.
 
 # With unlimited distance every site sees the whole measurement, the five
 # instances stop sharing variables, and a model exists again:
-full = distance_constraint_system(inst.graph, inst.cases, d=6)
+full = distance_constraint_system(ring(12), cert.cases, d=6)
 print("at full view the system is",
       "consistent" if gf2_solve(full).consistent else "inconsistent")
 

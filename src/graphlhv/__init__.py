@@ -22,7 +22,6 @@ from .graphs import (
     graph_from_json,
     grid,
     is_chain,
-    load_graph,
     named_graph,
     orbits,
     padded_ring,
@@ -68,9 +67,7 @@ from .nogo import (
     GF2Solution,
     OrbitVariable,
     ParityConstraintSystem,
-    RingInstance,
     SubmeasurementReport,
-    build_ring_instance,
     certify_distance,
     distance_bound,
     distance_constraint_system,
@@ -81,7 +78,6 @@ from .nogo import (
     measurement_view,
     site_invariance_system,
     verify_all_submeasurements,
-    y_stabilizer_supports,
 )
 from .chain_protocol import (
     ChainBroadcast,

@@ -20,10 +20,9 @@ from . import __version__
 from .graphs import (
     Graph,
     UnsupportedSizeError,
-    check_automorphism_size,
     family_node_count,
+    graph_from_json,
     grid,
-    load_graph,
     named_graph,
 )
 from .lhv import NO_COMMUNICATION, SYMMETRIC_RULES, STANDARD_RULES, product_report
@@ -63,14 +62,18 @@ def _graph_and_measurement(args: argparse.Namespace) -> tuple[Graph, dict, Measu
     Built, a family spec such as ring:99999999999 would exhaust memory, so a
     family with more nodes than the measurement has letters is refused from
     its integers alone. A smaller one is built first, so that the family's own
-    parameter errors (ring:2) are the ones reported.
+    parameter errors (ring:2) are the ones reported. A file is read once: the
+    reported sha256 is that of its bytes, and the graph is parsed from them
+    decoded as UTF-8 with universal newlines, as text mode reads a file, so a
+    JSON error's line number counts \r and \r\n line ends too.
     """
     spec, raw = args.graph, args.measurement
     try:
         if os.path.exists(spec):
-            g = load_graph(spec)
             with open(spec, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+                data = fh.read()
+            g = graph_from_json(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+            digest = hashlib.sha256(data).hexdigest()
             source = {"kind": "file", "path": spec, "sha256": digest}
         else:
             nodes = family_node_count(spec)
@@ -209,11 +212,12 @@ def _cmd_nogo_ring(args: argparse.Namespace) -> int:
 
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
     g, source, m = _graph_and_measurement(args)
-    try:
-        check_automorphism_size(g, _SITE_INVARIANCE_NODES)  # before the certain-subset walk
-        subs, system, solution, orbits = _orbit_flip_system(g, m)
-    except UnsupportedSizeError as exc:
-        raise CommandError(str(exc)) from exc
+    # before any work; at 12 nodes the certain-subset walk stays under its own guard
+    if g.n > _SITE_INVARIANCE_NODES:
+        raise CommandError(
+            f"automorphism search is guarded at {_SITE_INVARIANCE_NODES} nodes, got {g.n}"
+        )
+    subs, system, solution, orbits = _orbit_flip_system(g, m)
     state = "consistent" if solution.consistent else "inconsistent"
     ok = None if args.expect is None else args.expect == state
     result = {

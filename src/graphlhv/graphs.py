@@ -228,11 +228,6 @@ def graph_from_json(text: str) -> Graph:
     return Graph(data["n"], tuple(tuple(e) for e in edges))
 
 
-def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
-
-
 def ball(g: Graph, j: int, d: int) -> frozenset[int]:
     """Nodes reachable from j along at most d edges, including j itself."""
     g.check_node(j)
@@ -292,15 +287,6 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def check_automorphism_size(g: Graph, max_nodes: int) -> None:
-    """The guard of ``automorphisms``, which ``nogo site-invariance`` also
-    applies at 12 nodes before other work."""
-    if g.n > max_nodes:
-        raise UnsupportedSizeError(
-            f"automorphism search is guarded at {max_nodes} nodes, got {g.n}"
-        )
-
-
 def automorphisms(g: Graph, labels: Sequence[Hashable] | None = None, max_nodes: int = 12) -> list[tuple[int, ...]]:
     """All node permutations preserving edges and the node labels (labels[j-1] for node j).
 
@@ -312,7 +298,8 @@ def automorphisms(g: Graph, labels: Sequence[Hashable] | None = None, max_nodes:
     identity is always present. Raise the guard via ``max_nodes`` only for
     graphs known to be rigid enough to enumerate.
     """
-    check_automorphism_size(g, max_nodes)
+    if g.n > max_nodes:
+        raise UnsupportedSizeError(f"automorphism search is guarded at {max_nodes} nodes, got {g.n}")
     if labels is None:
         labels = ("*",) * g.n
     if len(labels) != g.n:

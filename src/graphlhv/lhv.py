@@ -195,9 +195,10 @@ def _sampled_minus_count(
     The same steps as ``run``, on a block of coin rows at a time, with bit 1
     standing for the value -1 so that products become XORs. The block is
     bit-sliced: each coin column becomes one Python int with bit r for row
-    r, so a site's entry is the XOR of its neighbours' ints (and its own for
-    Y and Z), a flip XORs it with all ones, the product over ``sites`` is the
-    XOR of their entries and its -1 rows are counted by ``bit_count``.
+    r, so a site's entry XORs its neighbours' ints for X and Y and its own
+    for Y and Z (an unmeasured site's +1 is 0), a flip XORs it with all
+    ones, the product over ``sites`` is the XOR of their entries and its -1
+    rows are counted by ``bit_count``.
     numpy draws {0, 1} values one 32-bit word each and the generator's state
     carries across calls, so a (rows, n) draw continues the stream exactly as
     rows draws of size n would: the counts do not depend on the chunk size.
@@ -205,9 +206,9 @@ def _sampled_minus_count(
     """
     import numpy as np
 
-    # (column, neighbour columns, letter, flipped) of each measured site
+    # (column, neighbour columns, letter, flipped) of each site
     steps = [(j - 1, [k - 1 for k in g.neighbors[j - 1]], m.letters[j - 1], j in flips)
-             for j in sites if m.letters[j - 1] != "I"]  # unmeasured sites output +1
+             for j in sites]
     rng = np.random.default_rng(seed)
     minus = 0
     for start in range(0, samples, _SAMPLE_CHUNK):
@@ -220,8 +221,8 @@ def _sampled_minus_count(
         ones = (1 << rows) - 1
         product = 0
         for i, nbrs, letter, flipped in steps:
-            entry = 0 if letter == "X" else coins[i]  # Y and Z carry their own coin
-            if letter != "Z":  # X and Y carry the parity of the neighbourhood
+            entry = coins[i] if letter in "YZ" else 0  # Y and Z carry their own coin
+            if letter in "XY":  # X and Y carry the parity of the neighbourhood
                 for k in nbrs:
                     entry ^= coins[k]
             product ^= entry ^ ones if flipped else entry

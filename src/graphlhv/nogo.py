@@ -45,11 +45,10 @@ from .graphs import (
     ball_masks,
     grid,
     padded_ring,
-    ring,
 )
 from .lhv import STANDARD_RULES, FlipProtocol, _monomial_columns
 from .oracle import Verdict, classify, stabilizer_word
-from .pauli import Measurement, generator_product, generator_product_sign, is_submeasurement
+from .pauli import Measurement, generator_product, is_submeasurement
 
 _KERNEL_GUARD = 20
 
@@ -414,25 +413,8 @@ def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[frozen
     )
 
 
-def y_stabilizer_supports(g: Graph) -> tuple[tuple[frozenset[int], int], ...]:
-    """Supports S such that Y on S and I elsewhere is a signed stabilizer word.
-
-    These are the certain subsets of the all-Y measurement, i.e. the kernel
-    of (adjacency + identity) over GF(2). Each sign is cross-checked against
-    the generator product. Sorted by size, then by sites.
-    """
-    out = []
-    for sites, sign in find_certain_submeasurements(g, Measurement("Y" * g.n)):
-        if generator_product_sign(g, sites) != sign:
-            raise RuntimeError(
-                f"Y on {sorted(sites)}: oracle and generator product disagree on the sign"
-            )
-        out.append((sites, sign))
-    return tuple(sorted(out, key=lambda p: (len(p[0]), sorted(p[0]))))
-
-
 # ---------------------------------------------------------------------------
-# Ring instances for the distance bound
+# Ring cases for the distance bound
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -444,26 +426,6 @@ class CertainSubmeasurement:
     sub: Measurement
     expected_sign: int
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.sub.support()
-
-
-@dataclass(frozen=True)
-class RingInstance:
-    """The five-measurement construction on a ring of 12f nodes, f odd.
-
-    The ring is viewed as a triangle: three vertex nodes (multiples of 4f)
-    whose measurement varies between X and Y, three midpoint nodes
-    (odd multiples of 2f), odd nodes always measuring Y, and the remaining
-    even nodes measuring X.
-    """
-
-    f: int
-    n: int
-    graph: Graph
-    cases: tuple[CertainSubmeasurement, ...]
-
 
 # (name, letters at the vertices 4f, 8f, 12f, sign of the certain sub)
 _RING_CASES = (
@@ -474,7 +436,9 @@ _RING_CASES = (
 def _ring_cases(g: Graph, f: int) -> tuple[CertainSubmeasurement, ...]:
     """The five cases on a ring of 12f nodes followed by any isolated extras.
 
-    Each certain sub is the product of the generators at one site set: every
+    The ring is read as a triangle: its vertices 4f, 8f and 12f measure X or
+    Y by case, every other odd site Y and every other even site X. Each
+    certain sub is the product of the generators at one site set: every
     even site (xxx), every site that is not a multiple of 4 (yyy), and for
     yxy the sites 1 and 4f - 1, every even site from 4f on and 4j - 1, 4j,
     4j + 1 for 0 < j < f; yyx and xyy turn that set by 4f and 8f. The
@@ -505,14 +469,6 @@ def _ring_cases(g: Graph, f: int) -> tuple[CertainSubmeasurement, ...]:
     return tuple(cases)
 
 
-def build_ring_instance(f: int) -> RingInstance:
-    """Construct and validate the five certain submeasurements on ring(12f)."""
-    if f < 1 or f % 2 == 0:
-        raise ValueError(f"f must be an odd positive integer, got {f}")
-    g = ring(12 * f)
-    return RingInstance(f, 12 * f, g, _ring_cases(g, f))
-
-
 # ---------------------------------------------------------------------------
 # Distance-bound certification
 # ---------------------------------------------------------------------------
@@ -540,6 +496,10 @@ def distance_constraint_system(
     from one pass over integer bitmasks (``ball_masks``): at most
     min(d, n - 1) rounds of O(n + |E|) big-int ORs, stopping early once no
     ball grows, so an oversized d costs no more than the graph's diameter.
+    A site's ascending nodes are read off its mask in C (its reversed binary
+    digits select from a range), and a difference site is probed by one bit
+    test. On a shared 2-core VM the whole system takes about 13 ms at f = 25
+    (n = 300, d = 49) and about 0.15 s at f = 101 (n = 1212, d = 201).
     Variables are declared in order of first use, an equation's sites taken
     in decimal-string order. Raises ValueError unless every case's words
     have length n, its sub is a submeasurement of its global measurement and
@@ -552,15 +512,7 @@ def _distance_system(
     g: Graph, cases: Sequence[CertainSubmeasurement], d: int
 ) -> tuple[ParityConstraintSystem, dict[int, int]]:
     """``distance_constraint_system`` plus each support site's ball as a bitmask
-    (bit k - 1 for node k).
-
-    One ``ball_masks`` pass builds every ball: at most min(d, n - 1) rounds
-    of O(n + |E|) big-int ORs, stopping early once no ball grows. A site's
-    ascending nodes are read off its mask in C (its reversed binary digits
-    select from a range), and a difference site is probed by one bit test.
-    On a shared 2-core VM the whole system takes about 13 ms at f = 25
-    (n = 300, d = 49) and about 0.15 s at f = 101 (n = 1212, d = 201).
-    """
+    (bit k - 1 for node k)."""
     for case in cases:
         glob, sub = case.global_measurement, case.sub
         if len(glob) != g.n or len(sub) != g.n:
@@ -573,7 +525,8 @@ def _distance_system(
     words = [case.global_measurement.letters for case in cases]
     differ = [k - 1 for k, column in enumerate(zip(*words), start=1) if len(set(column)) > 1]
     all_masks = ball_masks(g, d)
-    masks = {j: all_masks[j - 1] for j in sorted(set().union(*(case.support for case in cases)))}
+    sites = sorted(set().union(*(case.sub.support() for case in cases)))
+    masks = {j: all_masks[j - 1] for j in sites}
     views = {j: _pairs_at(_bit_indices(mask)) for j, mask in masks.items()}
     probes = {j: tuple(i for i in differ if (mask >> i) & 1) for j, mask in masks.items()}
     index: dict[tuple, int] = {}  # (site, letter, probe letters) -> variable position
@@ -583,7 +536,7 @@ def _distance_system(
         pairs = tuple(enumerate(word, start=1))  # (node, letter) at index node - 1
         # sites in decimal-string order (1, 10, 2, ...): the published variable order
         row = 0
-        for j in sorted(case.support, key=str):
+        for j in sorted(case.sub.support(), key=str):
             key = (j, word[j - 1], tuple(word[i] for i in probes[j]))
             i = index.get(key)
             if i is None:

@@ -21,7 +21,6 @@ from graphlhv.chain_protocol import (
 from graphlhv.graphs import chain, complete_bipartite, grid, ring, star
 from graphlhv.lhv import product_report
 from graphlhv.nogo import (
-    build_ring_instance,
     certify_distance,
     distance_bound,
     distance_constraint_system,
@@ -81,14 +80,14 @@ def test_criterion_2_global_correctness(capsys):
 
 def test_criterion_3_triangle_ring_contradiction(capsys):
     t0 = time.time()
-    inst = build_ring_instance(1)
+    g, cases = ring(12), certify_distance(12, 1).cases
 
-    signs = {c.name: c.expected_sign for c in inst.cases}
+    signs = {c.name: c.expected_sign for c in cases}
     assert signs == {"xxx": 1, "yyy": -1, "yxy": 1, "yyx": 1, "xyy": 1}
-    for c in inst.cases:
-        assert classify(inst.graph, c.sub) == Verdict.deterministic(c.expected_sign)
+    for c in cases:
+        assert classify(g, c.sub) == Verdict.deterministic(c.expected_sign)
 
-    system = distance_constraint_system(inst.graph, inst.cases, 1)
+    system = distance_constraint_system(g, cases, 1)
     expected_structure = [
         ({("x", 2), ("x", 4), ("x", 6), ("x", 8), ("x", 10), ("x", 12)}, 1),
         ({("y", 1), ("x", 2), ("y", 3), ("y", 5), ("x", 6), ("y", 7),

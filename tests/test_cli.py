@@ -1,5 +1,6 @@
 """Command-line surface: JSON output, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import pathlib
@@ -44,6 +45,23 @@ def test_graph_file_ingestion(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["inputs"]["graph"]["kind"] == "file"
     assert payload["result"]["value"] == 1
+
+    # the digest is the sha256 of the bytes parsed, spaces and CRLF line ends included
+    raw = b'{ "n" : 2,\r\n  "edges" : [ [1,2] ]\r\n}\r\n'
+    path.write_bytes(raw)
+    code, out, _ = _run(capsys, "oracle", "--graph", str(path), "--measurement", "YY")
+    assert code == 0
+    assert json.loads(out)["inputs"]["graph"]["sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_graph_file_errors_count_every_line_end(tmp_path, capsys, end):
+    # the file is parsed with universal newlines, so a lone \r ends a line too
+    path = tmp_path / "g.json"
+    path.write_bytes(f'{{"n": 2,{end}"edges": [[1, 2]{end}}}'.encode())
+    code, out, err = _run(capsys, "oracle", "--graph", str(path), "--measurement", "YY")
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON at line 3, column 1: Expecting ',' delimiter\n"
 
 
 def test_bad_graph_file_is_usage_error(tmp_path, capsys):
@@ -637,17 +655,22 @@ def test_byte_identical_reports(capsys):
         (["chain", "verify", "--n", "8", "--sample", "4", "--seed", "-1"], None),
         (["nogo", "ring", "--f", "1", "--d", "-1"], None),
         (["lhv", "run", "--graph", "ring:4", "--measurement", "XXXX", "--subset", "1,x"], None),
+        (["oracle", "--graph", "{file}", "--measurement", "XX"], b'{"n": 2, "edges": []}\xff'),
+        (["oracle", "--graph", "{file}", "--measurement", "XX"], '{"n": 2, "edges": [[1, 2, 3]]}'),
+        (["nogo", "ring", "--f", "0"], None),
+        (["nogo", "ring", "--f", "-1"], None),
     ],
     ids=["samples-0", "samples-negative", "chain-n-0", "chain-sample-0", "graph-dir",
          "float-endpoints", "string-endpoint", "bool-n", "edges-not-a-list",
          "subset-repeats-site", "subset-repeats-site-apart", "seed-negative-lhv-exact",
          "seed-negative-lhv-sampled", "seed-negative-chain-exhaustive",
-         "seed-negative-chain-sampled", "ring-distance-negative", "subset-not-an-integer"],
+         "seed-negative-chain-sampled", "ring-distance-negative", "subset-not-an-integer",
+         "file-not-utf8", "edge-not-a-pair", "ring-f-0", "ring-f-negative"],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, graph_json):
     path = tmp_path / "g.json"
     if graph_json is not None:
-        path.write_text(graph_json)
+        path.write_bytes(graph_json if isinstance(graph_json, bytes) else graph_json.encode())
     argv = [a.format(dir=tmp_path, file=path) for a in argv]
     code, out, err = _run(capsys, *argv)  # an exception here is a CLI traceback
     assert code == 2
@@ -765,6 +788,10 @@ def test_oversized_graph_file_gives_the_same_error(tmp_path, capsys):
         ("ring:-5", "X", "a ring needs at least 3 nodes"),
         ("grid:2x3", "YYYYY", "measurement has 5 letters but the graph has 6 nodes"),
         ("grid:23", "X", "expected AxB dimensions"),
+        ("chain:0", "X", "a chain needs at least 1 node, got 0"),
+        ("star:0", "X", "a star needs at least 1 node, got 0"),
+        ("grid:0x3", "X", "grid dimensions must be positive, got 0x3"),
+        ("complete-bipartite:0x2", "XX", "part sizes must be positive, got 0, 2"),
     ],
 )
 def test_family_spec_errors(capsys, spec, letters, fragment):
@@ -881,3 +908,19 @@ def test_readme_commands_run(capsys):
     for line in commands:
         code, _, err = _run(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
+
+
+def test_readme_library_tour_runs():
+    # run the tour statement by statement, keeping each bare expression's value
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    (tour,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    namespace, values = {}, {}
+    for node in ast.parse(tour).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(tour, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert values["[c.sites for c in report.mismatches]"] == [(1, 2, 3, 5), (2, 4, 5, 6)]
+    assert values['STANDARD_RULES.flip_sites(grid(2, 3), Measurement("YYYYYY"))'] == {2, 5}
+    assert values["gf2_solve(system).consistent"] is False

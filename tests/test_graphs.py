@@ -98,6 +98,15 @@ def test_graph_validation():
         Graph(3, ((1, 2), (2, 1)))  # reversed duplicate
     with pytest.raises(GraphFormatError):
         Graph(2, ((1, 2), (1, 2)))
+    for pair in ((1, 2, 3), 5):
+        with pytest.raises(GraphFormatError, match="is not a node pair"):
+            Graph(3, (pair,))
+
+
+def test_relabel_refuses_a_non_bijection():
+    for mapping in ({1: 1, 2: 1, 3: 3}, {1: 1, 2: 2}, {1: 2, 2: 3, 3: 4}):
+        with pytest.raises(ValueError, match="bijection"):
+            relabel(chain(3), mapping)
 
 
 # Every entry point that takes a graph and a measurement word refuses a word of
@@ -248,8 +257,11 @@ def test_automorphism_group_closure():
 
 
 def test_automorphism_guard():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedSizeError, match="guarded at 12 nodes, got 13"):
         automorphisms(ring(13))
+    for labels in ("XY", "XYZZ"):
+        with pytest.raises(ValueError, match="labels must name every node"):
+            automorphisms(chain(3), labels)
     # explicit override lets rigid larger graphs through
     assert len(automorphisms(grid(4, 5), max_nodes=20)) == 4
 

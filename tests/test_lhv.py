@@ -322,6 +322,23 @@ def test_sampling_counts_are_pinned(g, letters, subset, seed, counts):
     assert got == counts
 
 
+class _FlipSiteOne:
+    """A protocol that flips site 1 whatever it measures, an unmeasured site included."""
+
+    name = "flip-site-1"
+
+    def flip_sites(self, g, m):
+        return frozenset({1})
+
+
+def test_a_flipped_unmeasured_site_outputs_minus_one_in_every_mode():
+    g, m = chain(2), Measurement("IX")
+    exact = product_report(g, m, (1,), _FlipSiteOne())
+    assert exact.verdict == Verdict.deterministic(-1) and exact.flipped == (1,)
+    assert {run(g, m, z, _FlipSiteOne()).v[0] for z in all_assignments(2)} == {-1}
+    assert product_report(g, m, (1,), _FlipSiteOne(), samples=8, seed=0).counts == (0, 8)
+
+
 def test_hidden_assignment_validation():
     with pytest.raises(ValueError):
         run(ring(3), Measurement("XXX"), (1, 0, 1))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from graphlhv import nogo
 from graphlhv.graphs import (
     Graph,
     UnsupportedSizeError,
@@ -24,7 +25,7 @@ from graphlhv.nogo import (
     ContextVariable,
     Equation,
     ParityConstraintSystem,
-    build_ring_instance,
+    SubmeasurementReport,
     certify_distance,
     distance_bound,
     distance_constraint_system,
@@ -35,7 +36,6 @@ from graphlhv.nogo import (
     measurement_view,
     site_invariance_system,
     verify_all_submeasurements,
-    y_stabilizer_supports,
 )
 from graphlhv.oracle import Verdict, classify
 from graphlhv.pauli import Measurement, generator_product, is_submeasurement
@@ -162,16 +162,15 @@ def test_right_hand_side_must_be_a_bit(rhs):
 # Ring instances
 # ---------------------------------------------------------------------------
 
-def test_build_ring_instance_rejects_bad_f():
-    for f in (0, 2, -1):
-        with pytest.raises(ValueError):
-            build_ring_instance(f)
+def _ring_instance(f):
+    """ring(12f) and its five cases, as the certifier builds them (for odd f the
+    padded ring of 12f nodes has no isolated extra)."""
+    return ring(12 * f), certify_distance(12 * f).cases
 
 
 def test_ring_instance_f1_matches_hand_construction():
-    inst = build_ring_instance(1)
-    assert inst.n == 12
-    subs = {c.name: str(c.sub) for c in inst.cases}
+    g, cases = _ring_instance(1)
+    subs = {c.name: str(c.sub) for c in cases}
     assert subs == {
         "xxx": "IXIXIXIXIXIX",
         "yyy": "YXYIYXYIYXYI",
@@ -179,26 +178,24 @@ def test_ring_instance_f1_matches_hand_construction():
         "yyx": "IXIYYIYYIXIX",
         "xyy": "IXIXIXIYYIYY",
     }
-    signs = {c.name: c.expected_sign for c in inst.cases}
+    signs = {c.name: c.expected_sign for c in cases}
     assert signs == {"xxx": 1, "yyy": -1, "yxy": 1, "yyx": 1, "xyy": 1}
-    for c in inst.cases:
+    for c in cases:
         assert is_submeasurement(c.sub, c.global_measurement)
-        assert classify(inst.graph, c.sub) == Verdict.deterministic(c.expected_sign)
+        assert classify(g, c.sub) == Verdict.deterministic(c.expected_sign)
 
 
 def test_ring_instance_f3_oracle_confirms_signs():
-    inst = build_ring_instance(3)
-    assert inst.n == 36
-    for c in inst.cases:
-        assert classify(inst.graph, c.sub) == Verdict.deterministic(c.expected_sign)
+    g, cases = _ring_instance(3)
+    for c in cases:
+        assert classify(g, c.sub) == Verdict.deterministic(c.expected_sign)
 
 
 @pytest.mark.parametrize("f", [1, 3])
 def test_ring_subs_equal_explicit_generator_products(f):
-    inst = build_ring_instance(f)
-    g = inst.graph
-    n = inst.n
-    by_name = {c.name: c for c in inst.cases}
+    g, cases = _ring_instance(f)
+    n = g.n
+    by_name = {c.name: c for c in cases}
 
     # product of every second generator
     a = [1 if j % 2 == 0 else 0 for j in range(1, n + 1)]
@@ -244,7 +241,9 @@ def _case_rows(cases):
 # and each was confirmed by ``classify``; building them as generator products
 # must not change a letter or a sign.
 def test_ring_cases_are_pinned():
-    rows = (row for f in range(1, 102, 2) for row in _case_rows(build_ring_instance(f).cases))
+    # read directly: through certify_distance the 51 sizes take about three times as long
+    rows = (row for f in range(1, 102, 2)
+            for row in _case_rows(nogo._ring_cases(ring(12 * f), f)))
     assert _digest(rows) == "610e24b2da5da47273d82aa917d403a4e3bff229402009f5942988cb8ee329c2"
 
 
@@ -257,8 +256,8 @@ def test_padded_certify_cases_are_pinned():
 
 
 def test_ring_cases_are_cyclic_shifts():
-    inst = build_ring_instance(1)
-    by_name = {c.name: c for c in inst.cases}
+    _, cases = _ring_instance(1)
+    by_name = {c.name: c for c in cases}
 
     def shift(m, k, n):
         return Measurement("".join(m.letters[(j - 1 - k) % n] for j in range(1, n + 1)))
@@ -283,8 +282,8 @@ def test_distance_bound_values():
 
 
 def test_triangle_ring_constraint_structure():
-    inst = build_ring_instance(1)
-    system = distance_constraint_system(inst.graph, inst.cases, 1)
+    g, cases = _ring_instance(1)
+    system = distance_constraint_system(g, cases, 1)
     assert len(system.equations) == 5
 
     expected = [
@@ -314,8 +313,8 @@ def test_triangle_ring_constraint_structure():
 
 
 def test_single_instance_always_consistent():
-    inst = build_ring_instance(1)
-    system = distance_constraint_system(inst.graph, inst.cases[:1], 1)
+    g, cases = _ring_instance(1)
+    system = distance_constraint_system(g, cases[:1], 1)
     sol = gf2_solve(system)
     assert sol.consistent
     _check_witness(system, sol.witness)
@@ -324,25 +323,24 @@ def test_single_instance_always_consistent():
 def test_full_view_system_is_consistent():
     # with d at the diameter every view is the whole measurement, the five
     # instances stop sharing variables, and a model exists
-    inst = build_ring_instance(1)
-    system = distance_constraint_system(inst.graph, inst.cases, 6)
+    g, cases = _ring_instance(1)
+    system = distance_constraint_system(g, cases, 6)
     sol = gf2_solve(system)
     assert sol.consistent
     _check_witness(system, sol.witness)
 
 
 def test_distance_two_already_admits_a_model_at_f1():
-    inst = build_ring_instance(1)
-    system = distance_constraint_system(inst.graph, inst.cases, 2)
+    g, cases = _ring_instance(1)
+    system = distance_constraint_system(g, cases, 2)
     assert gf2_solve(system).consistent
 
 
 def test_view_canonicalization_round_trip():
     # a view reads back exactly the measurement letters on the ball, in
     # sorted node order, so byte-equal views mean equal restrictions
-    g = ring(12)
-    inst = build_ring_instance(1)
-    for case in inst.cases:
+    g, cases = _ring_instance(1)
+    for case in cases:
         m = case.global_measurement
         for j in range(1, 13):
             for d in (0, 1, 2):
@@ -368,8 +366,6 @@ def test_certify_distance_sweep():
 def test_certify_distance_finds_each_ball_once(monkeypatch):
     # one mask pass builds every ball, however many sites and cases share
     # them, and the views still read the measurement on each site's ball
-    from graphlhv import nogo
-
     calls = []
 
     def counting_ball_masks(g, d):
@@ -384,7 +380,7 @@ def test_certify_distance_finds_each_ball_once(monkeypatch):
         m = case.global_measurement
         assert set(cert.system.keys(eq)) == {
             ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, cert.d))
-            for j in case.support
+            for j in case.sub.support()
         }
 
 
@@ -403,7 +399,7 @@ def _reference_distance_system(g, cases, d):
     for case in cases:
         m = case.global_measurement
         keyed.append({ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, d))
-                      for j in case.support})
+                      for j in case.sub.support()})
     seen = {}
     for keys in keyed:
         for key in sorted(keys, key=repr):
@@ -422,11 +418,11 @@ def _assert_same_system(got, want):
 
 @pytest.mark.parametrize("f", [1, 3])
 def test_distance_system_matches_full_view_reference_on_rings(f):
-    inst = build_ring_instance(f)
+    g, cases = _ring_instance(f)
     for d in range(0, 6 * f + 2):
         _assert_same_system(
-            distance_constraint_system(inst.graph, inst.cases, d),
-            _reference_distance_system(inst.graph, inst.cases, d),
+            distance_constraint_system(g, cases, d),
+            _reference_distance_system(g, cases, d),
         )
 
 
@@ -523,6 +519,12 @@ def test_verify_report_counts_and_entries():
     assert report.deterministic_subsets == 4
 
 
+def test_report_refuses_a_mismatch_that_is_no_submeasurement():
+    check = verify_all_submeasurements(grid(2, 3), Measurement("YYYYYY")).mismatches[0]
+    with pytest.raises(ValueError, match="YYYIYI is not a submeasurement of XYYYYY"):
+        SubmeasurementReport(Measurement("XYYYYY"), "standard", 64, 4, (check,))
+
+
 def test_verify_matches_product_verdict_pointwise():
     g = star(4)
     m = Measurement("XYXZ")
@@ -598,8 +600,6 @@ def test_verify_guard():
 
 @pytest.fixture
 def classify_calls(monkeypatch):
-    from graphlhv import nogo
-
     calls = []
 
     def counting_classify(g, m):
@@ -677,16 +677,6 @@ def test_all_plus_subs_consistent_with_zero_flips():
     assert sol.witness == 0  # every variable +1
 
 
-def test_y_supports_match_subset_search():
-    g = grid(2, 3)
-    from_kernel = set(y_stabilizer_supports(g))
-    from_search = {
-        (s, sign)
-        for s, sign in find_certain_submeasurements(g, Measurement("YYYYYY"))
-    }
-    assert from_kernel == from_search
-
-
 def test_embedded_grid_counterexamples():
     for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
         g, glob, sub = embedded_grid_counterexample(p, q)
@@ -712,6 +702,12 @@ def test_embedded_counterexample_0_0_is_the_2x3_grid():
     g, glob, sub = embedded_grid_counterexample(0, 0)
     assert str(glob) == "YYYYYY"
     assert str(sub) == "YYYIYI"
+
+
+@pytest.mark.parametrize("p, q", [(-1, 0), (0, -1)])
+def test_embedded_counterexample_refuses_a_negative_margin(p, q):
+    with pytest.raises(ValueError, match=f"must be non-negative, got {p}, {q}"):
+        embedded_grid_counterexample(p, q)
 
 
 def test_site_invariance_rejects_unmeasured_support():
