@@ -18,7 +18,6 @@ from .graphs import (
     ball,
     chain,
     complete_bipartite,
-    diameter,
     graph_from_json,
     grid,
     is_chain,
@@ -34,7 +33,6 @@ from .pauli import (
     PhasedPauli,
     generator,
     generator_product,
-    generator_product_sign,
     is_submeasurement,
     multiply,
 )
@@ -73,7 +71,6 @@ from .nogo import (
     distance_constraint_system,
     embedded_grid_counterexample,
     find_certain_submeasurements,
-    gf2_nullspace,
     gf2_solve,
     measurement_view,
     site_invariance_system,

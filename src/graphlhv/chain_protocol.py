@@ -97,17 +97,6 @@ class Sentence:
     def right_virtual(self) -> bool:
         return self.right == self.n + 1
 
-    def letter_at(self, p: int) -> str:
-        """Letter of the sentence at position p in [left, right]."""
-        if not (self.left <= p <= self.right):
-            raise ValueError(f"position {p} outside sentence span [{self.left}, {self.right}]")
-        if p == self.left or p == self.right:
-            return "Z"
-        for w in self.words:
-            if w.start <= p <= w.end:
-                return w.letters[p - w.start]
-        return "I"
-
 
 def decompose(m: "Measurement | str") -> tuple[Sentence, ...]:
     """Parse a chain letter string into sentences, or raise NotStabilizerShaped.

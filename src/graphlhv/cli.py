@@ -44,7 +44,9 @@ from .chain_protocol import (
 )
 
 _RULES = {"standard": STANDARD_RULES, "symmetric": SYMMETRIC_RULES, "none": NO_COMMUNICATION}
-_SITE_INVARIANCE_NODES = 12  # nogo site-invariance refuses larger graphs before any work
+# nogo site-invariance lists every certain subset in its report, so it
+# refuses larger graphs before any work
+_SITE_INVARIANCE_NODES = 12
 
 
 class CommandError(Exception):
@@ -170,7 +172,7 @@ def _cmd_lhv_run(args: argparse.Namespace) -> int:
     rules = _RULES[args.rules]
     try:
         rep = product_report(g, m, subset, rules, samples=args.samples, seed=args.seed)
-    except (UnsupportedSizeError, ValueError) as exc:
+    except ValueError as exc:
         raise CommandError(str(exc)) from exc
     return _emit(
         "lhv run",
@@ -199,10 +201,9 @@ def _cmd_verify_sub(args: argparse.Namespace) -> int:
 def _cmd_nogo_ring(args: argparse.Namespace) -> int:
     if args.f < 1 or args.f % 2 == 0:
         raise CommandError(f"--f must be an odd positive integer, got {args.f}")
-    try:
-        cert = certify_distance(12 * args.f, args.d)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    if args.d is not None and args.d < 0:
+        raise CommandError(f"distance must be non-negative, got {args.d}")
+    cert = certify_distance(12 * args.f, args.d)
     state = "inconsistent" if not cert.solution.consistent else "consistent"
     human = f"ring n={cert.n}, d={cert.d} (bound {cert.bound}): system {state}"
     if cert.solution.certificate is not None:
@@ -212,10 +213,11 @@ def _cmd_nogo_ring(args: argparse.Namespace) -> int:
 
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
     g, source, m = _graph_and_measurement(args)
-    # before any work; at 12 nodes the certain-subset walk stays under its own guard
+    # at 12 nodes the certain-subset walk stays under its own guard
     if g.n > _SITE_INVARIANCE_NODES:
         raise CommandError(
-            f"automorphism search is guarded at {_SITE_INVARIANCE_NODES} nodes, got {g.n}"
+            "nogo site-invariance lists every certain subset and is limited to "
+            f"{_SITE_INVARIANCE_NODES} nodes, got {g.n}"
         )
     subs, system, solution, orbits = _orbit_flip_system(g, m)
     state = "consistent" if solution.consistent else "inconsistent"

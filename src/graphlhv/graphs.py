@@ -269,25 +269,7 @@ def ball_masks(g: Graph, d: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def diameter(g: Graph) -> int:
-    """Largest eccentricity over all nodes, taken within each component."""
-    best = 0
-    for j in range(1, g.n + 1):
-        seen = {j}
-        frontier = [j]
-        depth = 0
-        while True:
-            nxt = [k for u in frontier for k in g.neighborhood(u) if k not in seen]
-            if not nxt:
-                break
-            seen.update(nxt)
-            frontier = nxt
-            depth += 1
-        best = max(best, depth)
-    return best
-
-
-def automorphisms(g: Graph, labels: Sequence[Hashable] | None = None, max_nodes: int = 12) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph, labels: Sequence[Hashable] | None = None) -> list[tuple[int, ...]]:
     """All node permutations preserving edges and the node labels (labels[j-1] for node j).
 
     The exhaustive reference: a complete backtracking enumeration with pruning
@@ -295,11 +277,10 @@ def automorphisms(g: Graph, labels: Sequence[Hashable] | None = None, max_nodes:
     star:9). Orbits come from ``automorphism_orbits``, which finds only a
     generating set; tests compare the two. Permutations are returned as
     tuples p with p[j-1] the image of node j, sorted lexicographically; the
-    identity is always present. Raise the guard via ``max_nodes`` only for
-    graphs known to be rigid enough to enumerate.
+    identity is always present. Graphs above 12 nodes are refused.
     """
-    if g.n > max_nodes:
-        raise UnsupportedSizeError(f"automorphism search is guarded at {max_nodes} nodes, got {g.n}")
+    if g.n > 12:
+        raise UnsupportedSizeError(f"automorphism search is guarded at 12 nodes, got {g.n}")
     if labels is None:
         labels = ("*",) * g.n
     if len(labels) != g.n:

@@ -156,14 +156,6 @@ def _monomial_columns(g: Graph, letters: str, sites: Iterable[int]) -> list[int]
     return cols
 
 
-def site_monomial_mask(g: Graph, m: Measurement, j: int) -> int:
-    """The output of site j, before flips, as a product of coins: a bitmask
-    over z indices (bit k-1 for z_k)."""
-    g.check_measurement(m)
-    g.check_node(j)
-    return _monomial_columns(g, m.letters, (j,))[0]
-
-
 @dataclass(frozen=True)
 class ProductReport:
     """Verdict for the product of outputs over a subset, with its derivation."""

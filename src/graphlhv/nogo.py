@@ -169,8 +169,9 @@ def _eliminate(cols: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[in
     zero is appended to the dependencies: its own bit plus earlier pivot
     columns, the unique combination of those independent columns. No other
     dependency contains that own bit, which is also its highest, and they
-    come in ascending order of it, so they are the kernel basis
-    ``gf2_nullspace`` returns for the transposed rows.
+    come in ascending order of it, so they are the kernel basis that
+    ``gf2_nullspace`` in ``tests/reference.py`` returns for the transposed
+    rows.
     """
     pivots: dict[int, tuple[int, int]] = {}
     dependencies = []
@@ -211,33 +212,6 @@ def gf2_solve(system: ParityConstraintSystem) -> GF2Solution:
         if ((row >> top) ^ (row & values).bit_count()) & 1:
             values |= low
     return GF2Solution(True, values, None)
-
-
-def gf2_nullspace(rows: Sequence[int], ncols: int) -> list[int]:
-    """Basis of {x : every row . x = 0 mod 2}, rows and vectors as bitmasks."""
-    reduced: list[tuple[int, int]] = []  # (pivot, mask)
-    for mask in rows:
-        for pivot, pmask in reduced:
-            if (mask >> pivot) & 1:
-                mask ^= pmask
-        if mask == 0:
-            continue
-        pivot = (mask & -mask).bit_length() - 1
-        reduced = [
-            (p, pm ^ mask if (pm >> pivot) & 1 else pm) for p, pm in reduced
-        ]
-        reduced.append((pivot, mask))
-    pivot_cols = {p for p, _ in reduced}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = 1 << free
-        for pivot, pmask in reduced:
-            if (pmask >> free) & 1:
-                vec |= 1 << pivot
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------

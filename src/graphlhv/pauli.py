@@ -153,23 +153,6 @@ def generator(g: Graph, j: int) -> PhasedPauli:
     return PhasedPauli("".join(letters), 0)
 
 
-def _real_sign(phase: int) -> int:
-    """Sign of a generator product's phase. Such products are always real, so
-    an imaginary phase is a bug and raises RuntimeError."""
-    if phase not in (0, 2):
-        raise RuntimeError(f"generator product produced imaginary phase i**{phase}")
-    return 1 if phase == 0 else -1
-
-
-def _ordered_product(g: Graph, sites: Iterable[int]) -> PhasedPauli:
-    """Product of the generators at the sites, in the given order."""
-    p = PhasedPauli.identity(g.n)
-    for j in sites:
-        p = multiply(p, generator(g, j))
-    _real_sign(p.phase)
-    return p
-
-
 def generator_product(g: Graph, a: Sequence[int]) -> PhasedPauli:
     """Ordered product of the generators selected by the bit-vector a.
 
@@ -180,9 +163,10 @@ def generator_product(g: Graph, a: Sequence[int]) -> PhasedPauli:
         raise ValueError(f"bit-vector length {len(a)} does not match n={g.n}")
     if any(bit not in (0, 1) for bit in a):
         raise ValueError("a must contain only bits 0 and 1")
-    return _ordered_product(g, [j for j, bit in enumerate(a, start=1) if bit])
-
-
-def generator_product_sign(g: Graph, sites: Iterable[int]) -> int:
-    """Sign of the product of the generators at the given sites."""
-    return _ordered_product(g, sorted(set(sites))).sign
+    p = PhasedPauli.identity(g.n)
+    for j, bit in enumerate(a, start=1):
+        if bit:
+            p = multiply(p, generator(g, j))
+    if p.phase not in (0, 2):
+        raise RuntimeError(f"generator product produced imaginary phase i**{p.phase}")
+    return p

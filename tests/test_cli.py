@@ -1,6 +1,7 @@
 """Command-line surface: JSON output, exit codes, determinism."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -11,9 +12,10 @@ import sys
 
 import pytest
 
-from graphlhv import chain_protocol, cli, lhv
+from graphlhv import chain_protocol, cli, lhv, nogo
 from graphlhv.cli import main
 from graphlhv.graphs import Graph, grid, star
+from graphlhv.pauli import Measurement
 
 
 def _run(capsys, *argv):
@@ -199,7 +201,10 @@ def test_site_invariance_guard_refuses_before_subset_walk(monkeypatch, capsys):
         capsys, "nogo", "site-invariance", "--graph", "star:18", "--measurement", "X" * 18,
     )
     assert code == 2 and out == ""
-    assert err == "error: automorphism search is guarded at 12 nodes, got 18\n"
+    assert err == (
+        "error: nogo site-invariance lists every certain subset and is limited to 12 nodes, "
+        "got 18\n"
+    )
 
 
 def test_site_invariance_runs_at_the_node_limit(capsys):
@@ -573,6 +578,36 @@ def test_internal_error_exits_3_on_one_line(capsys, monkeypatch):
     code, out, err = _run(capsys, "oracle", "--graph", "ring:4", "--measurement", "ZIII")
     assert code == 3 and out == ""
     assert err == "error: internal RuntimeError: oracle and state vector disagree on ring:4\n"
+
+
+def test_nogo_ring_reports_a_broken_case_as_internal(capsys, monkeypatch):
+    # a negative --d is the one usage error; a ValueError from the certifier is a fault
+    assert _run(capsys, "nogo", "ring", "--f", "1", "--d", "-1") == (
+        2, "", "error: distance must be non-negative, got -1\n"
+    )
+    ring_cases = nogo._ring_cases
+
+    def short_sub(g, f):
+        first, *rest = ring_cases(g, f)
+        return (dataclasses.replace(first, sub=Measurement(first.sub.letters[:-1])), *rest)
+
+    monkeypatch.setattr(nogo, "_ring_cases", short_sub)
+    code, out, err = _run(capsys, "nogo", "ring", "--f", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: internal ValueError: case xxx: global and sub must have n=12 letters, "
+        "got 12 and 11\n"
+    )
+
+
+def test_a_result_with_no_json_form_is_internal(capsys, monkeypatch):
+    def opaque(args):
+        return cli._emit("oracle", {}, object(), None, "unreachable")
+
+    monkeypatch.setattr(cli, "_cmd_oracle", opaque)
+    code, out, err = _run(capsys, "oracle", "--graph", "ring:4", "--measurement", "ZIII")
+    assert (code, out) == (3, "")
+    assert err == "error: internal TypeError: object has no JSON form\n"
 
 
 def test_chain_verify(capsys):

@@ -25,19 +25,19 @@ from graphlhv.lhv import (  # noqa: E402
     NO_COMMUNICATION,
     STANDARD_RULES,
     SYMMETRIC_RULES,
+    _monomial_columns,
     product_report,
-    site_monomial_mask,
 )
 from graphlhv.nogo import (  # noqa: E402
     SubmeasurementReport,
     SubsetCheck,
     _eliminate,
     find_certain_submeasurements,
-    gf2_nullspace,
     verify_all_submeasurements,
 )
 from graphlhv.oracle import Verdict, classify  # noqa: E402
 from graphlhv.pauli import Measurement  # noqa: E402
+from reference import gf2_nullspace, letter_at  # noqa: E402
 
 SWEEP = settings(max_examples=60, deadline=None)
 
@@ -74,7 +74,7 @@ def reference_certain(g, m):
 
 def reference_check_measurement(g, m, flips, violations, overlap_violations):
     """The chain checker's per-subset loop and overlap pass, given the flips."""
-    masks = {j: site_monomial_mask(g, m, j) for j in m.support()}
+    masks = dict(zip(m.support(), _columns(g, m)))
     det_checked = 0
     singles = []
     for sites in _subsets(m):
@@ -112,7 +112,7 @@ def reference_check_measurement(g, m, flips, violations, overlap_violations):
         pairs += 1
         skip = {s1.left, s1.right, s2.left, s2.right}
         for p in range(max(lo, 1), min(hi, g.n) + 1):
-            if p not in skip and s1.letter_at(p) != s2.letter_at(p):
+            if p not in skip and letter_at(s1, p) != letter_at(s2, p):
                 overlap_violations.append(((s1.left, s1.right), (s2.left, s2.right), p))
                 break
     return det_checked, pairs
@@ -170,16 +170,17 @@ def test_mismatches_are_none_or_half_the_certain_subsets(gm, rules):
 def test_certain_iff_monomials_cancel(gm):
     g, m = gm
     kernel = {sites for sites, _ in find_certain_submeasurements(g, m)}
+    masks = dict(zip(m.support(), _columns(g, m)))
     for sites in _subsets(m):
         mask = 0
         for j in sites:
-            mask ^= site_monomial_mask(g, m, j)
+            mask ^= masks[j]
         assert classify(g, m.restricted_to(sites)).is_deterministic == (mask == 0)
         assert (frozenset(sites) in kernel) == (mask == 0)
 
 
 def _columns(g, m):
-    return [site_monomial_mask(g, m, j) for j in m.support()]
+    return _monomial_columns(g, m.letters, m.support())
 
 
 def _transposed(cols, n):

@@ -4,10 +4,12 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import graphlhv
 
 SOURCES = sorted(pathlib.Path(graphlhv.__file__).parent.glob("*.py"))
+_REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_sources_are_found():
@@ -81,7 +83,7 @@ def test_no_process_wide_caches_in_the_library():
 
 
 def _bench_tracer():
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    path = _REPO / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -157,3 +159,49 @@ def test_frozen_classes_set_only_their_own_fields():
         for line, name in _hidden_attributes(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public module-level function or class
+    and each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _named(tree):
+    """(line, name) of every name and attribute read or written in the code;
+    imports alone do not count, so a re-export is no use."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # The package holds what the command line, the demos, the README tour and
+    # the benchmark reach; a reference only tests use lives in tests/reference.py.
+    outside = {attr.rsplit(".", 1)[-1] for _, attr, _ in _bench_tracer().LAYERS}
+    for path in [*(_REPO / "demos").glob("*.py"), *(_REPO / "bench").glob("*.py")]:
+        outside.update(name for _, name in _named(ast.parse(path.read_text())))
+    readme = (_REPO / "README.md").read_text()
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M):
+        outside.update(name for _, name in _named(ast.parse(block)))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    in_src = [(path, line, name) for path, tree in trees.items() for line, name in _named(tree)]
+    unused = [
+        f"{path.stem}.{qualname}"
+        for path, tree in trees.items()
+        for qualname, node in _public_definitions(tree)
+        if node.name not in outside
+        and not any(
+            name == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+            for where, line, name in in_src
+        )
+    ]
+    assert unused == []

@@ -15,7 +15,6 @@ from graphlhv.pauli import (
     PhasedPauli,
     generator,
     generator_product,
-    generator_product_sign,
     is_submeasurement,
     multiply,
 )
@@ -109,10 +108,10 @@ def test_generator_products_commute_and_compose():
             assert pa * pb == generator_product(g, ab)
 
 
-def test_generator_product_sign_matches():
+def test_generator_product_has_the_pinned_sign():
     g = chain(10)
-    assert generator_product_sign(g, {1, 2, 3, 5, 6, 9}) == -1
-    assert generator_product_sign(g, set()) == 1
+    assert generator_product(g, [1, 1, 1, 0, 1, 1, 0, 0, 1, 0]).sign == -1
+    assert generator_product(g, [0] * 10).sign == 1
 
 
 def test_generator_product_validation():
@@ -166,29 +165,16 @@ def test_phased_pauli_rendering():
         PhasedPauli("X", 1).sign
 
 
-def test_generator_product_sign_validates_sites():
-    # 0 and -1 must not wrap around to node n, nor n + 1 surface as IndexError
-    g = ring(5)
-    for site in (0, -1, g.n + 1):
-        with pytest.raises(ValueError, match="outside"):
-            generator_product_sign(g, {site})
-        with pytest.raises(ValueError, match="outside"):
-            generator_product_sign(g, {1, site})
-
-
 _IMAGINARY_PHASE = """
 import pytest
 import graphlhv.pauli as pauli
-from graphlhv import generator_product, generator_product_sign, ring
+from graphlhv import generator_product, ring
 
 def fake(p, q):
     return pauli.PhasedPauli("I" * len(p), 1)  # an imaginary generator product
 pauli.multiply = fake
-g = ring(3)
-for call in (lambda: generator_product(g, [1, 0, 0]),
-             lambda: generator_product_sign(g, {1})):
-    with pytest.raises(RuntimeError, match="imaginary"):
-        call()
+with pytest.raises(RuntimeError, match="imaginary"):
+    generator_product(ring(3), [1, 0, 0])
 print("raised")
 """
 
