@@ -24,7 +24,6 @@ from .graphs import (
     named_graph,
     orbits,
     padded_ring,
-    relabel,
     ring,
     star,
 )

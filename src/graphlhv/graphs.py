@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized
+from typing import Callable, Hashable, Iterable, Sequence, Sized
 
 
 class GraphFormatError(ValueError):
@@ -152,13 +152,6 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # Relabeling of the row-major 2x3 grid that numbers the nodes around the
 # boundary cycle (top row left to right, bottom row right to left).
 CLOCKWISE_2X3 = {1: 1, 2: 2, 3: 3, 4: 6, 5: 5, 6: 4}
-
-
-def relabel(g: Graph, mapping: Mapping[int, int]) -> Graph:
-    """Apply a node bijection to a graph."""
-    if sorted(mapping) != list(range(1, g.n + 1)) or sorted(mapping.values()) != list(range(1, g.n + 1)):
-        raise ValueError("mapping must be a bijection on 1..n")
-    return Graph(g.n, tuple((mapping[u], mapping[v]) for u, v in g.edges))
 
 
 def _parse_one(p: str) -> tuple[int]:

@@ -158,23 +158,23 @@ class GF2Solution:
     certificate: tuple[int, ...] | None = None
 
 
-def _eliminate(cols: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """(pivots, dependencies) of one forward elimination over bitmask columns.
+def _eliminate(cols: Iterable[int], pivots: dict[int, tuple[int, int]]) -> Iterator[int]:
+    """Yield the dependencies of one forward elimination over bitmask columns,
+    filling ``pivots`` as it goes.
 
     The columns are taken in order, each reduced column carrying the bitmask
     of the columns it combines (bit i for cols[i]). Pivots are keyed by
     their lowest set bit and map to (reduced column, combination), so a
     column is reduced only by the pivots at its lowest bit, which rises with
     every step; the number of pivots is the rank. A column that reduces to
-    zero is appended to the dependencies: its own bit plus earlier pivot
-    columns, the unique combination of those independent columns. No other
-    dependency contains that own bit, which is also its highest, and they
-    come in ascending order of it, so they are the kernel basis that
+    zero yields its dependency: its own bit plus earlier pivot columns, the
+    unique combination of those independent columns. No other dependency
+    contains that own bit, which is also its highest, and they come in
+    ascending order of it, so they are the kernel basis that
     ``gf2_nullspace`` in ``tests/reference.py`` returns for the transposed
-    rows.
+    rows. Each caller keeps what it reads: ``_kernel_signs`` lists the
+    dependencies, ``gf2_solve`` only the pivots.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    dependencies = []
     for i, col in enumerate(cols):
         combo = 1 << i
         while col:
@@ -186,24 +186,26 @@ def _eliminate(cols: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[in
             col ^= hit[0]
             combo ^= hit[1]
         else:
-            dependencies.append(combo)
-    return pivots, dependencies
+            yield combo
 
 
 def gf2_solve(system: ParityConstraintSystem) -> GF2Solution:
     """Solve a parity system, or certify that it has no solution.
 
     Each equation's row, with its sign as one extra top bit (set for -1),
-    goes through ``_eliminate`` in order. A row that reduces to that bit
-    alone says 1 = -1: its combination, read as equation indices, is the
-    certificate, the first dependency among the equations whose signs
-    multiply to -1. That is the first inconsistent equation plus the unique
-    subset of earlier independent equations whose rows sum to its own.
-    Otherwise back-substitution from the highest pivot down gives the
-    witness with every free variable 0.
+    goes through ``_eliminate`` in order, and only its pivots are kept (at
+    most one per variable plus the sign bit), not its dependencies. A row
+    that reduces to that bit alone says 1 = -1: its combination, read as
+    equation indices, is the certificate, the first dependency among the
+    equations whose signs multiply to -1. That is the first inconsistent
+    equation plus the unique subset of earlier independent equations whose
+    rows sum to its own. Otherwise back-substitution from the highest pivot
+    down gives the witness with every free variable 0.
     """
     top = len(system.variables)
-    pivots = _eliminate(eq.row | _rhs(eq) << top for eq in system.equations)[0]
+    pivots: dict[int, tuple[int, int]] = {}
+    for _ in _eliminate((eq.row | _rhs(eq) << top for eq in system.equations), pivots):
+        pass
     contradiction = pivots.get(1 << top)
     if contradiction is not None:
         return GF2Solution(False, None, _bit_indices(contradiction[1]))
@@ -273,7 +275,7 @@ def _kernel_signs(
     certain by ``classify``; certain words are closed under products, so that
     confirms the whole kernel. An empty kernel builds no word at all.
     """
-    basis = _eliminate(cols)[1]
+    basis = list(_eliminate(cols, {}))
     bits = []
     for vec in basis:
         out = ["I"] * len(letters)
@@ -364,7 +366,7 @@ def verify_all_submeasurements(
     )
 
 
-def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[frozenset[int], int], ...]:
+def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every subset of the support whose restricted word is certain, with its sign.
 
     A subset S is certain exactly when the XOR of the site monomials over S
@@ -376,14 +378,15 @@ def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[frozen
     highest bit that no other contains, so counting through their
     combinations in binary yields the subsets in ascending subset-mask order
     (bit i for support[i]), the order of a sweep over every subset, each sign
-    updated by one XOR. Returns (sites, sign) pairs; ``m.restricted_to(sites)``
-    is the word. Deciding costs k ``classify`` calls; only the walk costs
-    2^k, and it is guarded at kernel dimension 20, i.e. 2^20 subsets.
+    updated by one XOR. Returns (sites, sign) pairs, the sites an ascending
+    tuple like ``SubsetCheck.sites``; ``m.restricted_to(sites)`` is the word.
+    Deciding costs k ``classify`` calls; only the walk costs 2^k, and its
+    guard at kernel dimension 20, i.e. 2^20 subsets, is the one size limit
+    on the listing.
     """
     support, basis, bits = _signed_kernel(g, m)
     return tuple(
-        (frozenset(_sites(support, smask)), -1 if bit else 1)
-        for smask, bit in _walk_kernel(basis, bits)
+        (_sites(support, smask), -1 if bit else 1) for smask, bit in _walk_kernel(basis, bits)
     )
 
 
@@ -672,7 +675,9 @@ def site_invariance_system(
     global measurement as a coloring, by ``automorphism_orbits``: a
     refinement search for one automorphism per merged pair of nodes, whose
     cost follows the number of orbits, not the order of the group, so no
-    size limit is applied here.
+    size limit is applied here. A certain submeasurement's sites may be any
+    iterable, such as the ascending tuples of ``find_certain_submeasurements``;
+    a repeated site counts once.
     """
     g.check_measurement(global_m)
     orbs = automorphism_orbits(g, global_m.letters)

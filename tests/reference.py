@@ -6,7 +6,7 @@ in production, so that tests can compare the two.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from graphlhv.chain_protocol import Sentence
 from graphlhv.graphs import Graph
@@ -37,6 +37,13 @@ def gf2_nullspace(rows: Sequence[int], ncols: int) -> list[int]:
                 vec |= 1 << pivot
         basis.append(vec)
     return basis
+
+
+def relabel(g: Graph, mapping: Mapping[int, int]) -> Graph:
+    """Apply a node bijection to a graph."""
+    if sorted(mapping) != list(range(1, g.n + 1)) or sorted(mapping.values()) != list(range(1, g.n + 1)):
+        raise ValueError("mapping must be a bijection on 1..n")
+    return Graph(g.n, tuple((mapping[u], mapping[v]) for u, v in g.edges))
 
 
 def diameter(g: Graph) -> int:

@@ -16,6 +16,7 @@ from graphlhv import chain_protocol, cli, lhv, nogo
 from graphlhv.cli import main
 from graphlhv.graphs import Graph, grid, star
 from graphlhv.pauli import Measurement
+from reference import gf2_nullspace
 
 
 def _run(capsys, *argv):
@@ -192,19 +193,36 @@ def test_nogo_site_invariance(capsys):
     assert [[1, 3, 4, 6], [2, 5]] == result["orbits"]
 
 
-def test_site_invariance_guard_refuses_before_subset_walk(monkeypatch, capsys):
-    def walk(*args, **kwargs):
-        raise AssertionError("certain subsets walked for a graph the guard refuses")
+def test_site_invariance_refuses_a_kernel_past_the_walk_guard(monkeypatch, capsys):
+    # the walk's guard is the one limit: star:23 all-X has kernel dimension 21
+    def build(*args, **kwargs):
+        raise AssertionError("orbit-flip system built for a listing the guard refuses")
 
-    monkeypatch.setattr(cli, "find_certain_submeasurements", walk)
+    monkeypatch.setattr(cli, "site_invariance_system", build)
     code, out, err = _run(
-        capsys, "nogo", "site-invariance", "--graph", "star:18", "--measurement", "X" * 18,
+        capsys, "nogo", "site-invariance", "--graph", "star:23", "--measurement", "X" * 23,
     )
     assert code == 2 and out == ""
-    assert err == (
-        "error: nogo site-invariance lists every certain subset and is limited to 12 nodes, "
-        "got 18\n"
-    )
+    assert err == ("error: 2097152 certain subsets (kernel dimension 21) exceed "
+                   "the guard of 2^20\n")
+
+
+def test_site_invariance_lists_every_certain_subset_past_twelve_nodes(capsys):
+    n = 16
+    g = star(n)
+    # an X site's monomial is the XOR of its neighbours' coins, so coin r's row
+    # of the map marks the sites adjacent to node r
+    rows = [sum(1 << (j - 1) for j in g.neighbors[r - 1]) for r in range(1, n + 1)]
+    kernel = gf2_nullspace(rows, n)
+    code, out, err = _run(capsys, "nogo", "site-invariance", "--graph", f"star:{n}",
+                          "--measurement", "X" * n, "--expect", "consistent")
+    assert code == 0
+    assert err == "orbit flip system is consistent (2 orbits)\n"
+    subs = [tuple(sub["sites"]) for sub in json.loads(out)["result"]["certain_submeasurements"]]
+    assert len(kernel) == n - 2
+    assert len(subs) == 2 ** len(kernel)
+    assert all(list(sites) == sorted(set(sites)) for sites in subs)
+    assert len(set(subs)) == len(subs)
 
 
 def test_site_invariance_runs_at_the_node_limit(capsys):
@@ -246,6 +264,29 @@ def test_verify_sub_refuses_to_list_mismatches_beyond_the_walk_guard(tmp_path, c
     assert code == 2 and out == ""
     assert err == ("error: 2097152 certain subsets (kernel dimension 21) exceed "
                    "the guard of 2^20\n")
+
+
+def test_verify_sub_refuses_a_subset_count_past_the_digit_limit(capsys):
+    # 2^14285 has 4,301 digits, one more than the interpreter writes by default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = _run(capsys, "verify-sub", "--graph", "chain:14285",
+                              "--measurement", "Z" * 14285)
+        assert code == 2 and out == ""
+        assert err == ("error: the report's subset count 2^14285 has more than 4300 digits, "
+                       "the interpreter's limit for integer string conversion\n")
+        code, out, err = _run(capsys, "verify-sub", "--graph", "chain:15000",
+                              "--measurement", "Z" * 15000)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the report's subset count 2^15000 has more than 4300 ")
+        code, out, err = _run(capsys, "verify-sub", "--graph", "chain:14284",
+                              "--measurement", "Z" * 14284)
+        assert code == 0
+        assert json.loads(out)["result"]["subsets_checked"] == 2 ** 14284
+        assert err == f"{2 ** 14284} subsets checked, 1 deterministic, 0 mismatches\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_include_matches_flag_is_gone(capsys):

@@ -26,12 +26,11 @@ from graphlhv.graphs import (
     named_graph,
     orbits,
     padded_ring,
-    relabel,
     ring,
     star,
 )
 from graphlhv.pauli import Measurement
-from reference import diameter
+from reference import diameter, relabel
 
 
 def test_ring_shape():

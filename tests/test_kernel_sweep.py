@@ -68,7 +68,7 @@ def reference_certain(g, m):
     for sites in _subsets(m):
         verdict = classify(g, m.restricted_to(sites))
         if verdict.is_deterministic:
-            out.append((frozenset(sites), verdict.value))
+            out.append((sites, verdict.value))
     return tuple(out)
 
 
@@ -152,7 +152,7 @@ def test_oracle_sign_is_multiplicative_on_certain_subsets(gm, data):
     g, m = gm
     certain = reference_certain(g, m)
     (s, sign_s), (t, sign_t) = (data.draw(st.sampled_from(certain)) for _ in range(2))
-    assert classify(g, m.restricted_to(s ^ t)) == Verdict.deterministic(sign_s * sign_t)
+    assert classify(g, m.restricted_to(set(s) ^ set(t))) == Verdict.deterministic(sign_s * sign_t)
 
 
 @SWEEP
@@ -176,7 +176,7 @@ def test_certain_iff_monomials_cancel(gm):
         for j in sites:
             mask ^= masks[j]
         assert classify(g, m.restricted_to(sites)).is_deterministic == (mask == 0)
-        assert (frozenset(sites) in kernel) == (mask == 0)
+        assert (sites in kernel) == (mask == 0)
 
 
 def _columns(g, m):
@@ -199,7 +199,7 @@ def _span(basis):
 def test_column_basis_matches_row_nullspace(gm):
     g, m = gm
     cols = _columns(g, m)
-    basis = _eliminate(cols)[1]
+    basis = list(_eliminate(cols, {}))
     reference = gf2_nullspace(_transposed(cols, g.n), len(cols))
     assert _span(basis) == _span(reference)
     # A kernel vector supported on one free column plus pivot columns is
@@ -222,21 +222,21 @@ def test_kernel_walk_is_strictly_ascending(gm):
     position = {j: i for i, j in enumerate(m.support())}
     masks = [sum(1 << position[j] for j in sites) for sites, _ in find_certain_submeasurements(g, m)]
     assert masks == sorted(set(masks))
-    assert len(masks) == 1 << len(_eliminate(_columns(g, m))[1])
+    assert len(masks) == 1 << len(list(_eliminate(_columns(g, m), {})))
 
 
 def test_star16_all_x_kernel_dimension():
     g, m = star(16), Measurement("X" * 16)
     cols = _columns(g, m)
-    basis = _eliminate(cols)[1]
+    basis = list(_eliminate(cols, {}))
     assert len(basis) == 14
     assert basis == gf2_nullspace(_transposed(cols, g.n), len(cols))
 
 
 def test_all_identity_word_has_one_empty_subset():
     g, m = ring(5), Measurement("IIIII")
-    assert _eliminate(_columns(g, m))[1] == []
-    assert find_certain_submeasurements(g, m) == ((frozenset(), 1),)
+    assert list(_eliminate(_columns(g, m), {})) == []
+    assert find_certain_submeasurements(g, m) == (((), 1),)
     assert m.restricted_to(()) == m
 
 
