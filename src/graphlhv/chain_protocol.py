@@ -40,6 +40,7 @@ _CODE_LETTERS = bytes.maketrans(bytes(range(4)), b"IXYZ")
 
 _WORD = re.compile("X|YY|YX+Y")
 _XY_RUN = re.compile("[XY]+")
+_X_RUN = re.compile("X+")
 
 
 class NotStabilizerShaped(ValueError):
@@ -202,7 +203,7 @@ def flip_sites_for(m: Measurement, broadcast_y: bool = False) -> frozenset[int]:
     left = right = None
     w = "Z" + letters + "Z"
     flips = set()
-    for run in re.finditer("X+", letters):
+    for run in _X_RUN.finditer(letters):
         a, b = run.start(), run.end() + 1  # the run's neighbours, as sites
         if (b - a) % 2 or w[a] not in ends or w[b] not in ends:
             continue
@@ -320,8 +321,12 @@ def _check_measurement(
     ``parses`` dict, which the sweep creates and drops.
     Returns (deterministic subs checked, overlap pairs checked).
     """
-    support = [j for j, ch in enumerate(letters, start=1) if ch != "I"]
-    columns = [cols[letters[j - 1]][j - 1] for j in support]
+    support = []
+    columns = []
+    for j, ch in enumerate(letters, start=1):
+        if ch != "I":
+            support.append(j)
+            columns.append(cols[ch][j - 1])
     basis, bits = _kernel_signs(g, letters, support, columns)
     if not basis:
         return 1, 0

@@ -3,9 +3,11 @@
 The certain submeasurements of a measurement are the subsets of its support
 on which the XOR of the per-site coin monomials vanishes: the kernel of one
 GF(2) map, of dimension k. On it the oracle sign and the protocol's flip
-parity are both linear, so deciding the sweep costs k ``classify`` calls, one
-per basis word. Only listing subsets (the certain ones, or the mismatches)
-walks the 2^k kernel elements, and nothing visits all 2^|support| subsets.
+parity are both linear, so deciding the sweep costs k oracle signs, one per
+basis word, each read off the word's x and z bitmasks by the oracle's mask
+step without building the word. Only listing subsets (the certain ones, or
+the mismatches) walks the 2^k kernel elements, and nothing visits all
+2^|support| subsets.
 
 Two impossibility arguments are mechanized here as GF(2) constraint systems.
 
@@ -47,7 +49,7 @@ from .graphs import (
     padded_ring,
 )
 from .lhv import STANDARD_RULES, FlipProtocol, _monomial_columns
-from .oracle import Verdict, classify, stabilizer_word
+from .oracle import Verdict, _classify_bits, classify, stabilizer_word
 from .pauli import Measurement, generator_product, is_submeasurement
 
 _KERNEL_GUARD = 20
@@ -268,22 +270,40 @@ def _kernel_signs(
 ) -> tuple[list[int], list[int]]:
     """(kernel basis, sign bits) of the word ``letters``: bit 1 for a basis word
     of sign -1. ``cols`` are the monomial masks of the ``support`` sites, the
-    columns of the map.
+    columns of the map; the caller has checked ``letters`` against g.
 
     The basis is the dependencies of one ``_eliminate`` pass over the columns.
     Each basis word, the letters at its sites and I elsewhere, is confirmed
-    certain by ``classify``; certain words are closed under products, so that
-    confirms the whole kernel. An empty kernel builds no word at all.
+    certain by the oracle's mask step ``_classify_bits``, its x and z masks
+    the XOR of its sites' bits; certain words are closed under products, so
+    that confirms the whole kernel. No letter string is built unless a basis
+    word fails, for the error; an empty kernel reads no letter at all.
     """
     basis = list(_eliminate(cols, {}))
+    if not basis:
+        return basis, []
+    site_x = []
+    site_z = []
+    for j in support:
+        letter = letters[j - 1]
+        site_x.append((letter in "XY") << (j - 1))
+        site_z.append((letter in "YZ") << (j - 1))
     bits = []
     for vec in basis:
-        out = ["I"] * len(letters)
-        for j in _sites(support, vec):
-            out[j - 1] = letters[j - 1]
-        sub = Measurement("".join(out))
-        verdict = classify(g, sub)
+        x = z = 0
+        rest = vec
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            x ^= site_x[i]
+            z ^= site_z[i]
+            rest ^= low
+        verdict = _classify_bits(g, x, z)
         if not verdict.is_deterministic:
+            out = ["I"] * len(letters)
+            for j in _sites(support, vec):
+                out[j - 1] = letters[j - 1]
+            sub = "".join(out)
             raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
         bits.append(int(verdict.value == -1))
     return basis, bits
@@ -342,9 +362,11 @@ def verify_all_submeasurements(
     is compared with the parity of the protocol's flip sites in it, from one
     ``protocol.flip_sites(g, m)`` call; both are linear on the kernel, so the
     word is clean iff they agree on its k basis vectors, and otherwise they
-    disagree on exactly half of it. Only then is
-    the kernel walked, to list the mismatches in ascending subset-mask order
-    over the sorted support, each confirmed by its own ``classify`` call.
+    disagree on exactly half of it. The basis signs come from
+    ``_kernel_signs``, on bitmasks. Only on a disagreement is the kernel
+    walked, to list the mismatches in ascending subset-mask order over the
+    sorted support, each built as a word and confirmed by its own
+    ``classify`` call.
     """
     flips = protocol.flip_sites(g, m)
     support, basis, bits = _signed_kernel(g, m)
@@ -373,14 +395,15 @@ def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[tuple[
     is empty (the oracle's z-image test, written per site), so the certain
     subsets form the kernel of one GF(2) map. For two of them,
     m|_S · m|_T = m|_{S△T} with no phase, so the sign is a homomorphism on
-    the kernel: ``classify`` decides the k basis words (``_signed_kernel``)
-    and every other sign is a product of theirs. Each basis vector owns a
-    highest bit that no other contains, so counting through their
-    combinations in binary yields the subsets in ascending subset-mask order
-    (bit i for support[i]), the order of a sweep over every subset, each sign
-    updated by one XOR. Returns (sites, sign) pairs, the sites an ascending
-    tuple like ``SubsetCheck.sites``; ``m.restricted_to(sites)`` is the word.
-    Deciding costs k ``classify`` calls; only the walk costs 2^k, and its
+    the kernel: the oracle's mask step signs the k basis words
+    (``_signed_kernel``) and every other sign is a product of theirs. Each
+    basis vector owns a highest bit that no other contains, so counting
+    through their combinations in binary yields the subsets in ascending
+    subset-mask order (bit i for support[i]), the order of a sweep over every
+    subset, each sign updated by one XOR. Returns (sites, sign) pairs, the
+    sites an ascending tuple like ``SubsetCheck.sites``;
+    ``m.restricted_to(sites)`` is the word.
+    Deciding costs k signs on bitmasks; only the walk costs 2^k, and its
     guard at kernel dimension 20, i.e. 2^20 subsets, is the one size limit
     on the listing.
     """

@@ -4,9 +4,11 @@ A Pauli measurement on a graph state is deterministic exactly when the word
 (or its negative) is a product of the stabilizer generators; otherwise the
 outcome is uniformly random. ``classify`` decides this through the generator
 structure and reads the sign off a closed form, (-1)^(e(G[S]) + |Y(S)|/2),
-with popcounts over the generator set S. ``statevector_verdict`` recomputes
-it from a dense state vector built with controlled-phase gates, sharing no
-code with the stabilizer path so the two can cross-check each other. Its
+with popcounts over the generator set S. Both read only the word's x and z
+bitmasks, so ``_classify_bits`` serves callers that hold the masks and no
+word. ``statevector_verdict`` recomputes it from a dense state vector built
+with controlled-phase gates, sharing no code with the stabilizer path so the
+two can cross-check each other. Its
 amplitudes are scaled to +1 or -1, so 2^n times an expectation value is an
 exact integer and every verdict is decided without rounding.
 """
@@ -40,11 +42,16 @@ class Verdict:
 
     @classmethod
     def deterministic(cls, value: int) -> "Verdict":
+        """The shared verdict for a value of +1 or -1; any other value raises."""
+        if value == 1:
+            return _PLUS
+        if value == -1:
+            return _MINUS
         return cls("deterministic", value)
 
     @classmethod
     def uniform(cls) -> "Verdict":
-        return cls("uniform")
+        return _UNIFORM
 
     @property
     def is_deterministic(self) -> bool:
@@ -57,6 +64,13 @@ class Verdict:
         if self.is_deterministic:
             return f"deterministic({self.value:+d})"
         return "uniform"
+
+
+# The three verdicts there are, built (and validated) once; frozen, so sharing
+# them is the same as building a fresh one.
+_PLUS = Verdict("deterministic", 1)
+_MINUS = Verdict("deterministic", -1)
+_UNIFORM = Verdict("uniform")
 
 
 def _z_image(g: Graph, xmask: int) -> int:
@@ -95,13 +109,20 @@ def classify(g: Graph, m: Measurement) -> Verdict:
     Each generator is the only one acting as X or Y at its own site, so the
     generator exponents of any candidate stabilizer element are forced by the
     X/Y support of the word. It only remains to compare letters and take the
-    sign of the product in closed form.
+    sign of the product in closed form: ``_classify_bits`` on the word's
+    masks, once the word is checked against g.
     """
     g.check_measurement(m)
-    mx, mz = m.bits()
-    if _z_image(g, mx) != mz:
+    return _classify_bits(g, *m.bits())
+
+
+def _classify_bits(g: Graph, xmask: int, zmask: int) -> Verdict:
+    """``classify`` on the x and z masks of a word (bit j - 1 for site j),
+    which the caller has checked against g: uniform unless the z-part is the
+    z-image of the x-part, else the closed-form sign."""
+    if _z_image(g, xmask) != zmask:
         return Verdict.uniform()
-    return Verdict.deterministic(_stabilizer_sign(g, mx, mz))
+    return Verdict.deterministic(_stabilizer_sign(g, xmask, zmask))
 
 
 def _build_state(g: Graph):

@@ -31,6 +31,10 @@ _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 # Deletes the four Pauli letters, so whatever survives a translate is invalid.
 _DROP_PAULI = str.maketrans("", "", PAULI_LETTERS)
 
+# Binary digits of the x and z components: X/Y carry x, Y/Z carry z.
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+
 
 def _check_letters(letters: str) -> None:
     bad = letters.translate(_DROP_PAULI)
@@ -126,14 +130,13 @@ class Measurement:
         return Measurement("".join(out))
 
     def bits(self) -> tuple[int, int]:
-        """(x-component mask, z-component mask): X/Y set x bits, Y/Z set z bits."""
-        x = z = 0
-        for j, ch in enumerate(self.letters):
-            if ch in "XY":
-                x |= 1 << j
-            if ch in "YZ":
-                z |= 1 << j
-        return x, z
+        """(x-component mask, z-component mask): X/Y set x bits, Y/Z set z bits.
+
+        Site 1 is the lowest bit, so each mask is the reversed letters read as
+        binary digits; base-2 parsing has no digit limit.
+        """
+        digits = "0" + self.letters[::-1]  # "0" keeps the empty word parseable
+        return int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
 
 
 def is_submeasurement(sub: Measurement, glob: Measurement) -> bool:

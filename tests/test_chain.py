@@ -395,32 +395,35 @@ def test_flip_sites_are_found_only_for_a_nonempty_certain_subset(monkeypatch, br
 
 
 def test_sweep_classifies_each_basis_word_once(monkeypatch):
-    # Each word's kernel is confirmed on its basis only: one classify call per
-    # basis word, Σ dim ker over the 256 words, counted before patching.
+    # Each word's kernel is confirmed on its basis only: one call of the
+    # oracle's mask step per basis word, Σ dim ker over the 256 words, counted
+    # before patching, and no classify call at all.
     g = chain(4)
     words = [Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=4)]
     dims = [_certain_subset_count(g, m).bit_length() - 1 for m in words]
     assert sum(dims) == 64
     calls = []
-    original = nogo.classify
-    monkeypatch.setattr(nogo, "classify", lambda g, m: calls.append(m.letters) or original(g, m))
+    bits, whole = nogo._classify_bits, nogo.classify
+    monkeypatch.setattr(nogo, "_classify_bits", lambda g, x, z: calls.append((x, z)) or bits(g, x, z))
+    monkeypatch.setattr(nogo, "classify", lambda g, m: calls.append(m.letters) or whole(g, m))
     assert verify_chain_exhaustive(4).clean
     assert len(calls) == sum(dims)
+    assert all(isinstance(call, tuple) for call in calls)
 
 
 def test_sweep_validates_letters_only_where_a_kernel_is_found(monkeypatch):
     # Every Measurement and every parsed str goes through pauli._check_letters.
     # The sweep's own letters come from "IXYZ" and are not checked; what is:
-    # the 59 words with a non-empty kernel (one Measurement each), their 64
-    # basis words (one classify each) and the 15 distinct non-empty certain
-    # words (one decompose each).
+    # the 59 words with a non-empty kernel (one Measurement each) and the 15
+    # distinct non-empty certain words (one decompose each). Basis words are
+    # confirmed on their masks, with no word built.
     calls = []
     original = pauli._check_letters
     monkeypatch.setattr(
         pauli, "_check_letters", lambda letters: calls.append(letters) or original(letters)
     )
     assert verify_chain_exhaustive(4).clean
-    assert len(calls) == 59 + 64 + 15
+    assert len(calls) == 59 + 15
 
 
 def test_an_unconfirmed_basis_word_raises(monkeypatch):

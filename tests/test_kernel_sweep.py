@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from graphlhv import chain_protocol  # noqa: E402
 from graphlhv.chain_protocol import (  # noqa: E402
@@ -32,10 +32,11 @@ from graphlhv.nogo import (  # noqa: E402
     SubmeasurementReport,
     SubsetCheck,
     _eliminate,
+    _kernel_signs,
     find_certain_submeasurements,
     verify_all_submeasurements,
 )
-from graphlhv.oracle import Verdict, classify  # noqa: E402
+from graphlhv.oracle import Verdict, classify, statevector_verdict  # noqa: E402
 from graphlhv.pauli import Measurement  # noqa: E402
 from reference import gf2_nullspace, letter_at  # noqa: E402
 
@@ -119,19 +120,40 @@ def reference_check_measurement(g, m, flips, violations, overlap_violations):
 
 
 @st.composite
-def graph_and_word(draw, max_n=8):
+def graph_and_word(draw, max_n=8, alphabet="IXYZ"):
     n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     edges = [p for p in pairs if draw(st.booleans())] if pairs else []
-    letters = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+    letters = draw(st.text(alphabet=alphabet, min_size=n, max_size=n))
     return Graph(n, tuple(edges)), Measurement(letters)
+
+
+# Up to 10 nodes, words over IXYZ or heavy in Y (most of the certain subsets
+# with a minus sign); examples pin an empty kernel and an all-Y grid.
+SIGNED_WORDS = st.one_of(graph_and_word(max_n=10), graph_and_word(max_n=10, alphabet="IXYYYYZ"))
+_SIGNED_EXAMPLES = (
+    (ring(5), Measurement("IIIII")),
+    (chain(3), Measurement("XZX")),
+    (grid(2, 3), Measurement("YYYYYY")),
+    (ring(10), Measurement("Y" * 10)),
+)
+
+
+def _with_signed_examples(*rest):
+    def decorate(test):
+        for gm in _SIGNED_EXAMPLES:
+            test = example(gm, *rest)(test)
+        return test
+
+    return decorate
 
 
 RULE_SETS = st.sampled_from([STANDARD_RULES, SYMMETRIC_RULES, NO_COMMUNICATION])
 
 
 @SWEEP
-@given(graph_and_word(), RULE_SETS)
+@given(SIGNED_WORDS, RULE_SETS)
+@_with_signed_examples(NO_COMMUNICATION)
 def test_report_matches_per_subset_sweep(gm, rules):
     g, m = gm
     assert verify_all_submeasurements(g, m, rules) == reference_report(g, m, rules)
@@ -177,6 +199,24 @@ def test_certain_iff_monomials_cancel(gm):
             mask ^= masks[j]
         assert classify(g, m.restricted_to(sites)).is_deterministic == (mask == 0)
         assert (sites in kernel) == (mask == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SIGNED_WORDS)
+@_with_signed_examples()
+def test_kernel_sign_bits_match_both_oracles_on_each_basis_word(gm):
+    # The sweep confirms basis words on bitmasks; classify on the word's
+    # letters and the dense state vector must read the same sign.
+    g, m = gm
+    support = m.support()
+    cols = _columns(g, m)
+    basis, bits = _kernel_signs(g, m.letters, support, cols)
+    assert basis == list(_eliminate(cols, {})) and len(bits) == len(basis)
+    for vec, bit in zip(basis, bits):
+        sub = m.restricted_to(j for i, j in enumerate(support) if vec >> i & 1)
+        expected = Verdict.deterministic(-1 if bit else 1)
+        assert classify(g, sub) == expected, str(sub)
+        assert statevector_verdict(g, sub) == expected, str(sub)
 
 
 def _columns(g, m):

@@ -82,6 +82,45 @@ def test_no_process_wide_caches_in_the_library():
     assert found == []
 
 
+_RE_MATCHERS = {"finditer", "match", "fullmatch", "search", "sub", "split", "findall"}
+
+
+def _literal_pattern_calls(tree):
+    """Lines of ``re.<matcher>("literal", ...)`` calls: each one looks its
+    pattern up in re's cache on every call."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _RE_MATCHERS
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ]
+
+
+def test_regular_expressions_are_compiled_once():
+    # A pattern is a module constant built by re.compile, like _WORD; the
+    # compiled pattern's own methods skip the cache lookup.
+    tree = ast.parse(
+        "import re\n"
+        "_RUN = re.compile('X+')\n"
+        "def f(s, p):\n"
+        "    re.finditer('X+', s)\n"
+        "    _RUN.finditer(s)\n"
+        "    re.sub(p, '', s)\n"
+        "    return re.fullmatch(r'Y+', s)\n"
+    )
+    assert _literal_pattern_calls(tree) == [4, 7]
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _literal_pattern_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
 def _bench_tracer():
     path = _REPO / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)

@@ -616,12 +616,20 @@ def test_verify_guard():
 
 @pytest.fixture
 def classify_calls(monkeypatch):
+    """The oracle calls the sweep makes, in order: "bits" for a basis word
+    confirmed on its masks, "classify" for a word confirmed as a Measurement."""
     calls = []
+    original = nogo._classify_bits
+
+    def counting_bits(g, x, z):
+        calls.append("bits")
+        return original(g, x, z)
 
     def counting_classify(g, m):
-        calls.append(m)
+        calls.append("classify")
         return classify(g, m)
 
+    monkeypatch.setattr(nogo, "_classify_bits", counting_bits)
     monkeypatch.setattr(nogo, "classify", counting_classify)
     return calls
 
@@ -631,19 +639,19 @@ def test_clean_verdict_classifies_only_the_basis(classify_calls):
     # kernel has dimension 9 out of 11 sites; a walk would classify 2^9 words
     report = verify_all_submeasurements(star(11), Measurement("X" * 11))
     assert report.clean and report.deterministic_subsets == 2 ** 9
-    assert len(classify_calls) == 9
+    assert classify_calls == ["bits"] * 9
 
 
 def test_mismatches_are_each_classified_once_more(classify_calls):
     report = verify_all_submeasurements(grid(2, 3), Measurement("Y" * 6))
     assert report.deterministic_subsets == 2 ** 2 and len(report.mismatches) == 2
-    assert len(classify_calls) == 2 + 2
+    assert classify_calls == ["bits"] * 2 + ["classify"] * 2
 
 
 def test_certain_subsets_classify_only_the_basis(classify_calls):
     subs = find_certain_submeasurements(star(11), Measurement("X" * 11))
     assert len(subs) == 2 ** 9
-    assert len(classify_calls) == 9
+    assert classify_calls == ["bits"] * 9
 
 
 def test_verify_large_support_small_kernel():

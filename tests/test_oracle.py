@@ -60,6 +60,21 @@ def test_verdict_validation():
     assert Verdict.deterministic(-1).to_json_dict() == {"kind": "deterministic", "value": -1}
 
 
+def test_verdict_constructors_share_three_validated_values():
+    assert Verdict.deterministic(1) is Verdict.deterministic(1)
+    assert Verdict.deterministic(-1) is Verdict.deterministic(-1)
+    assert Verdict.uniform() is Verdict.uniform()
+    assert Verdict.deterministic(1) == Verdict("deterministic", 1)
+    assert Verdict.deterministic(-1) == Verdict("deterministic", -1)
+    assert Verdict.uniform() == Verdict("uniform")
+    assert Verdict.deterministic(1) != Verdict.deterministic(-1)
+    for bad in (0, 2, None):
+        with pytest.raises(ValueError, match="needs a value of [+]1 or -1"):
+            Verdict.deterministic(bad)
+    with pytest.raises(ValueError, match="carries no value"):
+        Verdict("uniform", 1)
+
+
 def test_classify_ring_examples():
     g = ring(12)
     assert classify(g, Measurement("IXIXIXIXIXIX")) == Verdict.deterministic(1)

@@ -146,6 +146,27 @@ def test_measurement_accessors():
         Measurement("xIaXx")
 
 
+def _reference_bits(letters):
+    x = z = 0
+    for j, ch in enumerate(letters):
+        x |= (ch in "XY") << j
+        z |= (ch in "YZ") << j
+    return x, z
+
+
+def test_bits_match_a_per_letter_reference():
+    rng = random.Random(7)
+    words = ["", "I", "I" * 9]
+    words += ["".join(rng.choice("IXYZ") for _ in range(rng.randrange(1, 40))) for _ in range(200)]
+    # 20,000 letters: parsing the masks in base 2 is exempt from the
+    # 4,300-digit limit on int() from a string
+    words.append("".join(rng.choice("IXYZ") for _ in range(20_000)))
+    for letters in words:
+        assert Measurement(letters).bits() == _reference_bits(letters), letters[:40]
+    assert Measurement("I" * 9).bits() == (0, 0)
+    assert Measurement(words[-1]).bits()[0].bit_length() > 19_900
+
+
 def test_restricted_to_checks_its_sites():
     m = Measurement("XY")
     assert str(m.restricted_to([2, 2])) == "IY"
