@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, UnsupportedSizeError, chain, is_chain
+from .graphs import Graph, UnsupportedSizeError, _sites, chain, is_chain
 from .lhv import _monomial_columns
 from .nogo import _kernel_signs, _sign_labels, _walk_kernel
 from .pauli import Measurement
@@ -271,13 +271,13 @@ class ChainReport:
 
 # A sub word is coded as an int whose byte j - 1 holds letter j XOR "I". An I
 # byte is 0, so the code of a subset's word is the XOR of its sites' codes and
-# the kernel walk carries it like a subset mask.
+# the kernel walk carries it in the subset's label.
 _I = ord("I")
 
 # What the checker keeps of one certain word's parse: the grammar's rejection,
-# the (left, right, site mask) of its only sentence (bit j for site j), or None
-# when it holds several sentences.
-_Parse = NotStabilizerShaped | tuple[int, int, int] | None
+# the (left, right) brackets of its only sentence, or None when it holds
+# several sentences.
+_Parse = NotStabilizerShaped | tuple[int, int] | None
 
 
 def _parse(word: str) -> _Parse:
@@ -287,20 +287,21 @@ def _parse(word: str) -> _Parse:
         return exc
     if len(sentences) != 1:
         return None
-    sent = sentences[0]
-    return sent.left, sent.right, sum(1 << j for j, ch in enumerate(word, start=1) if ch != "I")
+    return sentences[0].left, sentences[0].right
 
 
-def _letter_columns(g: Graph) -> dict[str, list[int]]:
-    """Each site's monomial mask under each measured letter: ``cols[c][j - 1]``
-    for letter c at site j, so the columns of any word on g are read, not built."""
-    return {c: _monomial_columns(g, c * g.n, range(1, g.n + 1)) for c in "XYZ"}
+def _letter_columns(g: Graph) -> dict[str, list[tuple[int, int]]]:
+    """Each site's (site bit, monomial mask) under each measured letter:
+    ``cols[c][j - 1]`` for letter c at site j, so the columns of any word on
+    g are read, not built."""
+    bits = [1 << i for i in range(g.n)]
+    return {c: list(zip(bits, _monomial_columns(g, c * g.n, range(1, g.n + 1)))) for c in "XYZ"}
 
 
 def _check_measurement(
     g: Graph,
     letters: str,
-    cols: dict[str, list[int]],
+    cols: dict[str, list[tuple[int, int]]],
     broadcast_y: bool,
     violations: list[Violation],
     overlap_violations: list[OverlapViolation],
@@ -312,8 +313,9 @@ def _check_measurement(
     coin monomials (read from ``cols``, see ``_letter_columns``) vanishes,
     so the protocol's product there is a constant sign by construction and
     only that sign is compared with the oracle's. Both signs are linear on
-    the kernel, so ``_sign_labels`` decides them on the basis and the walk
-    carries each subset's label (and its word's code) by one XOR per step.
+    the kernel, so ``_sign_labels`` decides them on the basis, and the walk
+    over the site-mask basis carries each subset's label, its word's code
+    shifted above the two sign bits, by one XOR per step.
     The empty subset is counted and passed over: its word is the identity,
     of sign +1 on both sides, and holds no sentence. It is the only certain
     subset for most measurements, which return before a ``Measurement`` is
@@ -321,47 +323,44 @@ def _check_measurement(
     ``parses`` dict, which the sweep creates and drops.
     Returns (deterministic subs checked, overlap pairs checked).
     """
-    support = []
-    columns = []
-    for j, ch in enumerate(letters, start=1):
-        if ch != "I":
-            support.append(j)
-            columns.append(cols[ch][j - 1])
-    basis, bits = _kernel_signs(g, letters, support, columns)
+    columns = [cols[ch][i] for i, ch in enumerate(letters) if ch != "I"]
+    basis, bits = _kernel_signs(g, letters, columns)
     if not basis:
         return 1, 0
     m = Measurement(letters)
-    labels = _sign_labels(support, basis, bits, flip_sites_for(m, broadcast_y))
+    labels = []
+    for vec, label in zip(basis, _sign_labels(basis, bits, flip_sites_for(m, broadcast_y))):
+        code = 0
+        rest = vec
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            code ^= (ord(letters[i]) ^ _I) << 8 * i
+            rest ^= low
+        labels.append(code << 2 | label)
     n = len(letters)
-    site_codes = [(ord(letters[j - 1]) ^ _I) << 8 * (j - 1) for j in support]
-    codes = [sum(c for i, c in enumerate(site_codes) if vec >> i & 1) for vec in basis]
     blank = int.from_bytes(b"I" * n, "little")
 
     spans: list[tuple[int, int, int]] = []
-    for code, label in _walk_kernel(codes, labels):
-        if not code:
+    for smask, label in _walk_kernel(basis, labels):
+        if not smask:
             continue
-        word = (code ^ blank).to_bytes(n, "little").decode()
+        word = (label >> 2 ^ blank).to_bytes(n, "little").decode()
         sign = -1 if label & 1 else 1
-        if label >> 1:
-            violations.append(Violation(m, _kept(word), sign, -sign, "wrong constant sign"))
+        if label & 2:
+            violations.append(Violation(m, _sites(smask), sign, -sign, "wrong constant sign"))
         if word not in parses:
             parses[word] = _parse(word)
         parsed = parses[word]
         if isinstance(parsed, NotStabilizerShaped):
-            violations.append(
-                Violation(m, _kept(word), sign, None, f"grammar rejected a certain word: {parsed}")
-            )
+            reason = f"grammar rejected a certain word: {parsed}"
+            violations.append(Violation(m, _sites(smask), sign, None, reason))
         elif parsed is not None:
-            spans.append(parsed)
+            spans.append((*parsed, smask))
 
     pairs, found = _overlap_violations(m, spans)
     overlap_violations.extend(found)
     return 1 << len(basis), pairs
-
-
-def _kept(word: str) -> tuple[int, ...]:
-    return tuple(j for j, ch in enumerate(word, start=1) if ch != "I")
 
 
 def _overlap_violations(
@@ -369,10 +368,10 @@ def _overlap_violations(
 ) -> tuple[int, list[OverlapViolation]]:
     """(overlapping pairs, violations) among single-sentence subs of m.
 
-    Each span is (left, right, site mask), bit j for site j. Both subs
-    restrict m, so strictly inside both spans (where none of the four
-    brackets lies) their letters differ exactly at the sites one of them
-    keeps; the lowest such site is reported.
+    Each span is (left, right, site mask), the walk's mask of the sub, bit
+    j - 1 for site j. Both subs restrict m, so strictly inside both spans
+    (where none of the four brackets lies) their letters differ exactly at
+    the sites one of them keeps; the lowest such site is reported.
     """
     pairs = 0
     found = []
@@ -382,9 +381,9 @@ def _overlap_violations(
         if lo > hi:
             continue
         pairs += 1
-        differ = ((s1 ^ s2) >> (lo + 1) << (lo + 1)) & ((1 << hi) - 1)
+        differ = ((s1 ^ s2) >> lo << lo) & ((1 << (hi - 1)) - 1)  # sites lo + 1 .. hi - 1
         if differ:
-            position = (differ & -differ).bit_length() - 1
+            position = (differ & -differ).bit_length()
             found.append(OverlapViolation(m, (l1, r1), (l2, r2), position))
     return pairs, found
 

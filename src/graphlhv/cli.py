@@ -22,6 +22,7 @@ from . import __version__
 from .graphs import (
     Graph,
     UnsupportedSizeError,
+    _bit_indices,
     family_node_count,
     graph_from_json,
     grid,
@@ -315,8 +316,7 @@ def _render_system(system) -> list[str]:
 
     lines = []
     for eq in system.equations:
-        bits = (i for i in range(eq.row.bit_length()) if eq.row >> i & 1)
-        terms = [names[i] for i in sorted(bits, key=order)]
+        terms = [names[i] for i in sorted(_bit_indices(eq.row), key=order)]
         lines.append(f"[{eq.label}] {' * '.join(terms) or '1'} = {eq.sign:+d}")
     return lines
 

@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Hashable, Iterable, Sequence, Sized
 
 
@@ -260,6 +261,19 @@ def ball_masks(g: Graph, d: int) -> tuple[int, ...]:
             break
         masks = grown
     return tuple(masks)
+
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    """The positions of a non-negative mask's set bits, ascending."""
+    return tuple(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)))
+
+
+def _sites(mask: int) -> tuple[int, ...]:
+    """The sites of a site mask (bit j - 1 for site j), ascending."""
+    return _bit_indices(mask << 1)
 
 
 def automorphisms(g: Graph, labels: Sequence[Hashable] | None = None) -> list[tuple[int, ...]]:

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _sites
 from .oracle import Verdict
 from .pauli import Measurement
 
@@ -256,7 +256,7 @@ def product_report(
         mask = 0
         for col in _monomial_columns(g, m.letters, sites):
             mask ^= col
-        monomial = tuple(k + 1 for k in range(g.n) if (mask >> k) & 1)
+        monomial = _sites(mask)
         verdict = Verdict.deterministic(sign) if mask == 0 else Verdict.uniform()
         return ProductReport(verdict, "exact", sites, flipped, monomial, protocol.name)
 

@@ -2,11 +2,13 @@
 
 The certain submeasurements of a measurement are the subsets of its support
 on which the XOR of the per-site coin monomials vanishes: the kernel of one
-GF(2) map, of dimension k. On it the oracle sign and the protocol's flip
-parity are both linear, so deciding the sweep costs k oracle signs, one per
-basis word, each read off the word's x and z bitmasks by the oracle's mask
-step without building the word. Only listing subsets (the certain ones, or
-the mismatches) walks the 2^k kernel elements, and nothing visits all
+GF(2) map, of dimension k. A subset is a site mask, bit j - 1 for site j,
+like a word's x and z masks, so each basis vector masks the word down to its
+basis word. On the kernel the oracle sign and the protocol's flip parity are
+both linear, so deciding the sweep costs k oracle signs, one per basis word,
+each read off the masked x and z bitmasks by the oracle's mask step without
+building the word. Only listing subsets (the certain ones, or the
+mismatches) walks the 2^k kernel elements, and nothing visits all
 2^|support| subsets.
 
 Two impossibility arguments are mechanized here as GF(2) constraint systems.
@@ -35,13 +37,14 @@ multiply to -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
     UnsupportedSizeError,
+    _bit_indices,
+    _sites,
     automorphism_orbits,
     ball,
     ball_masks,
@@ -50,7 +53,7 @@ from .graphs import (
 )
 from .lhv import STANDARD_RULES, FlipProtocol, _monomial_columns
 from .oracle import Verdict, _classify_bits, classify, stabilizer_word
-from .pauli import Measurement, generator_product, is_submeasurement
+from .pauli import Measurement, _bits, generator_product, is_submeasurement
 
 _KERNEL_GUARD = 20
 
@@ -160,12 +163,16 @@ class GF2Solution:
     certificate: tuple[int, ...] | None = None
 
 
-def _eliminate(cols: Iterable[int], pivots: dict[int, tuple[int, int]]) -> Iterator[int]:
+def _eliminate(
+    cols: Iterable[tuple[int, int]], pivots: dict[int, tuple[int, int]]
+) -> Iterator[int]:
     """Yield the dependencies of one forward elimination over bitmask columns,
     filling ``pivots`` as it goes.
 
-    The columns are taken in order, each reduced column carrying the bitmask
-    of the columns it combines (bit i for cols[i]). Pivots are keyed by
+    Each column comes as (own bit, column), its own bits ascending with the
+    columns: a site's bit j - 1 in the kernel step, so that a dependency is
+    a site mask, and an equation's index bit in ``gf2_solve``. A reduced
+    column carries the bitmask of the own bits it combines. Pivots are keyed by
     their lowest set bit and map to (reduced column, combination), so a
     column is reduced only by the pivots at its lowest bit, which rises with
     every step; the number of pivots is the rank. A column that reduces to
@@ -174,11 +181,11 @@ def _eliminate(cols: Iterable[int], pivots: dict[int, tuple[int, int]]) -> Itera
     contains that own bit, which is also its highest, and they come in
     ascending order of it, so they are the kernel basis that
     ``gf2_nullspace`` in ``tests/reference.py`` returns for the transposed
-    rows. Each caller keeps what it reads: ``_kernel_signs`` lists the
-    dependencies, ``gf2_solve`` only the pivots.
+    rows, bit i moved to the own bit of the i-th column. Each caller keeps
+    what it reads: ``_kernel_signs`` lists the dependencies, ``gf2_solve``
+    only the pivots.
     """
-    for i, col in enumerate(cols):
-        combo = 1 << i
+    for combo, col in cols:
         while col:
             low = col & -col
             hit = pivots.get(low)
@@ -206,7 +213,8 @@ def gf2_solve(system: ParityConstraintSystem) -> GF2Solution:
     """
     top = len(system.variables)
     pivots: dict[int, tuple[int, int]] = {}
-    for _ in _eliminate((eq.row | _rhs(eq) << top for eq in system.equations), pivots):
+    rows = ((1 << i, eq.row | _rhs(eq) << top) for i, eq in enumerate(system.equations))
+    for _ in _eliminate(rows, pivots):
         pass
     contradiction = pivots.get(1 << top)
     if contradiction is not None:
@@ -257,65 +265,47 @@ class SubmeasurementReport:
         return not self.mismatches
 
 
-def _signed_kernel(g: Graph, m: Measurement) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """(support, kernel basis, sign bits) of a measurement on g, by ``_kernel_signs``
+def _signed_kernel(g: Graph, m: Measurement) -> tuple[list[int], list[int]]:
+    """(kernel basis, sign bits) of a measurement on g, by ``_kernel_signs``
     over the support's monomial masks."""
     g.check_measurement(m)
     support = m.support()
-    return support, *_kernel_signs(g, m.letters, support, _monomial_columns(g, m.letters, support))
+    cols = _monomial_columns(g, m.letters, support)
+    return _kernel_signs(g, m.letters, zip((1 << (j - 1) for j in support), cols))
 
 
 def _kernel_signs(
-    g: Graph, letters: str, support: Sequence[int], cols: list[int]
+    g: Graph, letters: str, cols: Iterable[tuple[int, int]]
 ) -> tuple[list[int], list[int]]:
     """(kernel basis, sign bits) of the word ``letters``: bit 1 for a basis word
-    of sign -1. ``cols`` are the monomial masks of the ``support`` sites, the
-    columns of the map; the caller has checked ``letters`` against g.
+    of sign -1. ``cols`` are the (site bit, monomial mask) pairs of the
+    support sites in ascending order, the columns of the map; the caller has
+    checked ``letters`` against g.
 
-    The basis is the dependencies of one ``_eliminate`` pass over the columns.
-    Each basis word, the letters at its sites and I elsewhere, is confirmed
-    certain by the oracle's mask step ``_classify_bits``, its x and z masks
-    the XOR of its sites' bits; certain words are closed under products, so
-    that confirms the whole kernel. No letter string is built unless a basis
-    word fails, for the error; an empty kernel reads no letter at all.
+    The basis is the dependencies of one ``_eliminate`` pass over the
+    columns, each a site mask. The word's x and z masks are parsed once,
+    and each basis word, the letters at its sites and I elsewhere, is those
+    masks ANDed with its vector, confirmed certain by the oracle's mask step
+    ``_classify_bits``; certain words are closed under products, so that
+    confirms the whole kernel. No letter string is built unless a basis word
+    fails, for the error; an empty kernel reads no letter at all.
     """
     basis = list(_eliminate(cols, {}))
     if not basis:
         return basis, []
-    site_x = []
-    site_z = []
-    for j in support:
-        letter = letters[j - 1]
-        site_x.append((letter in "XY") << (j - 1))
-        site_z.append((letter in "YZ") << (j - 1))
+    x, z = _bits(letters)
     bits = []
     for vec in basis:
-        x = z = 0
-        rest = vec
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            x ^= site_x[i]
-            z ^= site_z[i]
-            rest ^= low
-        verdict = _classify_bits(g, x, z)
+        verdict = _classify_bits(g, x & vec, z & vec)
         if not verdict.is_deterministic:
-            out = ["I"] * len(letters)
-            for j in _sites(support, vec):
-                out[j - 1] = letters[j - 1]
-            sub = "".join(out)
+            sub = Measurement(letters).restricted_to(_sites(vec))
             raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
         bits.append(int(verdict.value == -1))
     return basis, bits
 
 
-def _sites(support: Sequence[int], smask: int) -> tuple[int, ...]:
-    """The support sites at the set bits of a subset mask (bit i for support[i])."""
-    return tuple(j for i, j in enumerate(support) if (smask >> i) & 1)
-
-
 def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int]]:
-    """Every (subset mask, label) of the span, labels XORed along with the masks.
+    """Every (site mask, label) of the span, labels XORed along with the masks.
 
     Refuses a span of more than 2^20 elements before its first step.
     """
@@ -340,14 +330,12 @@ def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int
         yield smask, label
 
 
-def _sign_labels(
-    support: Sequence[int], basis: list[int], bits: list[int], flips: frozenset[int]
-) -> list[int]:
+def _sign_labels(basis: list[int], bits: list[int], flips: frozenset[int]) -> list[int]:
     """One label per basis vector. Bit 0: the oracle sign is -1. Bit 1: the
     parity of the flip sites in it differs from that sign, so the protocol's
     sign is wrong. Both are linear on the kernel, so ``_walk_kernel`` carries
     them to every certain subset."""
-    flip_mask = sum(1 << i for i, j in enumerate(support) if j in flips)
+    flip_mask = sum(1 << (j - 1) for j in flips)
     return [bit | (bit ^ (vec & flip_mask).bit_count() & 1) << 1 for vec, bit in zip(basis, bits)]
 
 
@@ -363,28 +351,29 @@ def verify_all_submeasurements(
     ``protocol.flip_sites(g, m)`` call; both are linear on the kernel, so the
     word is clean iff they agree on its k basis vectors, and otherwise they
     disagree on exactly half of it. The basis signs come from
-    ``_kernel_signs``, on bitmasks. Only on a disagreement is the kernel
-    walked, to list the mismatches in ascending subset-mask order over the
-    sorted support, each built as a word and confirmed by its own
-    ``classify`` call.
+    ``_kernel_signs``, on bitmasks, and the flip parity of a basis vector is
+    its AND with the flip sites' mask. Only on a disagreement is the kernel
+    walked, to list the mismatches in ascending site-mask order, each
+    mask's sites read off by ``graphs._sites``, built as a word and
+    confirmed by its own ``classify`` call.
     """
     flips = protocol.flip_sites(g, m)
-    support, basis, bits = _signed_kernel(g, m)
-    labels = _sign_labels(support, basis, bits, flips)
+    basis, bits = _signed_kernel(g, m)
+    labels = _sign_labels(basis, bits, flips)
     mismatches: list[SubsetCheck] = []
     if any(label >> 1 for label in labels):
         for smask, label in _walk_kernel(basis, labels):
             if not label >> 1:
                 continue
             oracle = Verdict.deterministic(-1 if label & 1 else 1)
-            sites = _sites(support, smask)
+            sites = _sites(smask)
             sub = m.restricted_to(sites)
             verdict = classify(g, sub)
             if verdict != oracle:
                 raise RuntimeError(f"{sub}: the kernel basis gives {oracle}, the oracle {verdict}")
             mismatches.append(SubsetCheck(sites, sub, oracle, Verdict.deterministic(-oracle.value)))
     return SubmeasurementReport(
-        m, protocol.name, 1 << len(support), 1 << len(basis), tuple(mismatches)
+        m, protocol.name, 1 << len(m.support()), 1 << len(basis), tuple(mismatches)
     )
 
 
@@ -397,20 +386,19 @@ def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[tuple[
     m|_S · m|_T = m|_{S△T} with no phase, so the sign is a homomorphism on
     the kernel: the oracle's mask step signs the k basis words
     (``_signed_kernel``) and every other sign is a product of theirs. Each
-    basis vector owns a highest bit that no other contains, so counting
-    through their combinations in binary yields the subsets in ascending
-    subset-mask order (bit i for support[i]), the order of a sweep over every
-    subset, each sign updated by one XOR. Returns (sites, sign) pairs, the
-    sites an ascending tuple like ``SubsetCheck.sites``;
-    ``m.restricted_to(sites)`` is the word.
+    basis vector is a site mask (bit j - 1 for site j) and owns a highest
+    bit that no other contains, so counting through their combinations in
+    binary yields the subsets in ascending site-mask order, the order of a
+    sweep over every subset, each sign updated by one XOR. Returns (sites,
+    sign) pairs, the sites an ascending tuple read off the mask by
+    ``graphs._sites``, like ``SubsetCheck.sites``; ``m.restricted_to(sites)``
+    is the word.
     Deciding costs k signs on bitmasks; only the walk costs 2^k, and its
     guard at kernel dimension 20, i.e. 2^20 subsets, is the one size limit
     on the listing.
     """
-    support, basis, bits = _signed_kernel(g, m)
-    return tuple(
-        (_sites(support, smask), -1 if bit else 1) for smask, bit in _walk_kernel(basis, bits)
-    )
+    basis, bits = _signed_kernel(g, m)
+    return tuple((_sites(smask), -1 if bit else 1) for smask, bit in _walk_kernel(basis, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +475,15 @@ def distance_constraint_system(
     """One parity equation per certain submeasurement, over view-keyed variables.
 
     Sites in different cases share a variable exactly when site, measured
-    observable and the full distance-d view coincide. A site's view has the
-    same nodes in every case, so two of its views can differ only on the
-    difference sites, where the cases' global measurements disagree (the
-    three vertices on the padded ring). Each (case, site) is therefore keyed
-    by its site, its letter and its letters on ball ∩ difference sites, and
+    observable and the full distance-d view coincide. The letters of a
+    site's view are its case word's x and z masks ANDed with its ball's
+    mask, so each (case, site) is keyed by its site and those two ints, and
     the full view is built once per distinct key. Every site's ball comes
     from one pass over integer bitmasks (``ball_masks``): at most
     min(d, n - 1) rounds of O(n + |E|) big-int ORs, stopping early once no
     ball grows, so an oversized d costs no more than the graph's diameter.
-    A site's ascending nodes are read off its mask in C (its reversed binary
-    digits select from a range), and a difference site is probed by one bit
-    test. On a shared 2-core VM the whole system takes about 13 ms at f = 25
+    A site's ascending nodes are read off its mask by ``graphs._bit_indices``
+    in C. On a shared 2-core VM the whole system takes about 13 ms at f = 25
     (n = 300, d = 49) and about 0.15 s at f = 101 (n = 1212, d = 201).
     Variables are declared in order of first use, an equation's sites taken
     in decimal-string order. Raises ValueError unless every case's words
@@ -522,22 +507,21 @@ def _distance_system(
             )
         if not is_submeasurement(sub, glob):
             raise ValueError(f"case {case.name}: {sub} is not a submeasurement of {glob}")
-    words = [case.global_measurement.letters for case in cases]
-    differ = [k - 1 for k, column in enumerate(zip(*words), start=1) if len(set(column)) > 1]
     all_masks = ball_masks(g, d)
     sites = sorted(set().union(*(case.sub.support() for case in cases)))
     masks = {j: all_masks[j - 1] for j in sites}
     views = {j: _pairs_at(_bit_indices(mask)) for j, mask in masks.items()}
-    probes = {j: tuple(i for i in differ if (mask >> i) & 1) for j, mask in masks.items()}
-    index: dict[tuple, int] = {}  # (site, letter, probe letters) -> variable position
+    index: dict[tuple, int] = {}  # (site, view's x bits, view's z bits) -> variable position
     variables = []
     equations = []
-    for case, word in zip(cases, words):
+    for case in cases:
+        word = case.global_measurement.letters
+        x, z = case.global_measurement.bits()
         pairs = tuple(enumerate(word, start=1))  # (node, letter) at index node - 1
         # sites in decimal-string order (1, 10, 2, ...): the published variable order
         row = 0
         for j in sorted(case.sub.support(), key=str):
-            key = (j, word[j - 1], tuple(word[i] for i in probes[j]))
+            key = (j, x & masks[j], z & masks[j])
             i = index.get(key)
             if i is None:
                 i = index[key] = len(variables)
@@ -545,14 +529,6 @@ def _distance_system(
             row |= 1 << i
         equations.append(Equation(row, case.expected_sign, case.name))
     return ParityConstraintSystem(tuple(variables), tuple(equations)), masks
-
-
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_indices(mask: int) -> tuple[int, ...]:
-    """The positions of a non-negative mask's set bits, ascending."""
-    return tuple(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)))
 
 
 def _pairs_at(indices: Sequence[int]) -> Callable[[tuple], tuple]:

@@ -130,13 +130,16 @@ class Measurement:
         return Measurement("".join(out))
 
     def bits(self) -> tuple[int, int]:
-        """(x-component mask, z-component mask): X/Y set x bits, Y/Z set z bits.
+        """(x-component mask, z-component mask): X/Y set x bits, Y/Z set z bits."""
+        return _bits(self.letters)
 
-        Site 1 is the lowest bit, so each mask is the reversed letters read as
-        binary digits; base-2 parsing has no digit limit.
-        """
-        digits = "0" + self.letters[::-1]  # "0" keeps the empty word parseable
-        return int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
+
+def _bits(letters: str) -> tuple[int, int]:
+    """``Measurement.bits`` of letters already checked. Site 1 is the lowest
+    bit, so each mask is the reversed letters read as binary digits; base-2
+    parsing has no digit limit."""
+    digits = "0" + letters[::-1]  # "0" keeps the empty word parseable
+    return int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
 
 
 def is_submeasurement(sub: Measurement, glob: Measurement) -> bool:

@@ -533,15 +533,22 @@ def test_overlap_pairs_are_checked():
         (("XIXIXZ", "YXXXYZ"), [((0, 6), (0, 6), 2)]),
         # common span 3..5 with X at 4 in both; they differ only at 3 and 5
         (("IIZXIX", "ZXIXZI"), []),
+        # common span 2..6: only site 5, just inside the upper bracket, differs
+        (("IZYYIX", "YXXXYZ"), [((2, 7), (0, 6), 5)]),
     ],
-    ids=["differ-inside", "differ-at-ends"],
+    ids=["differ-inside", "differ-at-ends", "differ-below-upper-bracket"],
 )
 def test_overlap_check_reports_the_lowest_site_strictly_inside(words, expected):
     # No pair of real certain subs with n <= 7 reaches the reporting branch,
     # nor any two single-sentence restrictions of one word with n <= 6, so
-    # the spans of two crafted single-sentence words are fed in directly.
-    spans = [chain_protocol._parse(w) for w in words]
-    assert all(isinstance(span, tuple) for span in spans)  # one sentence each
+    # the spans of two crafted single-sentence words are fed in directly,
+    # each with the site mask of its kept sites (bit j - 1 for site j).
+    brackets = [chain_protocol._parse(w) for w in words]
+    assert all(isinstance(b, tuple) for b in brackets)  # one sentence each
+    spans = [
+        (*b, sum(1 << (j - 1) for j, ch in enumerate(w, start=1) if ch != "I"))
+        for b, w in zip(brackets, words)
+    ]
     m = Measurement("YXXXYZ")
     pairs, overlaps = chain_protocol._overlap_violations(m, spans)
     assert pairs == 1

@@ -200,6 +200,17 @@ def test_ball_masks_on_padded_ring_and_negative_distance():
             ball_masks(g, d)
 
 
+def test_set_bit_listers_match_a_per_bit_reference():
+    rng = random.Random(28)
+    masks = [0, 1, 2, 1 << 64, (1 << 64) - 1]
+    masks += [rng.getrandbits(rng.randint(1, 300)) for _ in range(200)]
+    masks.append(rng.getrandbits(20_000) | 1 << 19_999 | 1)
+    for mask in masks:
+        reference = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        assert graphs._bit_indices(mask) == reference
+        assert graphs._sites(mask) == tuple(i + 1 for i in reference)
+
+
 def _brute_force_automorphisms(g, labels=None):
     labels = labels or ("*",) * g.n
     edge_set = {frozenset(e) for e in g.edges}

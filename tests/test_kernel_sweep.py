@@ -33,6 +33,7 @@ from graphlhv.nogo import (  # noqa: E402
     SubsetCheck,
     _eliminate,
     _kernel_signs,
+    _signed_kernel,
     find_certain_submeasurements,
     verify_all_submeasurements,
 )
@@ -208,12 +209,11 @@ def test_kernel_sign_bits_match_both_oracles_on_each_basis_word(gm):
     # The sweep confirms basis words on bitmasks; classify on the word's
     # letters and the dense state vector must read the same sign.
     g, m = gm
-    support = m.support()
-    cols = _columns(g, m)
-    basis, bits = _kernel_signs(g, m.letters, support, cols)
-    assert basis == list(_eliminate(cols, {})) and len(bits) == len(basis)
+    pairs = _pairs(g, m)
+    basis, bits = _kernel_signs(g, m.letters, pairs)
+    assert basis == list(_eliminate(pairs, {})) and len(bits) == len(basis)
     for vec, bit in zip(basis, bits):
-        sub = m.restricted_to(j for i, j in enumerate(support) if vec >> i & 1)
+        sub = m.restricted_to(_mask_sites(vec, g.n))
         expected = Verdict.deterministic(-1 if bit else 1)
         assert classify(g, sub) == expected, str(sub)
         assert statevector_verdict(g, sub) == expected, str(sub)
@@ -221,6 +221,21 @@ def test_kernel_sign_bits_match_both_oracles_on_each_basis_word(gm):
 
 def _columns(g, m):
     return _monomial_columns(g, m.letters, m.support())
+
+
+def _pairs(g, m):
+    """The kernel step's columns: (site bit, monomial mask) per support site."""
+    return [(1 << (j - 1), col) for j, col in zip(m.support(), _columns(g, m))]
+
+
+def _mask_sites(smask, n):
+    """The sites of a site mask, bit j - 1 for site j, tested bit by bit."""
+    return [j for j in range(1, n + 1) if smask >> (j - 1) & 1]
+
+
+def _site_mask(support, vec):
+    """A vector over support positions (bit i for support[i]) as a site mask."""
+    return sum(1 << (j - 1) for i, j in enumerate(support) if vec >> i & 1)
 
 
 def _transposed(cols, n):
@@ -238,9 +253,12 @@ def _span(basis):
 @given(graph_and_word(max_n=10))
 def test_column_basis_matches_row_nullspace(gm):
     g, m = gm
+    support = m.support()
     cols = _columns(g, m)
-    basis = list(_eliminate(cols, {}))
-    reference = gf2_nullspace(_transposed(cols, g.n), len(cols))
+    basis = list(_eliminate(_pairs(g, m), {}))
+    reference = [
+        _site_mask(support, vec) for vec in gf2_nullspace(_transposed(cols, g.n), len(cols))
+    ]
     assert _span(basis) == _span(reference)
     # A kernel vector supported on one free column plus pivot columns is
     # unique, so the two bases agree vector for vector.
@@ -249,33 +267,52 @@ def test_column_basis_matches_row_nullspace(gm):
         top = vec.bit_length() - 1
         assert all(not (other >> top) & 1 for i, other in enumerate(basis) if i != k)
         acc = 0
-        for i in range(len(cols)):
-            if (vec >> i) & 1:
-                acc ^= cols[i]
+        for j, col in zip(support, cols):
+            if (vec >> (j - 1)) & 1:
+                acc ^= col
         assert acc == 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(graph_and_word(max_n=10))
 def test_kernel_walk_is_strictly_ascending(gm):
+    # in site-mask order and in the support-position order of a sweep over
+    # every subset, which the site order preserves
     g, m = gm
     position = {j: i for i, j in enumerate(m.support())}
-    masks = [sum(1 << position[j] for j in sites) for sites, _ in find_certain_submeasurements(g, m)]
-    assert masks == sorted(set(masks))
-    assert len(masks) == 1 << len(list(_eliminate(_columns(g, m), {})))
+    subsets = [sites for sites, _ in find_certain_submeasurements(g, m)]
+    for bit in (lambda j: j - 1, position.__getitem__):
+        masks = [sum(1 << bit(j) for j in sites) for sites in subsets]
+        assert masks == sorted(set(masks))
+    assert len(subsets) == 1 << len(list(_eliminate(_pairs(g, m), {})))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_and_word(max_n=10))
+def test_kernel_basis_vectors_are_certain_site_masks_of_the_support(gm):
+    g, m = gm
+    support_mask = sum(1 << (j - 1) for j in m.support())
+    basis, _ = _signed_kernel(g, m)
+    for vec in basis:
+        assert vec and vec & ~support_mask == 0
+        acc = 0
+        for col in _monomial_columns(g, m.letters, _mask_sites(vec, g.n)):
+            acc ^= col
+        assert acc == 0
 
 
 def test_star16_all_x_kernel_dimension():
     g, m = star(16), Measurement("X" * 16)
     cols = _columns(g, m)
-    basis = list(_eliminate(cols, {}))
+    basis = list(_eliminate(_pairs(g, m), {}))
     assert len(basis) == 14
-    assert basis == gf2_nullspace(_transposed(cols, g.n), len(cols))
+    reference = gf2_nullspace(_transposed(cols, g.n), len(cols))
+    assert basis == [_site_mask(m.support(), vec) for vec in reference]
 
 
 def test_all_identity_word_has_one_empty_subset():
     g, m = ring(5), Measurement("IIIII")
-    assert list(_eliminate(_columns(g, m), {})) == []
+    assert list(_eliminate(_pairs(g, m), {})) == []
     assert find_certain_submeasurements(g, m) == (((), 1),)
     assert m.restricted_to(()) == m
 

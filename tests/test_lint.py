@@ -121,6 +121,51 @@ def test_regular_expressions_are_compiled_once():
     assert found == []
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _is_bit_test(node):
+    """``mask >> i & 1``, in either operand order."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.RShift)
+                for side in (node.left, node.right))
+        and any(isinstance(side, ast.Constant) and side.value == 1
+                for side in (node.left, node.right))
+    )
+
+
+def _bit_test_filters(tree):
+    """Lines of comprehensions that filter on a shift-and-mask bit test."""
+    return sorted({
+        comp.lineno for comp in ast.walk(tree)
+        if isinstance(comp, _COMPREHENSIONS)
+        and any(_is_bit_test(node) for gen in comp.generators for cond in gen.ifs
+                for node in ast.walk(cond))
+    })
+
+
+def test_set_bits_are_listed_by_the_shared_lister():
+    # A comprehension that tests every bit position costs one big-int shift per
+    # position, set or not; graphs._bit_indices and graphs._sites list the set
+    # bits in C.
+    tree = ast.parse(
+        "a = [i for i in range(9) if m >> i & 1]\n"
+        "b = {j for j in s if (m >> (j - 1)) & 1 and j}\n"
+        "c = (i for i in r if 1 & x >> i)\n"
+        "d = [m >> i & 1 for i in range(9)]\n"
+        "e = [i for i in r if m & 1 << i]\n"
+    )
+    assert _bit_test_filters(tree) == [1, 2, 3]
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _bit_test_filters(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
 def _bench_tracer():
     path = _REPO / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
