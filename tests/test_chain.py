@@ -357,6 +357,20 @@ def test_verify_chain_sampled_mode():
     assert report.deterministic_subs_checked == 695
 
 
+@pytest.mark.parametrize("broadcast_y", [False, True])
+@pytest.mark.parametrize(
+    "n, sample, det, pairs", [(300, 3, 18944, 12), (120, 20, 645, 27)], ids=["n300", "n120"]
+)
+def test_sampled_sweep_counts_at_scale_are_pinned(broadcast_y, n, sample, det, pairs):
+    # Long words make many certain words, most of them several sentences
+    # long: the counts pin what the checker parses, whatever parser it uses.
+    report = verify_chain_exhaustive(n, broadcast_y, sample=sample, seed=0)
+    assert report.clean
+    assert report.measurements_checked == sample
+    assert report.deterministic_subs_checked == det
+    assert report.overlap_pairs_checked == pairs
+
+
 def test_sample_is_the_per_row_draw():
     # one draw of sample x n codes gives the letters of drawing each row in turn
     for n, sample, seed in ((1, 7, 0), (3, 40, 1), (8, 40, 2), (10, 25, 49), (40, 5, 3)):
