@@ -15,7 +15,11 @@ the right is the same pass over the reversed word. Whether Y sites stay
 silent (the default) or broadcast too is the ``ChainBroadcast`` value,
 a flip protocol that ``lhv.run``, ``lhv.product_report`` and
 ``nogo.verify_all_submeasurements`` accept; the exhaustive verifier
-arbitrates between the two readings.
+arbitrates between the two readings. The signed stabilizer words form a
+regular language, so the verifier parses each certain word with one
+compiled pattern and reads its brackets off the letters; ``decompose``,
+which builds the sentences, runs only to word the rejection of a word the
+pattern refuses.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .lhv import _monomial_columns
 from .nogo import _kernel_signs, _sign_labels, _walk_kernel
 from .pauli import Measurement
 
-# The full sweep visits 4^n measurements: 0.14-0.22 s at n = 7 and 0.59-0.86 s
+# The full sweep visits 4^n measurements: 0.10-0.17 s at n = 7 and 0.53-0.86 s
 # at n = 8 per reading on a shared 2-vCPU VM (Intel Xeon; best of 2-3 calls,
 # over four fresh processes).
 _FULL_SWEEP_GUARD = 7
@@ -41,6 +45,13 @@ _CODE_LETTERS = bytes.maketrans(bytes(range(4)), b"IXYZ")
 _WORD = re.compile("X|YY|YX+Y")
 _XY_RUN = re.compile("[XY]+")
 _X_RUN = re.compile("X+")
+
+# The signed stabilizer words of a chain as one regular language: all Is, or
+# sentences (words one I apart) with a Z at each bracket that lies on the
+# chain and Is elsewhere. Backtracking re-enters a finished word only to
+# shorten its X run, so a match stays linear in the word's length.
+_S = f"(?:{_WORD.pattern})(?:I(?:{_WORD.pattern}))*"
+_SHAPED = re.compile(f"I*|(?:I*Z)?{_S}(?:ZI*Z{_S})*(?:ZI*)?")
 
 
 class NotStabilizerShaped(ValueError):
@@ -275,19 +286,32 @@ class ChainReport:
 _I = ord("I")
 
 # What the checker keeps of one certain word's parse: the grammar's rejection,
-# the (left, right) brackets of its only sentence, or None when it holds
-# several sentences.
+# the (left, right) brackets of its only sentence, or None when it holds none
+# or several. ``_parse`` reads it off the word's letters, with no ``Word`` or
+# ``Sentence`` built.
 _Parse = NotStabilizerShaped | tuple[int, int] | None
 
 
 def _parse(word: str) -> _Parse:
+    """The checker's parse of one certain word, decided by ``_SHAPED``.
+
+    An accepted word holds one sentence exactly when no Z lies between its
+    first and last X/Y letter; its brackets are then the sites just outside
+    that stretch. A rejected word goes to ``decompose``, whose exception is
+    kept for its message; should ``decompose`` accept it after all, the two
+    parsers disagree and RuntimeError is raised.
+    """
+    if _SHAPED.fullmatch(word):
+        body = word.strip("IZ")
+        if not body or "Z" in body:
+            return None
+        first = len(word) - len(word.lstrip("IZ"))
+        return first, first + len(body) + 1
     try:
-        sentences = decompose(word)
+        decompose(word)
     except NotStabilizerShaped as exc:
         return exc
-    if len(sentences) != 1:
-        return None
-    return sentences[0].left, sentences[0].right
+    raise RuntimeError(f"{word} decomposes but the sentence pattern rejects it")
 
 
 def _letter_columns(g: Graph) -> dict[str, list[tuple[int, int]]]:
@@ -305,7 +329,7 @@ def _check_measurement(
     broadcast_y: bool,
     violations: list[Violation],
     overlap_violations: list[OverlapViolation],
-    parses: dict[str, _Parse],
+    parses: dict[int, _Parse],
 ) -> tuple[int, int]:
     """Check all deterministic submeasurements of one global measurement.
 
@@ -320,7 +344,9 @@ def _check_measurement(
     of sign +1 on both sides, and holds no sentence. It is the only certain
     subset for most measurements, which return before a ``Measurement`` is
     built or the flip sites are found. Each distinct word is parsed once per
-    ``parses`` dict, which the sweep creates and drops.
+    ``parses`` dict, which the sweep creates and drops: it is keyed by the
+    word's code, so a repeated word costs one lookup and its letters are
+    written out only for its first parse, by ``_parse``'s one pattern match.
     Returns (deterministic subs checked, overlap pairs checked).
     """
     columns = [cols[ch][i] for i, ch in enumerate(letters) if ch != "I"]
@@ -345,13 +371,14 @@ def _check_measurement(
     for smask, label in _walk_kernel(basis, labels):
         if not smask:
             continue
-        word = (label >> 2 ^ blank).to_bytes(n, "little").decode()
         sign = -1 if label & 1 else 1
         if label & 2:
             violations.append(Violation(m, _sites(smask), sign, -sign, "wrong constant sign"))
-        if word not in parses:
-            parses[word] = _parse(word)
-        parsed = parses[word]
+        code = label >> 2
+        try:
+            parsed = parses[code]
+        except KeyError:
+            parsed = parses[code] = _parse((code ^ blank).to_bytes(n, "little").decode())
         if isinstance(parsed, NotStabilizerShaped):
             reason = f"grammar rejected a certain word: {parsed}"
             violations.append(Violation(m, _sites(smask), sign, None, reason))
@@ -436,7 +463,8 @@ def verify_chain_exhaustive(
     for each global measurement, that its single-sentence certain
     submeasurements agree on overlaps except at bracketing Zs. The chain's
     monomial columns are built once, and each distinct certain word is
-    parsed once, per call, in tables that end with the call.
+    parsed once (one match of the sentence pattern), per call, in tables
+    that end with the call.
     Full sweep up to n = 7; beyond that a seeded sample of measurements is
     required.
     """
@@ -447,7 +475,7 @@ def verify_chain_exhaustive(
     cols = _letter_columns(g)
     violations: list[Violation] = []
     overlap_violations: list[OverlapViolation] = []
-    parses: dict[str, _Parse] = {}
+    parses: dict[int, _Parse] = {}
     det_total = 0
     pair_total = 0
     count = 0

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -426,18 +427,19 @@ def test_sweep_classifies_each_basis_word_once(monkeypatch):
 
 
 def test_sweep_validates_letters_only_where_a_kernel_is_found(monkeypatch):
-    # Every Measurement and every parsed str goes through pauli._check_letters.
-    # The sweep's own letters come from "IXYZ" and are not checked; what is:
-    # the 59 words with a non-empty kernel (one Measurement each) and the 15
-    # distinct non-empty certain words (one decompose each). Basis words are
-    # confirmed on their masks, with no word built.
+    # Every Measurement and every decomposed str goes through
+    # pauli._check_letters. The sweep's own letters come from "IXYZ" and are
+    # not checked; what is: the 59 words with a non-empty kernel (one
+    # Measurement each). Basis words are confirmed on their masks, and the 15
+    # distinct non-empty certain words are parsed by the sentence pattern, so
+    # none of them builds a word.
     calls = []
     original = pauli._check_letters
     monkeypatch.setattr(
         pauli, "_check_letters", lambda letters: calls.append(letters) or original(letters)
     )
     assert verify_chain_exhaustive(4).clean
-    assert len(calls) == 59 + 15
+    assert len(calls) == 59
 
 
 def test_an_unconfirmed_basis_word_raises(monkeypatch):
@@ -484,16 +486,16 @@ def test_each_occurrence_of_a_rejected_word_is_reported(monkeypatch):
         if m.restricted_to(sites).letters == target
     ]
     assert len(occurrences) == 16
-    original = chain_protocol.decompose
+    original = chain_protocol._parse
     parsed = []
 
     def rejecting(word):
-        parsed.append(str(word))
-        if str(word) == target:
-            raise NotStabilizerShaped("rejected for the test")
+        parsed.append(word)
+        if word == target:
+            return NotStabilizerShaped("rejected for the test")
         return original(word)
 
-    monkeypatch.setattr(chain_protocol, "decompose", rejecting)
+    monkeypatch.setattr(chain_protocol, "_parse", rejecting)
     for sweep in (1, 2):  # no parse outlives its sweep
         report = verify_chain_exhaustive(4)
         rejected = [(v.measurement, v.sites) for v in report.violations
@@ -503,6 +505,90 @@ def test_each_occurrence_of_a_rejected_word_is_reported(monkeypatch):
                    for v in report.violations)
         assert parsed.count(target) == sweep
         assert len(parsed) == len(set(parsed)) * sweep
+
+
+def _assert_parse_matches_decompose(word):
+    # The checker's parse, read off decompose's sentences instead: its
+    # rejection text, the brackets of a single sentence, or None otherwise.
+    got = chain_protocol._parse(word)
+    try:
+        sentences = decompose(word)
+    except NotStabilizerShaped as exc:
+        assert isinstance(got, NotStabilizerShaped) and str(got) == str(exc), word
+        return
+    if len(sentences) == 1:
+        assert got == (sentences[0].left, sentences[0].right), word
+    else:
+        assert got is None, word
+
+
+def test_parse_agrees_with_decompose_on_every_short_word():
+    words = ["".join(p) for n in range(8) for p in itertools.product("IXYZ", repeat=n)]
+    assert len(words) == 21845
+    for word in words:
+        _assert_parse_matches_decompose(word)
+
+
+def test_parse_agrees_with_decompose_on_long_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # every word shape, the X runs that are no word, and the separators
+    pieces = st.sampled_from(["X", "XX", "XXX", "Y", "YY", "I", "Z"])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(pieces, min_size=1, max_size=60))
+    def check(parts):
+        _assert_parse_matches_decompose("".join(parts)[:60])
+
+    check()
+
+
+def test_sentence_pattern_accepts_every_stabilizer_word():
+    # tied to the oracle's closed form, not to decompose
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from graphlhv.oracle import stabilizer_word
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n))))
+    )
+    def check(case):
+        n, sites = case
+        m, _ = stabilizer_word(chain(n), sites)
+        assert chain_protocol._SHAPED.fullmatch(m.letters), m
+
+    check()
+
+
+def test_parse_of_twenty_thousand_letter_words():
+    word = "IZ" + "I".join(["YXXXY", "YY", "X", "YXY"] * 1333) + "IXZI"
+    assert len(word) == 20000
+    assert chain_protocol._parse(word) == (2, 19999)
+    _assert_parse_matches_decompose(word)
+    # its sentence no longer closes: the pattern fails at the last letters
+    rejected = word[:-2] + "II"
+    assert str(chain_protocol._parse(rejected)) == (
+        "site 19999: expected 'Z' from the sentence tiling, found 'I'"
+    )
+    _assert_parse_matches_decompose(rejected)
+
+
+def test_a_clean_sweep_decomposes_no_word(monkeypatch):
+    # every certain word of a clean sweep is accepted by the sentence pattern
+    calls = []
+    original = chain_protocol.decompose
+    monkeypatch.setattr(chain_protocol, "decompose", lambda w: calls.append(w) or original(w))
+    assert verify_chain_exhaustive(4).clean
+    assert verify_chain_exhaustive(10, sample=100, seed=1).clean
+    assert calls == []
+
+
+def test_a_word_only_decompose_accepts_raises(monkeypatch):
+    monkeypatch.setattr(chain_protocol, "_SHAPED", re.compile("(?!)"))  # rejects every word
+    with pytest.raises(RuntimeError, match="^IZX decomposes but the sentence pattern rejects it$"):
+        verify_chain_exhaustive(3)
 
 
 @pytest.mark.parametrize("broadcast_y", [False, True])

@@ -572,13 +572,13 @@ def _flip_every_x(m, broadcast_y=False):
     return frozenset(j for j, ch in enumerate(m.letters, start=1) if ch == "X")
 
 
-_decompose = chain_protocol.decompose
+_parse = chain_protocol._parse
 
 
 def _reject_first_generator(word):
-    if str(word) == "XZII":
-        raise chain_protocol.NotStabilizerShaped("rejected for the test")
-    return _decompose(word)
+    if word == "XZII":
+        return chain_protocol.NotStabilizerShaped("rejected for the test")
+    return _parse(word)
 
 
 def _one_overlap(m, spans):
@@ -595,7 +595,7 @@ def _one_overlap(m, spans):
         ("flip_sites_for", _flip_every_x, 1,
          "dbf8ddb3baa6e0e674eaaa8bd83bacb68a66942e88649173f0d5a52f8d1761be",
          "n=4 (exhaustive): 325 deterministic subs, 48 violations, 0 overlap violations\n"),
-        ("decompose", _reject_first_generator, 1,
+        ("_parse", _reject_first_generator, 1,
          "5cce7d3d3f6120cdcaf68682a7f1243fc44f66dd5ae0b87bf3df5dd717ca77dc",
          "n=4 (exhaustive): 325 deterministic subs, 16 violations, 0 overlap violations\n"),
         ("_overlap_violations", _one_overlap, 1,
@@ -619,6 +619,15 @@ def test_internal_error_exits_3_on_one_line(capsys, monkeypatch):
     code, out, err = _run(capsys, "oracle", "--graph", "ring:4", "--measurement", "ZIII")
     assert code == 3 and out == ""
     assert err == "error: internal RuntimeError: oracle and state vector disagree on ring:4\n"
+
+
+def test_a_parser_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(chain_protocol, "_SHAPED", re.compile("(?!)"))  # rejects every word
+    code, out, err = _run(capsys, "chain", "verify", "--n", "3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: internal RuntimeError: IZX decomposes but the sentence pattern rejects it\n"
+    )
 
 
 def test_nogo_ring_reports_a_broken_case_as_internal(capsys, monkeypatch):
