@@ -143,8 +143,7 @@ def _emit(command: str, inputs: dict, result: object, ok: bool | None, human: st
     }
     # fresh dicts over frozen result values hold no cycle for the encoder's check to find
     print(json.dumps(report, sort_keys=True, check_circular=False, default=_as_json))
-    if human:
-        print(human, file=sys.stderr)
+    print(human, file=sys.stderr)
     return 0 if ok in (None, True) else 1
 
 
@@ -374,26 +373,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"graphlhv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the two inputs of every command that reads a graph and a measurement
+    graph_input = argparse.ArgumentParser(add_help=False)
+    graph_input.add_argument("--graph", required=True)
+    graph_input.add_argument("--measurement", required=True)
 
-    p = sub.add_parser("oracle", help="classify a measurement on a graph state")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--measurement", required=True)
+    p = sub.add_parser("oracle", parents=[graph_input], help="classify a measurement on a graph state")
     p.set_defaults(func="_cmd_oracle")
 
     lhv = sub.add_parser("lhv", help="run the hidden-variable protocol")
     lhv_sub = lhv.add_subparsers(dest="lhv_command", required=True)
-    p = lhv_sub.add_parser("run", help="verdict for the product over a subset of sites")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--measurement", required=True)
+    p = lhv_sub.add_parser("run", parents=[graph_input], help="verdict for the product over a subset of sites")
     p.add_argument("--subset", help="comma-separated sites, default: full support")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rules", choices=sorted(_RULES), default="standard")
     p.set_defaults(func="_cmd_lhv_run")
 
-    p = sub.add_parser("verify-sub", help="compare oracle and protocol on every subset")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--measurement", required=True)
+    p = sub.add_parser("verify-sub", parents=[graph_input], help="compare oracle and protocol on every subset")
     p.add_argument("--rules", choices=sorted(_RULES), default="standard")
     p.add_argument("--expect", choices=["clean", "mismatch"])
     p.set_defaults(func="_cmd_verify_sub")
@@ -404,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=int, required=True, help="odd ring parameter (n = 12f)")
     p.add_argument("--d", type=int, help="communication distance, default: the bound")
     p.set_defaults(func="_cmd_nogo_ring")
-    p = nogo_sub.add_parser("site-invariance", help="orbit-flip contradiction")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--measurement", required=True)
+    p = nogo_sub.add_parser("site-invariance", parents=[graph_input], help="orbit-flip contradiction")
     p.add_argument("--expect", choices=["consistent", "inconsistent"])
     p.set_defaults(func="_cmd_nogo_site")
 

@@ -99,9 +99,8 @@ def communication_round(g: Graph, m: Measurement) -> CommunicationState:
     """One round of neighbor messages; depends only on the graph and measurement."""
     g.check_measurement(m)
     c = tuple(1 if ch in "XY" else 0 for ch in m.letters)
-    t = tuple(
-        sum(c[k - 1] for k in g.neighborhood(j)) % 4 for j in range(1, g.n + 1)
-    )
+    x = m.bits()[0]  # the X and Y sites, which broadcast
+    t = tuple((mask & x).bit_count() % 4 for mask in g.neighbor_masks)
     return CommunicationState(c, t)
 
 

@@ -560,14 +560,10 @@ class DistanceCertificate:
     max_other_changeable_in_view: int
 
     @property
-    def expected_inconsistent(self) -> bool:
-        return self.d <= self.bound
-
-    @property
     def ok(self) -> bool | None:
         """Whether an in-bound distance is certified; None above the bound,
         where no contradiction is expected and so nothing was checked."""
-        if self.expected_inconsistent:
+        if self.d <= self.bound:
             return not self.solution.consistent
         return None
 

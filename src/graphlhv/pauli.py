@@ -57,12 +57,6 @@ class PhasedPauli:
     def identity(cls, n: int) -> "PhasedPauli":
         return cls("I" * n)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "PhasedPauli") -> "PhasedPauli":
-        return multiply(self, other)
-
     def __str__(self) -> str:
         return _PHASE_LABEL[self.phase] + self.letters
 

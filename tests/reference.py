@@ -10,6 +10,7 @@ from typing import Mapping, Sequence
 
 from graphlhv.chain_protocol import Sentence
 from graphlhv.graphs import Graph
+from graphlhv.pauli import Measurement
 
 
 def gf2_nullspace(rows: Sequence[int], ncols: int) -> list[int]:
@@ -44,6 +45,14 @@ def relabel(g: Graph, mapping: Mapping[int, int]) -> Graph:
     if sorted(mapping) != list(range(1, g.n + 1)) or sorted(mapping.values()) != list(range(1, g.n + 1)):
         raise ValueError("mapping must be a bijection on 1..n")
     return Graph(g.n, tuple((mapping[u], mapping[v]) for u, v in g.edges))
+
+
+def communication_counts(g: Graph, m: Measurement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The message round neighbour by neighbour: c_j is 1 when site j measures
+    X or Y, and t_j sums c over j's neighbourhood, mod 4."""
+    c = tuple(1 if ch in "XY" else 0 for ch in m.letters)
+    t = tuple(sum(c[k - 1] for k in g.neighborhood(j)) % 4 for j in range(1, g.n + 1))
+    return c, t
 
 
 def diameter(g: Graph) -> int:

@@ -1,8 +1,11 @@
 """Command-line surface: JSON output, exit codes, determinism."""
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import pathlib
 import re
@@ -1009,3 +1012,64 @@ def test_readme_library_tour_runs():
     assert values["[c.sites for c in report.mismatches]"] == [(1, 2, 3, 5), (2, 4, 5, 6)]
     assert values['STANDARD_RULES.flip_sites(grid(2, 3), Measurement("YYYYYY"))'] == {2, 5}
     assert values["gf2_solve(system).consistent"] is False
+
+
+def test_graph_input_never_gives_an_internal_error(tmp_path):
+    # Valid and malformed graph files through every command that reads one:
+    # a usage error is exit 2, and exits 0 and 1 print one JSON report.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    faults = ["none", "self-loop", "endpoint-0", "endpoint-past-n", "bool-n", "float-n",
+              "string-n", "truncated", "short-letters", "long-letters", "lower-case"]
+
+    @st.composite
+    def inputs(draw):
+        n = draw(st.integers(1, 8))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [list(p) for p, k in zip(pairs, keep) if k]
+        letters = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+        fault = draw(st.sampled_from(faults))
+        data = {"n": n, "edges": edges}
+        if fault == "self-loop":
+            edges.append([draw(st.integers(1, n))] * 2)
+        elif fault.startswith("endpoint"):
+            edges.append([0 if fault == "endpoint-0" else n + 1, draw(st.integers(1, n))])
+        elif fault.endswith("-n"):
+            data["n"] = {"bool-n": True, "float-n": n + 0.5, "string-n": str(n)}[fault]
+        elif fault == "short-letters":
+            letters = letters[:-1]
+        elif fault == "long-letters":
+            letters += draw(st.sampled_from("IXYZ"))
+        elif fault == "lower-case":
+            letters = letters.lower()
+        text = json.dumps(data)
+        if fault == "truncated":
+            text = text[:draw(st.integers(0, len(text) - 1))]
+        subset = ",".join(map(str, draw(st.sets(st.integers(1, n), min_size=1))))
+        return text, letters, subset, draw(st.integers(1, 64))
+
+    path = tmp_path / "g.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs())
+    def check(case):
+        text, letters, subset, samples = case
+        path.write_text(text)
+        graph = ["--graph", str(path), "--measurement", letters]
+        for argv in (["oracle", *graph], ["verify-sub", *graph],
+                     ["nogo", "site-invariance", *graph], ["lhv", "run", *graph],
+                     ["lhv", "run", *graph, "--subset", subset],
+                     ["lhv", "run", *graph, "--samples", str(samples)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, text)
+            assert not any(line.startswith("error: internal")
+                           for line in err.getvalue().splitlines()), (argv, text, err.getvalue())
+            if code in (0, 1):
+                assert out.getvalue().count("\n") == 1, (argv, text)
+                assert isinstance(json.loads(out.getvalue()), dict)
+
+    check()

@@ -21,6 +21,7 @@ from graphlhv.lhv import (
 )
 from graphlhv.oracle import Verdict, classify
 from graphlhv.pauli import Measurement, generator
+from reference import communication_counts
 
 SMALL_SUITE = [ring(3), ring(4), chain(2), chain(3), star(3), star(4), grid(2, 2)]
 
@@ -69,6 +70,33 @@ def test_communication_round_ring_pattern():
     comm = communication_round(g, Measurement(letters))
     for j in range(1, 13, 2):
         assert comm.t[j - 1] == 2
+
+
+def test_communication_round_matches_the_per_neighbour_sum():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @st.composite
+    def words(draw):
+        n = draw(st.integers(1, 10))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, tuple(p for p, k in zip(pairs, keep) if k))
+        return g, Measurement(draw(st.text(alphabet="IXYZ", min_size=n, max_size=n)))
+
+    # a hub with eight broadcasting neighbours (t wraps to 0) and an isolated node
+    hub = Graph(10, tuple((1, k) for k in range(2, 10)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(words())
+    @example((hub, Measurement("ZXYXYXYXYX")))
+    @example((hub, Measurement("IXXXYYYZIY")))
+    def check(word):
+        g, m = word
+        comm = communication_round(g, m)
+        assert (comm.c, comm.t) == communication_counts(g, m)
+
+    check()
 
 
 def test_local_output_rule_table():

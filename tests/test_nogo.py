@@ -11,6 +11,7 @@ from graphlhv import nogo
 from graphlhv.graphs import (
     Graph,
     UnsupportedSizeError,
+    _sites,
     ball,
     ball_masks,
     chain,
@@ -783,6 +784,40 @@ def test_orbit_flips_are_consistent_under_a_group_of_odd_order():
     g, m = ring(6), Measurement("XYYXYY")
     assert len(automorphisms(g, m.letters)) == 4
     assert not _orbit_flips_consistent(g, m)
+
+
+def _orbit_flips_from_the_basis(g, m):
+    basis, bits = nogo._signed_kernel(g, m)
+    subs = [(_sites(vec), -1 if bit else 1) for vec, bit in zip(basis, bits)]
+    return gf2_solve(site_invariance_system(g, m, subs)).consistent
+
+
+def test_basis_equations_decide_the_orbit_flip_system():
+    # The sign and the flip parity are both linear on the kernel, so every
+    # certain subset's equation is a sum of the k basis vectors' equations.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def words(draw):
+        n = draw(st.integers(1, 7))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, tuple(p for p, k in zip(pairs, keep) if k))
+        return g, Measurement(draw(st.text(alphabet="IXYZ", min_size=n, max_size=n)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(words())
+    def check(word):
+        g, m = word
+        assert _orbit_flips_from_the_basis(g, m) == _orbit_flips_consistent(g, m)
+
+    check()
+    # random words are almost never inconsistent, so the two known ones are fixed
+    for g, letters in ((grid(2, 3), "YYYYYY"), (ring(6), "XYYXYY")):
+        m = Measurement(letters)
+        assert not _orbit_flips_consistent(g, m)
+        assert not _orbit_flips_from_the_basis(g, m)
 
 
 def test_complete_bipartite_subs_clean():
