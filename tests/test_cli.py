@@ -310,8 +310,11 @@ def test_include_matches_flag_is_gone(capsys):
         ("complete-bipartite:3x5", "X" * 8,
          "dbb567d92a59a744bdd7ece8a41b4cba57f768983f3398707faf3c44358cfe89"),
         ("grid:3x4", "Y" * 12, "39489e174197d1f737383582d4a8f1b3126e47ec328d29a6873809885df161fa"),
+        # the first inconsistent word of the census, and an I orbit with no variable
+        ("ring:6", "XYYXYY", "05ce54ca732bcb521a0e7929e67019ac676ecae054743413bb812c141573bbbf"),
+        ("ring:4", "XIXI", "6224664222f2860e6fb102afeafc659c57d9c19ef16c962348dc57ced38aa0a5"),
     ],
-    ids=["star9-allX", "K35-allX", "grid3x4-allY"],
+    ids=["star9-allX", "K35-allX", "grid3x4-allY", "ring6-XYYXYY", "ring4-XIXI"],
 )
 def test_site_invariance_report_is_pinned(capsys, graph, letters, digest):
     code, out, _ = _run(capsys, "nogo", "site-invariance", "--graph", graph,
