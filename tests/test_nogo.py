@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -737,8 +738,26 @@ def test_embedded_counterexample_refuses_a_negative_margin(p, q):
 
 def test_site_invariance_rejects_unmeasured_support():
     g = grid(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^support site 4 is unmeasured in the global measurement$"):
         site_invariance_system(g, Measurement("YYYIYI"), [({4,}, 1)])
+
+
+@pytest.mark.parametrize(
+    "g, letters, subs, message",
+    [
+        (grid(2, 3), "YYYYYY", [({1, 7}, 1)], "node 7 outside 1..6"),
+        # sites are checked in ascending order, not in decimal-string order
+        (grid(2, 5), "YIYYYYYYYI", [({10, 2}, 1)],
+         "support site 2 is unmeasured in the global measurement"),
+        (grid(2, 3), "YYYIYI", [({1, 2, 3, 5}, -1), ({5, 4}, 1)],
+         "support site 4 is unmeasured in the global measurement"),
+        (grid(2, 3), "YYYYYY", [({1, 2, 3, 5}, -1), ({0}, 1)], "node 0 outside 1..6"),
+    ],
+    ids=["out-of-range", "lowest-unmeasured", "second-unmeasured", "second-out-of-range"],
+)
+def test_site_invariance_names_the_first_bad_site(g, letters, subs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        site_invariance_system(g, Measurement(letters), subs)
 
 
 @pytest.mark.parametrize("sign", [0, 2])
