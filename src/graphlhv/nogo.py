@@ -11,22 +11,23 @@ building the word. Only listing subsets (the certain ones, or the
 mismatches) walks the 2^k kernel elements, and nothing visits all
 2^|support| subsets.
 
-Two impossibility arguments are mechanized here as GF(2) constraint systems.
+Two impossibility arguments are mechanized here as GF(2) constraint systems,
+both written by one builder, ``_flip_system``, with its own key per argument.
 
 Distance certifier: on a ring of 12f nodes (f odd) there are five global
 measurements, pairwise indistinguishable within communication distance
 2f - 1, each containing a submeasurement with a certain outcome. A model
 whose per-site outputs depend only on the measurement pattern within
-distance d assigns one +/-1 variable per (site, observable, local view);
-the five certain outcomes then impose parity equations that are jointly
-unsatisfiable.
+distance d assigns one +/-1 variable per (site, observable, local view),
+the view key; the five certain outcomes then impose parity equations that
+are jointly unsatisfiable.
 
 Site-invariance certifier: a protocol whose sign-flip decisions are constant
 on orbits of measurement-preserving graph automorphisms, applied on top of
 hidden variables whose baseline product over any signed stabilizer word is
 +1, must explain each certain submeasurement sign by orbit flips alone. One
-flip variable per orbit plus one parity equation per certain submeasurement
-again yields an unsatisfiable system on the right graphs.
+flip variable per orbit, the orbit key, plus one parity equation per certain
+submeasurement again yields an unsatisfiable system on the right graphs.
 
 One GF(2) elimination, ``_eliminate``, serves both halves: a certain subset
 is a dependency among the support's monomial columns, and a certificate of
@@ -37,7 +38,6 @@ multiply to -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -135,6 +135,30 @@ class ParityConstraintSystem:
                 for eq in self.equations
             ],
         }
+
+
+def _flip_system(
+    rows: Iterable[tuple], key: Callable, declare: Callable | None = None, declared: Sequence = ()
+) -> ParityConstraintSystem:
+    """The one builder of both certifiers' systems: an equation per row of
+    (global word's x mask, its z mask, sites, sign, label). Each site, in the
+    row's order, is named by ``key(site, x, z)``; a key met for the first time
+    is declared as ``declare(site, x, z)`` unless it is one of the ``declared``
+    variables. A row XORs its variables' bits, so two sites of one orbit cancel.
+    """
+    variables = list(declared)
+    bits = {var: 1 << i for i, var in enumerate(variables)}
+    equations = []
+    for x, z, sites, sign, label in rows:
+        row = 0
+        for j in sites:
+            k = key(j, x, z)
+            if k not in bits:
+                bits[k] = 1 << len(variables)
+                variables.append(declare(j, x, z))
+            row ^= bits[k]
+        equations.append(Equation(row, sign, label))
+    return ParityConstraintSystem(tuple(variables), tuple(equations))
 
 
 def _variable_json(key) -> dict:
@@ -468,27 +492,23 @@ def measurement_view(g: Graph, m: Measurement, j: int, d: int) -> tuple[tuple[in
 
 
 def distance_constraint_system(
-    g: Graph,
-    cases: Sequence[CertainSubmeasurement],
-    d: int,
+    g: Graph, cases: Sequence[CertainSubmeasurement], d: int
 ) -> ParityConstraintSystem:
     """One parity equation per certain submeasurement, over view-keyed variables.
 
     Sites in different cases share a variable exactly when site, measured
     observable and the full distance-d view coincide. The letters of a
     site's view are its case word's x and z masks ANDed with its ball's
-    mask, so each (case, site) is keyed by its site and those two ints, and
-    the full view is built once per distinct key. Every site's ball comes
-    from one pass over integer bitmasks (``ball_masks``): at most
-    min(d, n - 1) rounds of O(n + |E|) big-int ORs, stopping early once no
-    ball grows, so an oversized d costs no more than the graph's diameter.
-    A site's ascending nodes are read off its mask by ``graphs._bit_indices``
-    in C. On a shared 2-core VM the whole system takes about 13 ms at f = 25
-    (n = 300, d = 49) and about 0.15 s at f = 101 (n = 1212, d = 201).
-    Variables are declared in order of first use, an equation's sites taken
-    in decimal-string order. Raises ValueError unless every case's words
-    have length n, its sub is a submeasurement of its global measurement and
-    its sign is +1 or -1.
+    mask, so ``_flip_system`` keys each (case, site) by its site and those
+    two ints, and the full view is picked in C out of the case's (node,
+    letter) pairs once per distinct key. Every site's ball comes from one
+    pass over integer bitmasks (``ball_masks``): at most min(d, n - 1)
+    rounds of O(n + |E|) big-int ORs, stopping early once no ball grows, so
+    an oversized d costs no more than the graph's diameter. Variables are
+    declared in order of first use, an equation's sites taken in
+    decimal-string order. Raises ValueError unless every case's words have
+    length n, its sub is a submeasurement of its global measurement and its
+    sign is +1 or -1.
     """
     return _distance_system(g, cases, d)[0]
 
@@ -508,35 +528,19 @@ def _distance_system(
         if not is_submeasurement(sub, glob):
             raise ValueError(f"case {case.name}: {sub} is not a submeasurement of {glob}")
     all_masks = ball_masks(g, d)
-    sites = sorted(set().union(*(case.sub.support() for case in cases)))
-    masks = {j: all_masks[j - 1] for j in sites}
-    views = {j: _pairs_at(_bit_indices(mask)) for j, mask in masks.items()}
-    index: dict[tuple, int] = {}  # (site, view's x bits, view's z bits) -> variable position
-    variables = []
-    equations = []
-    for case in cases:
-        word = case.global_measurement.letters
-        x, z = case.global_measurement.bits()
-        pairs = tuple(enumerate(word, start=1))  # (node, letter) at index node - 1
-        # sites in decimal-string order (1, 10, 2, ...): the published variable order
-        row = 0
-        for j in sorted(case.sub.support(), key=str):
-            key = (j, x & masks[j], z & masks[j])
-            i = index.get(key)
-            if i is None:
-                i = index[key] = len(variables)
-                variables.append(ContextVariable(j, word[j - 1].lower(), views[j](pairs)))
-            row |= 1 << i
-        equations.append(Equation(row, case.expected_sign, case.name))
-    return ParityConstraintSystem(tuple(variables), tuple(equations)), masks
+    masks = {j: all_masks[j - 1] for j in sorted(set().union(*(case.sub.support() for case in cases)))}
+    pairs = {case.global_measurement.bits(): tuple(enumerate(case.global_measurement.letters, start=1))
+             for case in cases}
 
+    def declare(j: int, x: int, z: int) -> ContextVariable:
+        word = pairs[x, z]  # (node, letter) at index node - 1
+        view = map(word.__getitem__, _bit_indices(masks[j]))
+        return ContextVariable(j, word[j - 1][1].lower(), tuple(view))
 
-def _pairs_at(indices: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Picks the entries at the given indices out of a tuple, as a tuple."""
-    if len(indices) == 1:  # itemgetter of one index returns the bare entry
-        i = indices[0]
-        return lambda pairs: (pairs[i],)
-    return itemgetter(*indices)
+    # sites in decimal-string order (1, 10, 2, ...): the published variable order
+    rows = ((*case.global_measurement.bits(), sorted(case.sub.support(), key=str),
+             case.expected_sign, case.name) for case in cases)
+    return _flip_system(rows, lambda j, x, z: (j, x & masks[j], z & masks[j]), declare), masks
 
 
 def distance_bound(n: int) -> int:
@@ -657,42 +661,35 @@ def embedded_grid_counterexample(p: int, q: int) -> tuple[Graph, Measurement, Me
 
 
 def site_invariance_system(
-    g: Graph,
-    global_m: Measurement,
-    certain_subs: Sequence[tuple[Iterable[int], int]],
+    g: Graph, global_m: Measurement, certain_subs: Sequence[tuple[Iterable[int], int]]
 ) -> ParityConstraintSystem:
     """Parity system for orbit-constant sign flips.
 
     The baseline product of hidden entries over any signed stabilizer word
     is +1, so the flips alone must account for each certain sign: for every
     certain submeasurement, the product of its sites' orbit flips must equal
-    its sign. Orbits are taken under automorphisms preserving the
-    global measurement as a coloring, by ``automorphism_orbits``: a
-    refinement search for one automorphism per merged pair of nodes, whose
-    cost follows the number of orbits, not the order of the group, so no
-    size limit is applied here. A certain submeasurement's sites may be any
-    iterable, such as the ascending tuples of ``find_certain_submeasurements``;
-    a repeated site counts once.
+    its sign. Orbits are taken under automorphisms preserving the global
+    measurement as a coloring, by ``automorphism_orbits``: a refinement
+    search for one automorphism per merged pair of nodes, whose cost follows
+    the number of orbits, not the order of the group, so no size limit is
+    applied here. Their variables, I orbits left out, are declared in that
+    order, and ``_flip_system`` keys each site by its orbit. A certain
+    submeasurement's sites may be any iterable, such as the ascending tuples
+    of ``find_certain_submeasurements``; a repeated site counts once, and
+    they are checked in ascending order.
     """
     g.check_measurement(global_m)
-    orbs = automorphism_orbits(g, global_m.letters)
-    orbit_bit: dict[int, int] = {}
-    declared = []
-    for orb in orbs:
-        letter = global_m.letter(orb[0])
-        if letter == "I":
-            continue
-        for j in orb:
-            orbit_bit[j] = 1 << len(declared)
-        declared.append(OrbitVariable(orb, letter.lower()))
-    equations = []
-    for k, (support, sign) in enumerate(certain_subs):
-        sites = sorted(set(support))
-        row = 0
-        for j in sites:
-            g.check_node(j)
-            if global_m.letter(j) == "I":
-                raise ValueError(f"support site {j} is unmeasured in the global measurement")
-            row ^= orbit_bit[j]  # two sites of one orbit cancel
-        equations.append(Equation(row, sign, f"sub{k}:{sites}"))
-    return ParityConstraintSystem(tuple(declared), tuple(equations))
+    declared = [OrbitVariable(orb, global_m.letter(orb[0]).lower())
+                for orb in automorphism_orbits(g, global_m.letters) if global_m.letter(orb[0]) != "I"]
+    orbit_of = {j: var for var in declared for j in var.sites}
+
+    def orbit(j: int, x: int, z: int) -> OrbitVariable:
+        g.check_node(j)
+        if global_m.letter(j) == "I":
+            raise ValueError(f"support site {j} is unmeasured in the global measurement")
+        return orbit_of[j]
+
+    x, z = global_m.bits()
+    subs = ((sorted(set(support)), sign) for support, sign in certain_subs)
+    rows = ((x, z, sites, sign, f"sub{k}:{sites}") for k, (sites, sign) in enumerate(subs))
+    return _flip_system(rows, orbit, declared=declared)

@@ -170,6 +170,44 @@ def test_set_bits_are_listed_by_the_shared_lister():
     assert found == []
 
 
+def _equation_calls(tree, prefix=""):
+    """(enclosing function path, line) of each ``Equation(...)`` call."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _equation_calls(node, f"{prefix}.{node.name}")
+            continue
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "Equation"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "Equation"
+        ):
+            found.append((prefix, node.lineno))
+        found += _equation_calls(node, prefix)
+    return found
+
+
+def test_equations_are_built_by_the_one_flip_system_builder():
+    # Both certifiers key their variables through nogo._flip_system; a second
+    # loop that builds equations would be a copy of it.
+    tree = ast.parse(
+        "e = Equation(1, 1)\n"
+        "def f(rows):\n"
+        "    def g():\n"
+        "        return nogo.Equation(0, -1)\n"
+        "    return [Equation(r, 1) for r in rows]\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return Equation(0, 1, 'x')\n"
+    )
+    assert _equation_calls(tree) == [("", 1), (".f.g", 4), (".f", 5), (".C.m", 8)]
+    found = {
+        f"{path.stem}{owner}"
+        for path in SOURCES
+        for owner, _ in _equation_calls(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == {"nogo._flip_system"}
+
+
 def _bench_tracer():
     path = _REPO / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)

@@ -42,7 +42,7 @@ from graphlhv.nogo import (
 )
 from graphlhv.oracle import Verdict, classify
 from graphlhv.pauli import Measurement, generator_product, is_submeasurement
-from reference import gf2_nullspace
+from reference import gf2_nullspace, orbit_keyed_system, view_keyed_system
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +837,67 @@ def test_basis_equations_decide_the_orbit_flip_system():
         m = Measurement(letters)
         assert not _orbit_flips_consistent(g, m)
         assert not _orbit_flips_from_the_basis(g, m)
+
+
+def _system_or_error(build, *args):
+    """A system's variables and equations, or the text of its ValueError."""
+    try:
+        system = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return system.variables, system.equations  # an Equation compares row, sign and label
+
+
+def test_orbit_key_matches_its_own_loop():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def instances(draw):
+        n = draw(st.integers(1, 7))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, tuple(p for p, k in zip(pairs, keep) if k))
+        m = Measurement(draw(st.text(alphabet="IXYZ", min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            return g, m, find_certain_submeasurements(g, m)
+        # raw site lists with repeats: measured sites only, or any of 0..n + 1,
+        # so that an unmeasured site or one outside 1..n raises
+        if m.support() and draw(st.booleans()):
+            sites = st.lists(st.sampled_from(m.support()), max_size=2 * n)
+        else:
+            sites = st.lists(st.integers(0, n + 1), max_size=2 * n)
+        return g, m, draw(st.lists(st.tuples(sites, st.sampled_from((1, -1))), max_size=6))
+
+    @settings(max_examples=120, deadline=None)
+    @given(instances())
+    def check(instance):
+        assert (_system_or_error(site_invariance_system, *instance)
+                == _system_or_error(orbit_keyed_system, *instance))
+
+    check()
+
+
+def test_view_key_matches_its_own_loop():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def instances(draw):
+        n = draw(st.integers(12, 84))
+        bound = distance_bound(n)
+        g = padded_ring(n)
+        cases = nogo._ring_cases(g, (n - (n - 12) % 24) // 12)
+        return g, cases, draw(st.sampled_from((0, 1, bound, bound + 3)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(instances())
+    def check(instance):
+        got = distance_constraint_system(*instance)
+        want = view_keyed_system(*instance)
+        assert (got.variables, got.equations) == (want.variables, want.equations)
+
+    check()
 
 
 def test_complete_bipartite_subs_clean():
