@@ -129,16 +129,19 @@ def _build_state(g: Graph):
     """Dense graph-state vector: |+...+> with a CZ applied along every edge,
     scaled by 2^(n/2) so that every amplitude is an int8 +1 or -1.
 
-    numpy is imported here and in ``_expectation``, not with the module, so
-    the stabilizer path runs without loading it.
+    The state grows one qubit at a time, in O(2^n) steps whatever the edge
+    count: adding qubit j + 1 appends the old amplitudes, each times -1 to
+    the parity of its index's bits at j + 1's lower neighbours. numpy is
+    imported here and in ``_expectation``, not with the module, so the
+    stabilizer path runs without loading it.
     """
     import numpy as np
 
-    idx = np.arange(1 << g.n)
-    odd = np.zeros_like(idx)
-    for u, v in g.edges:
-        odd ^= (idx >> (u - 1)) & (idx >> (v - 1)) & 1
-    return (1 - 2 * odd).astype(np.int8)
+    psi = np.ones(1, dtype=np.int8)
+    for j, mask in enumerate(g.neighbor_masks):  # indices below 2^j keep only the lower bits
+        odd = np.bitwise_count(np.arange(1 << j) & mask) & 1
+        psi = np.concatenate((psi, np.where(odd, -psi, psi)))
+    return psi
 
 
 def _expectation(g: Graph, m: Measurement, psi) -> int:

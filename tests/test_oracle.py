@@ -18,6 +18,7 @@ from graphlhv.oracle import (
     statevector_verdict,
 )
 from graphlhv.pauli import Measurement, generator_product
+from reference import edge_loop_state
 
 _MATS = {
     "I": np.eye(2),
@@ -300,3 +301,21 @@ def test_statevector_totals_are_exact_integers():
     # 2^14 one-terms at the guard: an int8 accumulator would wrap
     g = ring(14)
     assert _expectation(g, Measurement("I" * 14), _build_state(g)) == 1 << 14
+
+
+def test_state_grown_qubit_by_qubit_matches_the_edge_loop():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def same(g):
+        psi, want = _build_state(g), edge_loop_state(g)
+        assert psi.dtype == want.dtype == np.int8
+        assert np.array_equal(psi, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_graphs(st, 12))
+    def check(g):
+        same(g)
+
+    check()
+    same(ring(20))
