@@ -38,11 +38,13 @@ multiply to -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
     UnsupportedSizeError,
+    _DIGIT_FLAGS,
     _bit_indices,
     _sites,
     automorphism_orbits,
@@ -153,10 +155,11 @@ def _flip_system(
         row = 0
         for j in sites:
             k = key(j, x, z)
-            if k not in bits:
-                bits[k] = 1 << len(variables)
+            bit = bits.get(k)
+            if bit is None:
+                bit = bits[k] = 1 << len(variables)
                 variables.append(declare(j, x, z))
-            row ^= bits[k]
+            row ^= bit
         equations.append(Equation(row, sign, label))
     return ParityConstraintSystem(tuple(variables), tuple(equations))
 
@@ -505,10 +508,10 @@ def distance_constraint_system(
     pass over integer bitmasks (``ball_masks``): at most min(d, n - 1)
     rounds of O(n + |E|) big-int ORs, stopping early once no ball grows, so
     an oversized d costs no more than the graph's diameter. Variables are
-    declared in order of first use, an equation's sites taken in
-    decimal-string order. Raises ValueError unless every case's words have
-    length n, its sub is a submeasurement of its global measurement and its
-    sign is +1 or -1.
+    declared in order of first use, an equation's sites taken in the
+    published decimal-string order (1, 10, 2, ...). Raises ValueError
+    unless every case's words have length n, its sub is a submeasurement
+    of its global measurement and its sign is +1 or -1.
     """
     return _distance_system(g, cases, d)[0]
 
@@ -528,16 +531,15 @@ def _distance_system(
         if not is_submeasurement(sub, glob):
             raise ValueError(f"case {case.name}: {sub} is not a submeasurement of {glob}")
     all_masks = ball_masks(g, d)
-    masks = {j: all_masks[j - 1] for j in sorted(set().union(*(case.sub.support() for case in cases)))}
+    masks = {j: all_masks[j - 1] for case in cases for j in case.sub.support()}
     pairs = {case.global_measurement.bits(): tuple(enumerate(case.global_measurement.letters, start=1))
              for case in cases}
 
     def declare(j: int, x: int, z: int) -> ContextVariable:
         word = pairs[x, z]  # (node, letter) at index node - 1
-        view = map(word.__getitem__, _bit_indices(masks[j]))
+        view = compress(word, bin(masks[j])[:1:-1].encode().translate(_DIGIT_FLAGS))  # ball's pairs
         return ContextVariable(j, word[j - 1][1].lower(), tuple(view))
 
-    # sites in decimal-string order (1, 10, 2, ...): the published variable order
     rows = ((*case.global_measurement.bits(), sorted(case.sub.support(), key=str),
              case.expected_sign, case.name) for case in cases)
     return _flip_system(rows, lambda j, x, z: (j, x & masks[j], z & masks[j]), declare), masks
@@ -672,11 +674,10 @@ def site_invariance_system(
     measurement as a coloring, by ``automorphism_orbits``: a refinement
     search for one automorphism per merged pair of nodes, whose cost follows
     the number of orbits, not the order of the group, so no size limit is
-    applied here. Their variables, I orbits left out, are declared in that
-    order, and ``_flip_system`` keys each site by its orbit. A certain
+    applied here; ``_flip_system`` keys each site, ascending, by its orbit's
+    variable, declared in that order (an I orbit has none). A certain
     submeasurement's sites may be any iterable, such as the ascending tuples
-    of ``find_certain_submeasurements``; a repeated site counts once, and
-    they are checked in ascending order.
+    of ``find_certain_submeasurements``; a repeated site counts once.
     """
     g.check_measurement(global_m)
     declared = [OrbitVariable(orb, global_m.letter(orb[0]).lower())
@@ -684,8 +685,8 @@ def site_invariance_system(
     orbit_of = {j: var for var in declared for j in var.sites}
 
     def orbit(j: int, x: int, z: int) -> OrbitVariable:
-        g.check_node(j)
-        if global_m.letter(j) == "I":
+        if j not in orbit_of:  # outside 1..n, or unmeasured
+            g.check_node(j)
             raise ValueError(f"support site {j} is unmeasured in the global measurement")
         return orbit_of[j]
 

@@ -129,11 +129,10 @@ def _build_state(g: Graph):
     """Dense graph-state vector: |+...+> with a CZ applied along every edge,
     scaled by 2^(n/2) so that every amplitude is an int8 +1 or -1.
 
-    The state grows one qubit at a time, in O(2^n) steps whatever the edge
-    count: adding qubit j + 1 appends the old amplitudes, each times -1 to
-    the parity of its index's bits at j + 1's lower neighbours. numpy is
-    imported here and in ``_expectation``, not with the module, so the
-    stabilizer path runs without loading it.
+    Qubit j + 1 joins by appending the amplitudes so far, each times -1 to
+    the parity of its index's bits at j + 1's lower neighbours: O(2^n) for
+    any edge count. numpy is imported here and in ``_expectation``, not
+    with the module, so the stabilizer path runs without loading it.
     """
     import numpy as np
 
