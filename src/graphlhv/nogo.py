@@ -495,7 +495,9 @@ def measurement_view(g: Graph, m: Measurement, j: int, d: int) -> tuple[tuple[in
 
 
 def distance_constraint_system(
-    g: Graph, cases: Sequence[CertainSubmeasurement], d: int
+    g: Graph,
+    cases: Sequence[CertainSubmeasurement],
+    d: int,
 ) -> ParityConstraintSystem:
     """One parity equation per certain submeasurement, over view-keyed variables.
 
@@ -663,7 +665,9 @@ def embedded_grid_counterexample(p: int, q: int) -> tuple[Graph, Measurement, Me
 
 
 def site_invariance_system(
-    g: Graph, global_m: Measurement, certain_subs: Sequence[tuple[Iterable[int], int]]
+    g: Graph,
+    global_m: Measurement,
+    certain_subs: Sequence[tuple[Iterable[int], int]],
 ) -> ParityConstraintSystem:
     """Parity system for orbit-constant sign flips.
 
