@@ -386,8 +386,10 @@ def test_kernel_sweep_report_is_pinned(tmp_path, monkeypatch, capsys, argv, dige
 # built in full and variables were ordered by sorting their reprs; the
 # difference-site keys must not change a byte. The three distances above the
 # bound were re-recorded when their `ok` became null, the only field that
-# changed. `reproduce fig1` is pinned above. Version-bound like the digests
-# around them.
+# changed. The last three (a 2 MB report, one-node views, every ball the whole
+# ring) were recorded while the report was encoded pair by pair; splicing
+# pre-encoded view text must not change a byte either. `reproduce fig1` is
+# pinned above. Version-bound like the digests around them.
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -403,8 +405,12 @@ def test_kernel_sweep_report_is_pinned(tmp_path, monkeypatch, capsys, argv, dige
         (("--f", "1", "--d", "2"), "20c60b29e30400af0075a3e05d59758ff85b493a14c4b6c8e5a8ef41c7f8294d"),
         (("--f", "1", "--d", "6"), "717a93e8a3c1eb12f77d2d2ee113d1500bdee1fe2278b3fd8d5ebfb8a2bb782e"),
         (("--f", "3", "--d", "9"), "abccf4d0bcc9ab85235e393d536f2ae0fcae74a0e88fb62cd5bd57c6f39b3ec7"),
+        (("--f", "49"), "f46c5972ce0522e3f4c8e641f4175c31c070aa0c2fa66ca5422f179562b13706"),
+        (("--f", "25", "--d", "0"), "dff576a9598e8d77b801d461161bc7f4833de93b0eb7aa3c8310d4603e8de28c"),
+        (("--f", "5", "--d", "99999999999"), "680b82eb624c259dd313387df35dfc57267d0652e66a5efa452700c625756cce"),
     ],
-    ids=["f1", "f3", "f5", "f7", "f9", "f13", "f17", "f25", "f1-d0", "f1-d2", "f1-d6", "f3-d9"],
+    ids=["f1", "f3", "f5", "f7", "f9", "f13", "f17", "f25", "f1-d0", "f1-d2", "f1-d6", "f3-d9",
+         "f49", "f25-d0", "f5-saturated"],
 )
 def test_ring_report_is_pinned(capsys, args, digest):
     code, out, _ = _run(capsys, "nogo", "ring", *args)
