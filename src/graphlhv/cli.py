@@ -131,8 +131,10 @@ def _as_json(value: object) -> object:
     raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
-def _emit(command: str, inputs: dict, result: object, ok: bool | None, human: str) -> int:
-    """Print the JSON report on stdout and the human line on stderr; return the exit code."""
+def _emit(command: str, inputs: dict, result: object, ok: bool | None, human: str, texts=None) -> int:
+    """Print the JSON report on stdout and the human line on stderr; return the exit code.
+    ``texts`` holds JSON encoded beforehand for keys of the result: a list of string pieces is
+    that key's value, byte for byte what the encoder would write; a dict applies to its value."""
     report = {
         "schema_version": 1,
         "tool": {"name": "graphlhv", "version": __version__},
@@ -141,10 +143,26 @@ def _emit(command: str, inputs: dict, result: object, ok: bool | None, human: st
         "result": result,
         "ok": ok,
     }
-    # fresh dicts over frozen result values hold no cycle for the encoder's check to find
-    print(json.dumps(report, sort_keys=True, check_circular=False, default=_as_json))
+
+    def encode(value: object, texts: dict | list | None) -> list[str]:
+        if not isinstance(texts, dict):
+            # fresh dicts over frozen result values hold no cycle for the encoder's check to find
+            return texts or [json.dumps(value, sort_keys=True, check_circular=False, default=_as_json)]
+        fields = value if isinstance(value, dict) else _as_json(value)
+        pieces = [piece for k, v in sorted(fields.items())  # as sort_keys orders them
+                  for piece in (", ", json.dumps(k), ": ", *encode(v, texts.get(k)))]
+        return ["{", *pieces[1:], "}"]
+
+    print("".join(encode(report, texts and {"result": texts})))  # one copy of a spliced report
     print(human, file=sys.stderr)
     return 0 if ok in (None, True) else 1
+
+
+def _system_texts(cert) -> dict:
+    """``_emit``'s texts for a ring certificate: its variables, pieces around their view texts."""
+    pieces = [piece for v, text in zip(cert.system.variables, cert.view_texts) for piece in
+              (", ", f'{{"observable": "{v.observable}", "site": {v.site}, "view": [', text, "]}")]
+    return {"system": {"variables": ["[", *pieces[1:], "]"]}}
 
 
 def _orbit_flip_system(g: Graph, m: Measurement):
@@ -213,7 +231,7 @@ def _cmd_nogo_ring(args: argparse.Namespace) -> int:
     human = f"ring n={cert.n}, d={cert.d} (bound {cert.bound}): system {state}"
     if cert.solution.certificate is not None:
         human += f"; certificate uses equations {list(cert.solution.certificate)}"
-    return _emit("nogo ring", {"f": args.f, "d": cert.d}, cert, cert.ok, human)
+    return _emit("nogo ring", {"f": args.f, "d": cert.d}, cert, cert.ok, human, _system_texts(cert))
 
 
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
@@ -336,7 +354,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             "multiplying all five equations gives 1 = -1"
             if ok else "UNEXPECTED: no contradiction found",
         ]
-        return _emit("reproduce fig1", {"figure": "fig1"}, result, ok, "\n".join(human_lines))
+        human = "\n".join(human_lines)
+        return _emit("reproduce fig1", {"figure": "fig1"}, result, ok, human, _system_texts(cert))
 
     g = grid(2, 3)
     m = Measurement("YYYYYY")

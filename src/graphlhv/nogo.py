@@ -20,7 +20,8 @@ measurements, pairwise indistinguishable within communication distance
 whose per-site outputs depend only on the measurement pattern within
 distance d assigns one +/-1 variable per (site, observable, local view),
 the view key; the five certain outcomes then impose parity equations that
-are jointly unsatisfiable.
+are jointly unsatisfiable. The certificate keeps each view as the JSON text
+its report splices in, cut from per-node fragments of its case word.
 
 Site-invariance certifier: a protocol whose sign-flip decisions are constant
 on orbits of measurement-preserving graph automorphisms, applied on top of
@@ -144,12 +145,12 @@ def _flip_system(
 ) -> ParityConstraintSystem:
     """The one builder of both certifiers' systems: an equation per row of
     (global word's x mask, its z mask, sites, sign, label). Each site, in the
-    row's order, is named by ``key(site, x, z)``; a key met for the first time
-    is declared as ``declare(site, x, z)`` unless it is one of the ``declared``
-    variables. A row XORs its variables' bits, so two sites of one orbit cancel.
+    row's order, is named by ``key(site, x, z)``: index i names ``declared[i]``,
+    any other key met for the first time is declared as ``declare(site, x, z)``.
+    A row XORs its variables' bits, so two sites of one orbit cancel.
     """
     variables = list(declared)
-    bits = {var: 1 << i for i, var in enumerate(variables)}
+    bits = {i: 1 << i for i in range(len(variables))}
     equations = []
     for x, z, sites, sign, label in rows:
         row = 0
@@ -165,12 +166,8 @@ def _flip_system(
 
 
 def _variable_json(key) -> dict:
-    if isinstance(key, ContextVariable):
-        return {
-            "site": key.site,
-            "observable": key.observable,
-            "view": key.view,  # (node, letter) pairs encode as [node, letter] arrays
-        }
+    if isinstance(key, ContextVariable):  # (node, letter) pairs encode as [node, letter] arrays
+        return {"site": key.site, "observable": key.observable, "view": key.view}
     if isinstance(key, OrbitVariable):
         return {"orbit": list(key.sites), "observable": key.observable}
     return {"name": repr(key)}
@@ -520,9 +517,10 @@ def distance_constraint_system(
 
 def _distance_system(
     g: Graph, cases: Sequence[CertainSubmeasurement], d: int
-) -> tuple[ParityConstraintSystem, dict[int, int]]:
-    """``distance_constraint_system`` plus each support site's ball as a bitmask
-    (bit k - 1 for node k)."""
+) -> tuple[ParityConstraintSystem, dict[int, int], tuple[str, ...]]:
+    """``distance_constraint_system``, each support site's ball as a bitmask
+    (bit k - 1 for node k) and each variable's view as JSON text: the view's
+    flags pick its word's per-node fragments ``[k, "L"]``, built once a call."""
     for case in cases:
         glob, sub = case.global_measurement, case.sub
         if len(glob) != g.n or len(sub) != g.n:
@@ -534,17 +532,21 @@ def _distance_system(
             raise ValueError(f"case {case.name}: {sub} is not a submeasurement of {glob}")
     all_masks = ball_masks(g, d)
     masks = {j: all_masks[j - 1] for case in cases for j in case.sub.support()}
+    flags = {j: bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS) for j, mask in masks.items()}
     pairs = {case.global_measurement.bits(): tuple(enumerate(case.global_measurement.letters, start=1))
              for case in cases}
+    fragments = {bits: [f'[{k}, "{c}"]' for k, c in word] for bits, word in pairs.items()}
+    texts = []
 
     def declare(j: int, x: int, z: int) -> ContextVariable:
         word = pairs[x, z]  # (node, letter) at index node - 1
-        view = compress(word, bin(masks[j])[:1:-1].encode().translate(_DIGIT_FLAGS))  # ball's pairs
-        return ContextVariable(j, word[j - 1][1].lower(), tuple(view))
+        texts.append(", ".join(compress(fragments[x, z], flags[j])))  # ball's fragments
+        return ContextVariable(j, word[j - 1][1].lower(), tuple(compress(word, flags[j])))
 
     rows = ((*case.global_measurement.bits(), sorted(case.sub.support(), key=str),
              case.expected_sign, case.name) for case in cases)
-    return _flip_system(rows, lambda j, x, z: (j, x & masks[j], z & masks[j]), declare), masks
+    system = _flip_system(rows, lambda j, x, z: (j, x & masks[j], z & masks[j]), declare)
+    return system, masks, tuple(texts)
 
 
 def distance_bound(n: int) -> int:
@@ -556,6 +558,9 @@ def distance_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class DistanceCertificate:
+    """The ring's system and its solution, with each variable's view as the
+    JSON text its report splices in rather than encoding every pair."""
+
     n: int
     ring_size: int
     padding: int
@@ -566,6 +571,7 @@ class DistanceCertificate:
     system: ParityConstraintSystem
     solution: GF2Solution
     max_other_changeable_in_view: int
+    view_texts: tuple[str, ...]
 
     @property
     def ok(self) -> bool | None:
@@ -613,7 +619,7 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
     ring_size = n - (n - 12) % 24
     f = ring_size // 12
     cases = _ring_cases(g, f)
-    system, masks = _distance_system(g, cases, d)
+    system, masks, view_texts = _distance_system(g, cases, d)
     vertex_mask = sum(1 << (4 * f * k - 1) for k in (1, 2, 3))
     max_other = max(
         ((vertex_mask & mask & ~(1 << (j - 1))).bit_count() for j, mask in masks.items()),
@@ -621,7 +627,7 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
     )
     solution = gf2_solve(system)
     return DistanceCertificate(
-        n, ring_size, n - ring_size, f, d, bound, cases, system, solution, max_other
+        n, ring_size, n - ring_size, f, d, bound, cases, system, solution, max_other, view_texts
     )
 
 
@@ -679,16 +685,16 @@ def site_invariance_system(
     search for one automorphism per merged pair of nodes, whose cost follows
     the number of orbits, not the order of the group, so no size limit is
     applied here; ``_flip_system`` keys each site, ascending, by its orbit's
-    variable, declared in that order (an I orbit has none). A certain
+    index, declared in that order (an I orbit has none). A certain
     submeasurement's sites may be any iterable, such as the ascending tuples
     of ``find_certain_submeasurements``; a repeated site counts once.
     """
     g.check_measurement(global_m)
     declared = [OrbitVariable(orb, global_m.letter(orb[0]).lower())
                 for orb in automorphism_orbits(g, global_m.letters) if global_m.letter(orb[0]) != "I"]
-    orbit_of = {j: var for var in declared for j in var.sites}
+    orbit_of = {j: i for i, var in enumerate(declared) for j in var.sites}
 
-    def orbit(j: int, x: int, z: int) -> OrbitVariable:
+    def orbit(j: int, x: int, z: int) -> int:
         if j not in orbit_of:  # outside 1..n, or unmeasured
             g.check_node(j)
             raise ValueError(f"support site {j} is unmeasured in the global measurement")

@@ -418,6 +418,47 @@ def test_ring_report_is_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _emitted(result, texts=None):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli._emit("probe", {}, result, None, "", texts)
+    return out.getvalue()
+
+
+def test_spliced_system_text_matches_the_encoder():
+    # The view texts replace the encoder's walk over every (node, letter)
+    # pair, so the text written for a system must be the encoder's own, on
+    # padded rings too (isolated I extras) and from one-node views to
+    # saturated balls.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def draws(draw):
+        n = draw(st.integers(12, 200))
+        bound = nogo.distance_bound(n)
+        return n, draw(st.sampled_from((0, 1, bound, bound + 3, n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws())
+    def check(draw):
+        cert = nogo.certify_distance(*draw)
+        want = json.dumps(cert.system.to_json_dict(), sort_keys=True, check_circular=False)
+        spliced = _emitted({"system": cert.system}, cli._system_texts(cert))
+        assert f'"result": {{"system": {want}}}, ' in spliced
+        assert spliced == _emitted({"system": cert.system})
+
+    check()
+
+
+def test_texts_are_spliced_at_any_depth_and_only_where_given():
+    result = {"b": {"y": [1, 2], "x": "kept"}, "a": Measurement("XY"), "c": None}
+    plain = _emitted(result)
+    assert _emitted(result, {"b": {"y": ["[1, ", "2]"]}}) == plain
+    assert _emitted(result, {"b": ["TE", "XT"], "z": ["unused"]}) == plain.replace(
+        '{"x": "kept", "y": [1, 2]}', "TEXT")
+
+
 def test_ring_above_the_bound_checks_nothing(capsys):
     # at f = 1 the bound is 1: d = 2 admits a model, as expected, so the
     # report claims no check (ok null, exit 0); d = 1 is certified

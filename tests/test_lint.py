@@ -208,6 +208,49 @@ def test_equations_are_built_by_the_one_flip_system_builder():
     assert found == {"nogo._flip_system"}
 
 
+def _json_writers(tree):
+    """(top-level definition, line) of each json.dump or json.dumps call, the
+    definition "" at module level; a writer imported from json counts too."""
+    writers = {"dump", "dumps"}
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "json"
+             for alias in node.names if alias.name in writers}
+    found = []
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "")
+        for node in ast.walk(stmt):
+            func = getattr(node, "func", None)
+            if (isinstance(func, ast.Attribute) and func.attr in writers
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"
+                    or isinstance(func, ast.Name) and func.id in names):
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_reports_have_one_writer():
+    # Every report goes through cli._emit, which splices pre-encoded text into
+    # the encoder's output; a second json.dumps would be a second writer.
+    tree = ast.parse(
+        "import json\n"
+        "from json import dumps as d\n"
+        "x = json.dumps(1)\n"
+        "def _emit(v):\n"
+        "    def enc(w):\n"
+        "        return json.dumps(w)\n"
+        "    return enc(v)\n"
+        "def other(v, fh):\n"
+        "    json.dump(v, fh)\n"
+        "    return d(v), json.loads('1')\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return json.dumps(self)\n"
+    )
+    assert _json_writers(tree) == [("", 3), ("_emit", 6), ("other", 9), ("other", 10), ("C", 13)]
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    found = {owner for owner, _ in _json_writers(ast.parse(cli.read_text(), filename=str(cli)))}
+    assert found == {"_emit"}
+
+
 def _bench_tracer():
     path = _REPO / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
