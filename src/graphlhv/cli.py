@@ -6,6 +6,8 @@ and on an input a size guard refuses (``UnsupportedSizeError``, its message
 after ``error:``), 3 on an internal error (any other exception, reported on
 one line, no traceback).
 Reports are byte-identical for identical inputs and seeds.
+Each command's handler imports the library modules it runs: importing this
+module loads only ``pauli`` (with ``graphs``), and a command adds its own.
 """
 
 from __future__ import annotations
@@ -16,37 +18,16 @@ import hashlib
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .graphs import (
-    Graph,
-    UnsupportedSizeError,
-    _bit_indices,
-    family_node_count,
-    graph_from_json,
-    grid,
-    named_graph,
-)
-from .lhv import NO_COMMUNICATION, SYMMETRIC_RULES, STANDARD_RULES, product_report
-from .nogo import (
-    certify_distance,
-    find_certain_submeasurements,
-    gf2_solve,
-    site_invariance_system,
-    verify_all_submeasurements,
-)
-from .oracle import Verdict, classify
 from .pauli import Measurement
-from .chain_protocol import (
-    NotStabilizerShaped,
-    check_chain_length,
-    decompose,
-    decomposition_sign,
-    verify_chain_exhaustive,
-)
 
-_RULES = {"standard": STANDARD_RULES, "symmetric": SYMMETRIC_RULES, "none": NO_COMMUNICATION}
+if TYPE_CHECKING:  # annotations only
+    from .graphs import Graph
+
+# the flip rules each --rules choice names in graphlhv.lhv
+_RULES = {"standard": "STANDARD_RULES", "symmetric": "SYMMETRIC_RULES", "none": "NO_COMMUNICATION"}
 
 
 class CommandError(Exception):
@@ -69,19 +50,21 @@ def _graph_and_measurement(args: argparse.Namespace) -> tuple[Graph, dict, Measu
     decoded as UTF-8 with universal newlines, as text mode reads a file, so a
     JSON error's line number counts \r and \r\n line ends too.
     """
+    from . import graphs
+
     spec, raw = args.graph, args.measurement
     try:
         if os.path.exists(spec):
             with open(spec, "rb") as fh:
                 data = fh.read()
-            g = graph_from_json(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+            g = graphs.graph_from_json(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
             digest = hashlib.sha256(data).hexdigest()
             source = {"kind": "file", "path": spec, "sha256": digest}
         else:
-            nodes = family_node_count(spec)
+            nodes = graphs.family_node_count(spec)
             if nodes > len(raw):
                 raise _size_mismatch(len(raw), nodes)
-            g = named_graph(spec)
+            g = graphs.named_graph(spec)
             digest = hashlib.sha256(g.to_json().encode()).hexdigest()
             source = {"kind": "family", "spec": spec, "sha256": digest}
     except (ValueError, OSError) as exc:  # GraphFormatError, a directory, bad encoding
@@ -167,15 +150,19 @@ def _system_texts(cert) -> dict:
 
 def _orbit_flip_system(g: Graph, m: Measurement):
     """(certain subsets, orbit-flip system, its solution, orbits as sorted lists)."""
-    subs = find_certain_submeasurements(g, m)
-    system = site_invariance_system(g, m, subs)
+    from . import nogo
+
+    subs = nogo.find_certain_submeasurements(g, m)
+    system = nogo.site_invariance_system(g, m, subs)
     orbits = [list(o) for o in sorted({v.sites for v in system.variables})]
-    return subs, system, gf2_solve(system), orbits
+    return subs, system, nogo.gf2_solve(system), orbits
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     g, source, m = _graph_and_measurement(args)
-    verdict = classify(g, m)
+    verdict = oracle.classify(g, m)
     return _emit(
         "oracle", {"graph": source, "measurement": str(m)}, verdict, None,
         f"{m}: {verdict}",
@@ -183,12 +170,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_lhv_run(args: argparse.Namespace) -> int:
+    from . import lhv
+
     _check_seed(args.seed)
     g, source, m = _graph_and_measurement(args)
     subset = _parse_subset(args.subset)
-    rules = _RULES[args.rules]
+    rules = getattr(lhv, _RULES[args.rules])
     try:
-        rep = product_report(g, m, subset, rules, samples=args.samples, seed=args.seed)
+        rep = lhv.product_report(g, m, subset, rules, samples=args.samples, seed=args.seed)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
     return _emit(
@@ -201,6 +190,8 @@ def _cmd_lhv_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_sub(args: argparse.Namespace) -> int:
+    from . import lhv, nogo
+
     g, source, m = _graph_and_measurement(args)
     # The report writes 2^|support|, refused past the interpreter's digit limit
     # (0: none; absent before 3.10.7); size <= 3 * limit fits, 8^limit < 10^limit.
@@ -211,7 +202,7 @@ def _cmd_verify_sub(args: argparse.Namespace) -> int:
             f"the report's subset count 2^{size} has more than {limit} digits, "
             "the interpreter's limit for integer string conversion"
         )
-    rep = verify_all_submeasurements(g, m, _RULES[args.rules])
+    rep = nogo.verify_all_submeasurements(g, m, getattr(lhv, _RULES[args.rules]))
     found = "clean" if rep.clean else "mismatch"
     ok = None if args.expect is None else args.expect == found
     human = (
@@ -222,16 +213,19 @@ def _cmd_verify_sub(args: argparse.Namespace) -> int:
 
 
 def _cmd_nogo_ring(args: argparse.Namespace) -> int:
+    from . import nogo
+
     if args.f < 1 or args.f % 2 == 0:
         raise CommandError(f"--f must be an odd positive integer, got {args.f}")
     if args.d is not None and args.d < 0:
         raise CommandError(f"distance must be non-negative, got {args.d}")
-    cert = certify_distance(12 * args.f, args.d)
+    cert = nogo.certify_distance(12 * args.f, args.d)
     state = "inconsistent" if not cert.solution.consistent else "consistent"
     human = f"ring n={cert.n}, d={cert.d} (bound {cert.bound}): system {state}"
     if cert.solution.certificate is not None:
         human += f"; certificate uses equations {list(cert.solution.certificate)}"
-    return _emit("nogo ring", {"f": args.f, "d": cert.d}, cert, cert.ok, human, _system_texts(cert))
+    result = cert.to_json_dict(variables=False)  # the variables' text is spliced in
+    return _emit("nogo ring", {"f": args.f, "d": cert.d}, result, cert.ok, human, _system_texts(cert))
 
 
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
@@ -257,9 +251,11 @@ def _cmd_nogo_site(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain_verify(args: argparse.Namespace) -> int:
+    from . import chain_protocol
+
     _check_seed(args.seed)
     try:
-        rep = verify_chain_exhaustive(args.n, args.broadcast_y, args.sample, args.seed)
+        rep = chain_protocol.verify_chain_exhaustive(args.n, args.broadcast_y, args.sample, args.seed)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
     human = (
@@ -276,14 +272,16 @@ def _cmd_chain_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain_decompose(args: argparse.Namespace) -> int:
+    from . import chain_protocol
+
     try:
         m = Measurement(args.measurement)
-        check_chain_length(len(m))
+        chain_protocol.check_chain_length(len(m))
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
     try:
-        sentences = decompose(m)
-    except NotStabilizerShaped as exc:
+        sentences = chain_protocol.decompose(m)
+    except chain_protocol.NotStabilizerShaped as exc:
         return _emit(
             "chain decompose",
             {"measurement": str(m)},
@@ -293,7 +291,7 @@ def _cmd_chain_decompose(args: argparse.Namespace) -> int:
         )
     result = {
         "stabilizer_shaped": True,
-        "sign": decomposition_sign(sentences),
+        "sign": chain_protocol.decomposition_sign(sentences),
         "sentences": [
             {
                 "left": s.left,
@@ -317,6 +315,8 @@ def _cmd_chain_decompose(args: argparse.Namespace) -> int:
 def _render_system(system) -> list[str]:
     """One line per equation: its variables' short names, primed from the
     second declared variable of a name on, ordered by site and observable."""
+    from . import graphs
+
     names = []
     primes: dict[str, int] = {}
     for key in system.variables:
@@ -333,20 +333,22 @@ def _render_system(system) -> list[str]:
 
     lines = []
     for eq in system.equations:
-        terms = [names[i] for i in sorted(_bit_indices(eq.row), key=order)]
+        terms = [names[i] for i in sorted(graphs._bit_indices(eq.row), key=order)]
         lines.append(f"[{eq.label}] {' * '.join(terms) or '1'} = {eq.sign:+d}")
     return lines
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from . import graphs, lhv, nogo, oracle
+
     if args.figure == "fig1":
-        cert = certify_distance(12, 1)
+        cert = nogo.certify_distance(12, 1)
         ok = (
             not cert.solution.consistent
             and cert.solution.certificate == tuple(range(5))
             and all(eq.row.bit_count() in (6, 7, 9) for eq in cert.system.equations)
         )
-        result = cert.to_json_dict()
+        result = cert.to_json_dict(variables=False)
         result["constraints"] = _render_system(cert.system)
         human_lines = [
             "triangle-ring demonstration (n=12, d=1): five certain submeasurements",
@@ -357,15 +359,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         human = "\n".join(human_lines)
         return _emit("reproduce fig1", {"figure": "fig1"}, result, ok, human, _system_texts(cert))
 
-    g = grid(2, 3)
+    g = graphs.grid(2, 3)
     m = Measurement("YYYYYY")
-    rep = verify_all_submeasurements(g, m, STANDARD_RULES)
+    rep = nogo.verify_all_submeasurements(g, m, lhv.STANDARD_RULES)
     target = next((c for c in rep.mismatches if c.sites == (1, 2, 3, 5)), None)
     _subs, system, solution, orbits = _orbit_flip_system(g, m)
     ok = (
         target is not None
-        and target.oracle == Verdict.deterministic(-1)
-        and target.lhv == Verdict.deterministic(1)
+        and target.oracle == oracle.Verdict.deterministic(-1)
+        and target.lhv == oracle.Verdict.deterministic(1)
         and not solution.consistent
     )
     result = {
@@ -464,10 +466,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return globals()[args.func](args)
-    except (CommandError, UnsupportedSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a failed invariant, not a verdict: keep it off code 1
+    except Exception as exc:
+        from .graphs import UnsupportedSizeError
+
+        if isinstance(exc, (CommandError, UnsupportedSizeError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # a failed invariant, not a verdict: keep it off code 1
         detail = " ".join(str(exc).split())
         print(f"error: internal {type(exc).__name__}: {detail}", file=sys.stderr)
         return 3

@@ -201,7 +201,7 @@ def test_site_invariance_refuses_a_kernel_past_the_walk_guard(monkeypatch, capsy
     def build(*args, **kwargs):
         raise AssertionError("orbit-flip system built for a listing the guard refuses")
 
-    monkeypatch.setattr(cli, "site_invariance_system", build)
+    monkeypatch.setattr(nogo, "site_invariance_system", build)
     code, out, err = _run(
         capsys, "nogo", "site-invariance", "--graph", "star:23", "--measurement", "X" * 23,
     )
@@ -447,8 +447,27 @@ def test_spliced_system_text_matches_the_encoder():
         spliced = _emitted({"system": cert.system}, cli._system_texts(cert))
         assert f'"result": {{"system": {want}}}, ' in spliced
         assert spliced == _emitted({"system": cert.system})
+        # the command's own result leaves the variables to the texts
+        assert _emitted(cert.to_json_dict(variables=False), cli._system_texts(cert)) == _emitted(cert)
 
     check()
+
+
+def test_ring_and_fig1_reports_build_no_variable_dicts(capsys, monkeypatch):
+    # their variables are written from the view texts, so the dict per
+    # variable that to_json_dict builds for library callers is skipped
+    cert = nogo.certify_distance(12, 1)
+    full = cert.to_json_dict()
+    assert len(full["system"]["variables"]) == len(cert.system.variables)
+    full["system"]["variables"] = None
+    assert cert.to_json_dict(variables=False) == full
+
+    def refuse(key):
+        raise AssertionError("a variable dict was built")
+
+    monkeypatch.setattr(nogo, "_variable_json", refuse)
+    assert _run(capsys, "nogo", "ring", "--f", "1")[0] == 0
+    assert _run(capsys, "reproduce", "fig1")[0] == 0
 
 
 def test_texts_are_spliced_at_any_depth_and_only_where_given():
@@ -995,6 +1014,46 @@ def test_importing_the_package_leaves_numpy_unloaded():
         capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+# Each command imports the modules it runs. The two reports are the ones pinned
+# in test_emitted_report_is_pinned; `python -m graphlhv` is run through runpy.
+_MODULES_ON_DEMAND = """
+import contextlib, hashlib, io, json, runpy, sys
+import graphlhv, graphlhv.cli
+
+def loaded():
+    return sorted(k for k in sys.modules if k.startswith("graphlhv."))
+
+def run(line):
+    sys.argv = ["graphlhv", *line.split()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("graphlhv", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), loaded()]
+
+steps = [loaded()]
+steps.append(run("oracle --graph ring:12 --measurement IXIXIXIXIXIX"))
+steps.append(run("lhv run --graph grid:2x3 --measurement YYYYYY --subset 1,2,3,5"))
+print(json.dumps(steps))
+"""
+
+
+def test_a_command_loads_only_the_modules_it_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_ON_DEMAND], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, oracle, lhv_run = json.loads(proc.stdout)
+    assert imported == ["graphlhv.cli", "graphlhv.graphs", "graphlhv.pauli"]
+    assert oracle == [0, "344790f36e636e874d63f515d4c4151dd4b5b88fbc4c00b3dfc1930a65c759c7",
+                      ["graphlhv.cli", "graphlhv.graphs", "graphlhv.oracle", "graphlhv.pauli"]]
+    assert lhv_run == [0, "a814af4e672f2e534415ce524738b9b0f78b2104b685d55ca43fd99bc2c7bbbd",
+                       ["graphlhv.cli", "graphlhv.graphs", "graphlhv.lhv", "graphlhv.oracle",
+                        "graphlhv.pauli"]]
 
 
 def test_lhv_run_exact_beyond_old_guard(capsys):

@@ -58,6 +58,57 @@ def test_numpy_is_imported_only_inside_functions():
     assert found == []
 
 
+def _package_imports_at_load(tree):
+    """(line, name) of each graphlhv module, or name of the package, that the
+    code's own imports load when it is imported: outside functions, and outside
+    ``if TYPE_CHECKING:`` blocks, which never run."""
+    typing_only = {
+        id(node) for block in ast.walk(tree)
+        if isinstance(block, ast.If) and isinstance(block.test, ast.Name)
+        and block.test.id == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    for node in _imports_outside_functions(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        else:  # `from .x import y` loads x; `from . import y` loads y
+            base = f"graphlhv.{node.module}" if node.level and node.module else node.module or "graphlhv"
+            paths = [f"{base}.{alias.name}" for alias in node.names] if base == "graphlhv" else [base]
+        for path in paths:
+            if path.startswith("graphlhv."):
+                yield node.lineno, path.split(".")[1]
+
+
+def test_package_and_cli_import_no_module_eagerly():
+    # `import graphlhv, graphlhv.cli` should cost only what a command uses: the
+    # package resolves its exports on first access, and each command handler
+    # imports the modules it runs. Measurement (pauli) and __version__ stay.
+    tree = ast.parse(
+        "import json\n"
+        "import graphlhv.nogo\n"
+        "from . import __version__, lhv\n"
+        "from .oracle import classify\n"
+        "from graphlhv.pauli import Measurement\n"
+        "from graphlhv import graphs as g\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .graphs import Graph\n"
+        "def handler():\n"
+        "    from .chain_protocol import decompose\n"
+    )
+    assert list(_package_imports_at_load(tree)) == [
+        (2, "nogo"), (3, "__version__"), (3, "lhv"), (4, "oracle"), (5, "pauli"), (6, "graphs")]
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES if path.name in ("__init__.py", "cli.py")
+        for line, name in _package_imports_at_load(ast.parse(path.read_text(), filename=str(path)))
+        if name not in ("__version__", "pauli")
+    ]
+    assert found == []
+
+
 _PROCESS_CACHES = {"cache", "lru_cache"}
 
 
