@@ -136,7 +136,7 @@ def _emit(command: str, inputs: dict, result: object, ok: bool | None, human: st
                   for piece in (", ", json.dumps(k), ": ", *encode(v, texts.get(k)))]
         return ["{", *pieces[1:], "}"]
 
-    print("".join(encode(report, texts and {"result": texts})))  # one copy of a spliced report
+    sys.stdout.writelines([*encode(report, texts and {"result": texts}), "\n"])  # no joined copy
     print(human, file=sys.stderr)
     return 0 if ok in (None, True) else 1
 

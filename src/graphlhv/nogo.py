@@ -309,16 +309,19 @@ def _kernel_signs(
     checked ``letters`` against g.
 
     The basis is the dependencies of one ``_eliminate`` pass over the
-    columns, each a site mask. The word's x and z masks are parsed once,
-    and each basis word, the letters at its sites and I elsewhere, is those
-    masks ANDed with its vector, confirmed certain by the oracle's mask step
-    ``_classify_bits``; certain words are closed under products, so that
-    confirms the whole kernel. No letter string is built unless a basis word
-    fails, for the error; an empty kernel reads no letter at all.
+    columns, each a site mask, signed by ``_basis_signs``; an empty kernel
+    reads no letter at all.
     """
     basis = list(_eliminate(cols, {}))
-    if not basis:
-        return basis, []
+    return basis, _basis_signs(g, letters, basis) if basis else []
+
+
+def _basis_signs(g: Graph, letters: str, basis: list[int]) -> list[int]:
+    """Sign bits of the words of ``letters`` at the site masks in ``basis``: the
+    word's x and z masks ANDed with each vector, confirmed certain by the
+    oracle's mask step ``_classify_bits`` (certain words are closed under
+    products, so that confirms their span). No letter string is built
+    unless one fails, for the RuntimeError."""
     x, z = _bits(letters)
     bits = []
     for vec in basis:
@@ -327,7 +330,7 @@ def _kernel_signs(
             sub = Measurement(letters).restricted_to(_sites(vec))
             raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
         bits.append(int(verdict.value == -1))
-    return basis, bits
+    return bits
 
 
 def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int]]:

@@ -11,6 +11,7 @@ import pytest
 from graphlhv import chain_protocol, lhv, nogo, pauli
 from graphlhv.chain_protocol import (
     ChainBroadcast,
+    ChainReport,
     NotStabilizerShaped,
     Sentence,
     Word,
@@ -410,20 +411,91 @@ def test_flip_sites_are_found_only_for_a_nonempty_certain_subset(monkeypatch, br
 
 
 def test_sweep_classifies_each_basis_word_once(monkeypatch):
-    # Each word's kernel is confirmed on its basis only: one call of the
-    # oracle's mask step per basis word, Σ dim ker over the 256 words, counted
-    # before patching, and no classify call at all.
+    # The sweep walks the letter tree, so a kernel vector is found, and
+    # confirmed by one call of the oracle's mask step, only on the prefix
+    # where it arises: Σ over the 340 prefixes of length 1..4 of the rise in
+    # kernel dimension (each prefix padded with Is), counted before patching,
+    # against the 64 of Σ dim ker over the 256 words. No classify call at all.
     g = chain(4)
-    words = [Measurement("".join(p)) for p in itertools.product("IXYZ", repeat=4)]
-    dims = [_certain_subset_count(g, m).bit_length() - 1 for m in words]
-    assert sum(dims) == 64
+
+    def dim(prefix):
+        return len(nogo._signed_kernel(g, Measurement(prefix.ljust(4, "I")))[0])
+
+    prefixes = ["".join(p) for k in range(1, 5) for p in itertools.product("IXYZ", repeat=k)]
+    assert len(prefixes) == 340
+    rises = sum(dim(p) - dim(p[:-1]) for p in prefixes)
+    assert rises == 43
+    assert sum(dim("".join(p)) for p in itertools.product("IXYZ", repeat=4)) == 64
     calls = []
     bits, whole = nogo._classify_bits, nogo.classify
     monkeypatch.setattr(nogo, "_classify_bits", lambda g, x, z: calls.append((x, z)) or bits(g, x, z))
     monkeypatch.setattr(nogo, "classify", lambda g, m: calls.append(m.letters) or whole(g, m))
     assert verify_chain_exhaustive(4).clean
-    assert len(calls) == sum(dims)
+    assert len(calls) == rises
     assert all(isinstance(call, tuple) for call in calls)
+
+
+@pytest.mark.parametrize("n, columns", [(4, 255), (5, 1023)])
+def test_sweep_eliminates_each_prefix_column_once(monkeypatch, n, columns):
+    # One column per tree node with a non-I letter, 3 * 4^(k-1) at depth k,
+    # against the n * 3/4 * 4^n (768, 3840) of eliminating every word anew.
+    pushed = []
+    original = nogo._eliminate
+
+    def counting(cols, pivots):
+        return original((pushed.append(col) or col for col in cols), pivots)
+
+    monkeypatch.setattr(nogo, "_eliminate", counting)
+    monkeypatch.setattr(chain_protocol, "_eliminate", counting)
+    assert verify_chain_exhaustive(n).clean
+    assert len(pushed) == columns == 4 ** n - 1
+
+
+def _word_by_word(n, broadcast_y):
+    """The exhaustive report built by ``_check_measurement`` on each word alone."""
+    g = chain(n)
+    cols = chain_protocol._letter_columns(g)
+    violations, overlaps, parses = [], [], {}
+    count = det = pairs = 0
+    for letters in _measurements(n, None, 0):
+        d, p = chain_protocol._check_measurement(
+            g, letters, cols, broadcast_y, violations, overlaps, parses
+        )
+        count, det, pairs = count + 1, det + d, pairs + p
+    return ChainReport(
+        n, broadcast_y, "exhaustive", count, det, tuple(violations), pairs, tuple(overlaps)
+    )
+
+
+@pytest.mark.parametrize("flips", ["protocol", "every-x"])
+def test_letter_tree_sweep_matches_the_word_by_word_sweep(monkeypatch, flips):
+    # The whole report, violations in order included, for every word with
+    # n <= 6 in both readings; flipping every X site gives violations to compare.
+    if flips == "every-x":
+        monkeypatch.setattr(chain_protocol, "flip_sites_for", _every_x)
+    wrong = [1, 2, 9, 48, 218, 918] if flips == "every-x" else [0] * 6
+    for n in range(1, 7):
+        for broadcast_y in (False, True):
+            report = verify_chain_exhaustive(n, broadcast_y)
+            assert report == _word_by_word(n, broadcast_y), (n, broadcast_y)
+            assert len(report.violations) == wrong[n - 1], (n, broadcast_y)
+
+
+def test_each_word_inherits_its_own_kernel():
+    # What a word inherits from its prefixes is what eliminating it alone
+    # gives: the same basis, in the same order, with the same sign bits.
+    for n in range(1, 7):
+        g = chain(n)
+        cols = chain_protocol._letter_columns(g)
+        kernels = []
+        chain_protocol._walk_words(g, cols, lambda *kernel: kernels.append(kernel))
+        assert [k[0] for k in kernels] == list(_measurements(n, None, 0))
+        for letters, basis, bits in kernels:
+            columns = [cols[ch][i] for i, ch in enumerate(letters) if ch != "I"]
+            assert (basis, bits) == nogo._kernel_signs(g, letters, columns), letters
+        assert sum(1 << len(basis) for _, basis, _ in kernels) == (
+            verify_chain_exhaustive(n).deterministic_subs_checked
+        )
 
 
 def test_sweep_validates_letters_only_where_a_kernel_is_found(monkeypatch):
