@@ -281,11 +281,6 @@ class ChainReport:
         return not self.violations and not self.overlap_violations
 
 
-# A sub word is coded as an int whose byte j - 1 holds letter j XOR "I". An I
-# byte is 0, so the code of a subset's word is the XOR of its sites' codes and
-# the kernel walk carries it in the subset's label.
-_I = ord("I")
-
 # What the checker keeps of one certain word's parse: the grammar's rejection,
 # the (left, right) brackets of its only sentence, or None when it holds none
 # or several. ``_parse`` reads it off the word's letters, with no ``Word`` or
@@ -355,7 +350,8 @@ def _walk_words(
 
 def _check_measurement(
     g: Graph, letters: str, cols: dict[str, list[tuple[int, int]]], broadcast_y: bool,
-    violations: list[Violation], overlap_violations: list[OverlapViolation], parses: dict[int, _Parse],
+    violations: list[Violation], overlap_violations: list[OverlapViolation],
+    parses: dict[tuple[int, int], _Parse],
 ) -> tuple[int, int]:
     """``_check_kernel`` on one measurement, its kernel found by ``_kernel_signs``
     over its columns read from ``cols`` (see ``_letter_columns``)."""
@@ -367,8 +363,8 @@ def _check_measurement(
 
 
 def _check_kernel(
-    letters: str, basis: list[int], bits: list[int], broadcast_y: bool,
-    violations: list[Violation], overlap_violations: list[OverlapViolation], parses: dict[int, _Parse],
+    letters: str, basis: list[int], bits: list[int], broadcast_y: bool, violations: list[Violation],
+    overlap_violations: list[OverlapViolation], parses: dict[tuple[int, int], _Parse],
 ) -> tuple[int, int]:
     """Check all deterministic submeasurements of one global measurement.
 
@@ -377,46 +373,34 @@ def _check_kernel(
     sign bit. The protocol's product there is a constant sign by
     construction, so only that sign is compared with the oracle's. Both
     signs are linear on the kernel, so ``_sign_labels`` decides them on the
-    basis, and the walk over the site-mask basis carries each subset's
-    label, its word's code shifted above the two sign bits, by one XOR per
-    step.
+    basis and the walk over the site-mask basis carries them to each subset
+    by one XOR per step.
     The empty subset is counted and passed over: its word is the identity,
     of sign +1 on both sides, and holds no sentence. It is the only certain
     subset for most measurements, which return before a ``Measurement`` is
     built or the flip sites are found. Each distinct word is parsed once per
     ``parses`` dict, which the sweep creates and drops: it is keyed by the
-    word's code, so a repeated word costs one lookup and its letters are
-    written out only for its first parse, by ``_parse``'s one pattern match.
+    sub word's x and z masks, the word's masks ANDed with the subset's, so a
+    repeated word costs one lookup and its letters are written out only for
+    its first parse, by ``_parse``'s one pattern match.
     Returns (deterministic subs checked, overlap pairs checked).
     """
     if not basis:
         return 1, 0
     m = Measurement(letters)
-    labels = []
-    for vec, label in zip(basis, _sign_labels(basis, bits, flip_sites_for(m, broadcast_y))):
-        code = 0
-        rest = vec
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            code ^= (ord(letters[i]) ^ _I) << 8 * i
-            rest ^= low
-        labels.append(code << 2 | label)
-    n = len(letters)
-    blank = int.from_bytes(b"I" * n, "little")
-
+    x, z = m.bits()
     spans: list[tuple[int, int, int]] = []
-    for smask, label in _walk_kernel(basis, labels):
+    for smask, label in _walk_kernel(basis, _sign_labels(basis, bits, flip_sites_for(m, broadcast_y))):
         if not smask:
             continue
         sign = -1 if label & 1 else 1
         if label & 2:
             violations.append(Violation(m, _sites(smask), sign, -sign, "wrong constant sign"))
-        code = label >> 2
+        key = x & smask, z & smask
         try:
-            parsed = parses[code]
+            parsed = parses[key]
         except KeyError:
-            parsed = parses[code] = _parse((code ^ blank).to_bytes(n, "little").decode())
+            parsed = parses[key] = _parse("".join(c if smask >> i & 1 else "I" for i, c in enumerate(letters)))
         if isinstance(parsed, NotStabilizerShaped):
             reason = f"grammar rejected a certain word: {parsed}"
             violations.append(Violation(m, _sites(smask), sign, None, reason))
@@ -513,7 +497,7 @@ def verify_chain_exhaustive(
     cols = _letter_columns(g)
     violations: list[Violation] = []
     overlap_violations: list[OverlapViolation] = []
-    parses: dict[int, _Parse] = {}
+    parses: dict[tuple[int, int], _Parse] = {}
     if sample is None:
         checks = []
         _walk_words(g, cols, lambda letters, basis, bits: checks.append(

@@ -4,7 +4,9 @@ Exit codes: 0 when the result matches the expectation (or none was supplied),
 1 when a violation or unexpected result was found, 2 on usage or parse errors
 and on an input a size guard refuses (``UnsupportedSizeError``, its message
 after ``error:``), 3 on an internal error (any other exception, reported on
-one line, no traceback).
+one line, no traceback), and 141 (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE killed) with nothing on stderr when the reader closes
+stdout before the report is written.
 Reports are byte-identical for identical inputs and seeds.
 Each command's handler imports the library modules it runs: importing this
 module loads only ``pauli`` (with ``graphs``), and a command adds its own.
@@ -137,14 +139,14 @@ def _emit(command: str, inputs: dict, result: object, ok: bool | None, human: st
         return ["{", *pieces[1:], "}"]
 
     sys.stdout.writelines([*encode(report, texts and {"result": texts}), "\n"])  # no joined copy
+    sys.stdout.flush()  # a closed reader is met here, before the human line
     print(human, file=sys.stderr)
     return 0 if ok in (None, True) else 1
 
 
 def _system_texts(cert) -> dict:
-    """``_emit``'s texts for a ring certificate: its variables, pieces around their view texts."""
-    pieces = [piece for v, text in zip(cert.system.variables, cert.view_texts) for piece in
-              (", ", f'{{"observable": "{v.observable}", "site": {v.site}, "view": [', text, "]}")]
+    """``_emit``'s texts for a ring certificate: its variables' texts, ", " between them."""
+    pieces = [piece for text in cert.variable_texts for piece in (", ", text)]
     return {"system": {"variables": ["[", *pieces[1:], "]"]}}
 
 
@@ -461,11 +463,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:  # --help or --version written, or a usage error
+            sys.stdout.flush()
+            return int(exc.code or 0)
         return globals()[args.func](args)
+    except BrokenPipeError:
+        # The reader closed stdout: what is left in its buffer goes to devnull,
+        # so that shutdown's flush reports nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:
         from .graphs import UnsupportedSizeError
 

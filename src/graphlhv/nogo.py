@@ -524,8 +524,9 @@ def _distance_system(
     g: Graph, cases: Sequence[CertainSubmeasurement], d: int
 ) -> tuple[ParityConstraintSystem, dict[int, int], tuple[str, ...]]:
     """``distance_constraint_system``, each support site's ball as a bitmask
-    (bit k - 1 for node k) and each variable's view as JSON text: the view's
-    flags pick its word's per-node fragments ``[k, "L"]``, built once a call."""
+    (bit k - 1 for node k) and each variable as its report's JSON object text:
+    the view's flags pick its word's per-node fragments ``[k, "L"]``, built
+    once a call. ``_variable_json`` writes the same object as a dict."""
     for case in cases:
         glob, sub = case.global_measurement, case.sub
         if len(glob) != g.n or len(sub) != g.n:
@@ -545,8 +546,10 @@ def _distance_system(
 
     def declare(j: int, x: int, z: int) -> ContextVariable:
         word = pairs[x, z]  # (node, letter) at index node - 1
-        texts.append(", ".join(compress(fragments[x, z], flags[j])))  # ball's fragments
-        return ContextVariable(j, word[j - 1][1].lower(), tuple(compress(word, flags[j])))
+        observable = word[j - 1][1].lower()
+        view = ", ".join(compress(fragments[x, z], flags[j]))  # ball's fragments
+        texts.append(f'{{"observable": "{observable}", "site": {j}, "view": [{view}]}}')
+        return ContextVariable(j, observable, tuple(compress(word, flags[j])))
 
     rows = ((*case.global_measurement.bits(), sorted(case.sub.support(), key=str),
              case.expected_sign, case.name) for case in cases)
@@ -563,8 +566,8 @@ def distance_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class DistanceCertificate:
-    """The ring's system and its solution, with each variable's view as the
-    JSON text its report splices in rather than encoding every pair."""
+    """The ring's system and its solution, with each variable as the JSON
+    object text its report splices in rather than encoding every pair."""
 
     n: int
     ring_size: int
@@ -576,7 +579,7 @@ class DistanceCertificate:
     system: ParityConstraintSystem
     solution: GF2Solution
     max_other_changeable_in_view: int
-    view_texts: tuple[str, ...]
+    variable_texts: tuple[str, ...]
 
     @property
     def ok(self) -> bool | None:
@@ -625,7 +628,7 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
     ring_size = n - (n - 12) % 24
     f = ring_size // 12
     cases = _ring_cases(g, f)
-    system, masks, view_texts = _distance_system(g, cases, d)
+    system, masks, variable_texts = _distance_system(g, cases, d)
     vertex_mask = sum(1 << (4 * f * k - 1) for k in (1, 2, 3))
     max_other = max(
         ((vertex_mask & mask & ~(1 << (j - 1))).bit_count() for j, mask in masks.items()),
@@ -633,7 +636,7 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
     )
     solution = gf2_solve(system)
     return DistanceCertificate(
-        n, ring_size, n - ring_size, f, d, bound, cases, system, solution, max_other, view_texts
+        n, ring_size, n - ring_size, f, d, bound, cases, system, solution, max_other, variable_texts
     )
 
 

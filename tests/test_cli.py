@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -558,9 +559,16 @@ def test_sampled_chain_report_is_pinned(capsys, n, sample, reading, digest):
         (["verify", "--n", "5"], "f191ec1dab2cda0cf11d3cb51cfdd4735ab6d01e30ad9b0a39d8fdcb94eea477"),
         (["verify", "--n", "5", "--broadcast-y"],
          "08df1bab96c2fb8d3d7293da5e020eecba4f02203657a6be5cd53177f732c1a1"),
+        # recorded while the checker keyed certain words by a one-byte-per-site code
+        (["verify", "--n", "6"], "6f2ea020b09808be1a862b113e622da7ddcb65c68c9cc92046c1f3db305ec8f5"),
+        (["verify", "--n", "6", "--broadcast-y"],
+         "0dee1a9a20584fbf16178c427f59a020e15e1c4ad0208b8161d8f9bcec19dcf0"),
+        (["verify", "--n", "7"], "8a50a6fad809799599bd930aa10d51cb6c592fd843dbb6b87d4f4c01a5b5f8ad"),
+        (["verify", "--n", "7", "--broadcast-y"],
+         "205c7dcd31156c169355caa6c6847f8a4f2548c6599e654dd46daa5fd78a8549"),
     ],
     ids=["sentences", "not-a-word", "bracketless-z", "z-inside-sentence", "missing-bracket",
-         "verify-n5", "verify-n5-by"],
+         "verify-n5", "verify-n5-by", "verify-n6", "verify-n6-by", "verify-n7", "verify-n7-by"],
 )
 def test_chain_report_is_pinned(capsys, argv, digest):
     code, out, _ = _run(capsys, "chain", *argv)
@@ -1088,6 +1096,42 @@ def test_usage_error_exit_code():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def _run_into_closed_pipe(argv, unbuffered):
+    """(exit code, stderr) of the command run with a stdout whose read end is
+    closed before the child starts."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "graphlhv", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+# A reader that closes stdout early is no internal error: the command exits as a
+# SIGPIPE kill would (128 + 13) and writes nothing on stderr, with or without
+# buffered stdout.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "--graph", "ring:5", "--measurement", "XXXXX"], ["nogo", "ring", "--f", "25"]],
+    ids=["oracle", "nogo-ring"],
+)
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    assert _run_into_closed_pipe(argv, unbuffered) == (141, b"")
+
+
+# argparse drops a failed write of its help text itself, so unbuffered --help
+# exits 0; buffered, the write fails at main's flush instead. Neither is an error.
+@pytest.mark.parametrize("unbuffered, code", [(False, 141), (True, 0)], ids=["buffered", "unbuffered"])
+def test_help_into_a_closed_stdout_is_quiet(unbuffered, code):
+    assert _run_into_closed_pipe(["--help"], unbuffered) == (code, b"")
 
 
 def _readme_commands():
