@@ -6,7 +6,7 @@ and on an input a size guard refuses (``UnsupportedSizeError``, its message
 after ``error:``), 3 on an internal error (any other exception, reported on
 one line, no traceback), and 141 (128 + SIGPIPE, as a shell reports a
 process that SIGPIPE killed) with nothing on stderr when the reader closes
-stdout before the report is written.
+stdout before the report is written. A closed stderr changes no exit code.
 Reports are byte-identical for identical inputs and seeds.
 Each command's handler imports the library modules it runs: importing this
 module loads only ``pauli`` (with ``graphs``), and a command adds its own.
@@ -104,6 +104,15 @@ def _check_seed(seed: int) -> None:
         raise CommandError(f"--seed must be a non-negative integer, got {seed}")
 
 
+def _say(text: str) -> None:
+    """Print a line on stderr; a closed stderr drops it and changes no exit code."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except BrokenPipeError:  # shutdown's flush then writes to devnull too
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stderr.fileno())
+
+
 def _as_json(value: object) -> object:
     """The JSON form of a result value: a measurement is its letters, a value
     with ``to_json_dict`` is that dict, any other dataclass is its fields."""
@@ -140,7 +149,7 @@ def _emit(command: str, inputs: dict, result: object, ok: bool | None, human: st
 
     sys.stdout.writelines([*encode(report, texts and {"result": texts}), "\n"])  # no joined copy
     sys.stdout.flush()  # a closed reader is met here, before the human line
-    print(human, file=sys.stderr)
+    _say(human)
     return 0 if ok in (None, True) else 1
 
 
@@ -156,7 +165,7 @@ def _orbit_flip_system(g: Graph, m: Measurement):
 
     subs = nogo.find_certain_submeasurements(g, m)
     system = nogo.site_invariance_system(g, m, subs)
-    orbits = [list(o) for o in sorted({v.sites for v in system.variables})]
+    orbits = [list(v.sites) for v in system.variables]
     return subs, system, nogo.gf2_solve(system), orbits
 
 
@@ -226,8 +235,7 @@ def _cmd_nogo_ring(args: argparse.Namespace) -> int:
     human = f"ring n={cert.n}, d={cert.d} (bound {cert.bound}): system {state}"
     if cert.solution.certificate is not None:
         human += f"; certificate uses equations {list(cert.solution.certificate)}"
-    result = cert.to_json_dict(variables=False)  # the variables' text is spliced in
-    return _emit("nogo ring", {"f": args.f, "d": cert.d}, result, cert.ok, human, _system_texts(cert))
+    return _emit("nogo ring", {"f": args.f, "d": cert.d}, cert, cert.ok, human, _system_texts(cert))
 
 
 def _cmd_nogo_site(args: argparse.Namespace) -> int:
@@ -350,7 +358,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             and cert.solution.certificate == tuple(range(5))
             and all(eq.row.bit_count() in (6, 7, 9) for eq in cert.system.equations)
         )
-        result = cert.to_json_dict(variables=False)
+        result = cert.to_json_dict()
         result["constraints"] = _render_system(cert.system)
         human_lines = [
             "triangle-ring demonstration (n=12, d=1): five certain submeasurements",
@@ -469,22 +477,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.flush()
             return int(exc.code or 0)
         return globals()[args.func](args)
-    except BrokenPipeError:
-        # The reader closed stdout: what is left in its buffer goes to devnull,
-        # so that shutdown's flush reports nothing.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # a closed stdout: its buffer, and shutdown's flush, go to devnull
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
     except Exception as exc:
         from .graphs import UnsupportedSizeError
 
         if isinstance(exc, (CommandError, UnsupportedSizeError)):
-            print(f"error: {exc}", file=sys.stderr)
+            _say(f"error: {exc}")
             return 2
         # a failed invariant, not a verdict: keep it off code 1
         detail = " ".join(str(exc).split())
-        print(f"error: internal {type(exc).__name__}: {detail}", file=sys.stderr)
+        _say(f"error: internal {type(exc).__name__}: {detail}")
         return 3
 
 

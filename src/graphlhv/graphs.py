@@ -88,11 +88,8 @@ class Graph:
     def degree(self, j: int) -> int:
         return len(self.neighborhood(j))
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps({"n": self.n, "edges": self.edges}, sort_keys=True)
 
 
 def _cycle_edges(n: int) -> tuple[tuple[int, int], ...]:

@@ -130,11 +130,9 @@ class ParityConstraintSystem:
         """The variables of an equation, in declaration order."""
         return tuple(self.variables[i] for i in _bit_indices(eq.row))
 
-    def to_json_dict(self, variables: bool = True) -> dict:
-        """The system's JSON form; ``variables=False`` writes null for the variables'
-        list, for a writer that has their text already."""
+    def to_json_dict(self) -> dict:
         return {
-            "variables": [_variable_json(key) for key in self.variables] if variables else None,
+            "variables": [_variable_json(key) for key in self.variables],
             "equations": [
                 {"label": eq.label, "rhs": _rhs(eq), "variables": list(_bit_indices(eq.row))}
                 for eq in self.equations
@@ -589,8 +587,7 @@ class DistanceCertificate:
             return not self.solution.consistent
         return None
 
-    def to_json_dict(self, variables: bool = True) -> dict:
-        """The report's result; ``variables`` as for the system's ``to_json_dict``."""
+    def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "ring_size": self.ring_size,
@@ -604,7 +601,7 @@ class DistanceCertificate:
                 {"label": eq.label, "rhs": _rhs(eq), "size": eq.row.bit_count()}
                 for eq in self.system.equations
             ],
-            "system": self.system.to_json_dict(variables),
+            "system": self.system.to_json_dict(),
             "max_other_changeable_in_view": self.max_other_changeable_in_view,
             "model_class": "per-site sign choices determined by the measurement "
                            "pattern within distance d, for any shared randomness",

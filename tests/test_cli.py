@@ -448,27 +448,10 @@ def test_spliced_system_text_matches_the_encoder():
         spliced = _emitted({"system": cert.system}, cli._system_texts(cert))
         assert f'"result": {{"system": {want}}}, ' in spliced
         assert spliced == _emitted({"system": cert.system})
-        # the command's own result leaves the variables to the texts
-        assert _emitted(cert.to_json_dict(variables=False), cli._system_texts(cert)) == _emitted(cert)
+        # the command's own result, with the variables' texts spliced in
+        assert _emitted(cert, cli._system_texts(cert)) == _emitted(cert)
 
     check()
-
-
-def test_ring_and_fig1_reports_build_no_variable_dicts(capsys, monkeypatch):
-    # their variables are written from the view texts, so the dict per
-    # variable that to_json_dict builds for library callers is skipped
-    cert = nogo.certify_distance(12, 1)
-    full = cert.to_json_dict()
-    assert len(full["system"]["variables"]) == len(cert.system.variables)
-    full["system"]["variables"] = None
-    assert cert.to_json_dict(variables=False) == full
-
-    def refuse(key):
-        raise AssertionError("a variable dict was built")
-
-    monkeypatch.setattr(nogo, "_variable_json", refuse)
-    assert _run(capsys, "nogo", "ring", "--f", "1")[0] == 0
-    assert _run(capsys, "reproduce", "fig1")[0] == 0
 
 
 def test_texts_are_spliced_at_any_depth_and_only_where_given():
@@ -1132,6 +1115,29 @@ def test_closed_stdout_exits_141_quietly(argv, unbuffered):
 @pytest.mark.parametrize("unbuffered, code", [(False, 141), (True, 0)], ids=["buffered", "unbuffered"])
 def test_help_into_a_closed_stdout_is_quiet(unbuffered, code):
     assert _run_into_closed_pipe(["--help"], unbuffered) == (code, b"")
+
+
+# A closed stderr only drops the human line: the report and the exit code are
+# those of a run with an open one, also for a violation and a usage error.
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["oracle", "--graph", "ring:5", "--measurement", "XXXXX"], 0),
+        (["verify-sub", "--graph", "grid:2x3", "--measurement", "YYYYYY", "--expect", "clean"], 1),
+        (["oracle", "--graph", "ring:5", "--measurement", "XXQXX"], 2),
+    ],
+    ids=["oracle", "violation", "usage-error"],
+)
+def test_closed_stderr_changes_no_exit_code(argv, code):
+    command = [sys.executable, "-m", "graphlhv", *argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=write_end, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stdout == subprocess.run(command, capture_output=True, timeout=120).stdout
 
 
 def _readme_commands():

@@ -302,6 +302,42 @@ def test_reports_have_one_writer():
     assert found == {"_emit"}
 
 
+def _json_forms_with_options(tree):
+    """(line, parameters) of each ``to_json_dict`` that takes more than ``self``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json_dict":
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+            if params != ["self"]:
+                yield node.lineno, params
+
+
+def test_each_value_has_one_json_form():
+    # A switch on a value's JSON form gives the report encoder, which calls
+    # to_json_dict() bare, a second form that no report writes.
+    tree = ast.parse(
+        "class A:\n"
+        "    def to_json_dict(self):\n"
+        "        return {}\n"
+        "class B:\n"
+        "    def to_json_dict(self, variables=True):\n"
+        "        return {}\n"
+        "    async def to_json_dict(self, *, full, **kw):\n"
+        "        return {}\n"
+        "def to_json_dict(*args):\n"
+        "    return {}\n"
+    )
+    assert sorted(_json_forms_with_options(tree)) == [
+        (5, ["self", "variables"]), (7, ["self", "full", "kw"]), (9, ["args"])
+    ]
+    found = [
+        f"{path.name}:{line} {params}"
+        for path in SOURCES
+        for line, params in _json_forms_with_options(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
 def _bench_tracer():
     path = _REPO / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
