@@ -15,12 +15,12 @@ the right is the same pass over the reversed word. Whether Y sites stay
 silent (the default) or broadcast too is the ``ChainBroadcast`` value,
 a flip protocol that ``lhv.run``, ``lhv.product_report`` and
 ``nogo.verify_all_submeasurements`` accept; the exhaustive verifier
-arbitrates between the two readings. Its full sweep walks the letter tree,
-eliminating and signing each prefix's column once for all words below it.
-The signed stabilizer words form a regular language, so the verifier
-parses each certain word with one compiled pattern and reads its brackets
-off the letters; ``decompose``, which builds the sentences, runs only to
-word the rejection of a word the pattern refuses.
+arbitrates between the two readings. It only checks kernels: each word's
+signed kernel comes from ``nogo._word_kernels``, whose full sweep walks the
+letter tree. The signed stabilizer words form a regular language, so the
+verifier parses each certain word with one compiled pattern and reads its
+brackets off the letters; ``decompose``, which builds the sentences, runs
+only to word the rejection of a word the pattern refuses.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .graphs import Graph, UnsupportedSizeError, _sites, chain, is_chain
-from .lhv import _monomial_columns
-from .nogo import _basis_signs, _eliminate, _kernel_signs, _sign_labels, _walk_kernel
+from .nogo import _sign_labels, _walk_kernel, _word_kernels
 from .pauli import Measurement
 
 # The full sweep visits 4^n measurements: 0.056-0.061 s at n = 7 and 0.24-0.27 s
@@ -310,58 +309,6 @@ def _parse(word: str) -> _Parse:
     raise RuntimeError(f"{word} decomposes but the sentence pattern rejects it")
 
 
-def _letter_columns(g: Graph) -> dict[str, list[tuple[int, int]]]:
-    """Each site's (site bit, monomial mask) under each measured letter:
-    ``cols[c][j - 1]`` for letter c at site j, so the columns of any word on
-    g are read, not built."""
-    bits = [1 << i for i in range(g.n)]
-    return {c: list(zip(bits, _monomial_columns(g, c * g.n, range(1, g.n + 1)))) for c in "XYZ"}
-
-
-def _walk_words(
-    g: Graph, cols: dict[str, list[tuple[int, int]]], visit: Callable[[str, list[int], list[int]], object]
-) -> None:
-    """Call ``visit(letters, kernel basis, sign bits)`` for every word on g in
-    product order, by a depth-first walk of the letter tree. A node with a
-    non-I letter copies its parent's ``_eliminate`` pivots and pushes its one
-    column; a dependency found there is signed once, on the prefix padded
-    with Is, and the words below inherit it: each gets what ``_kernel_signs``
-    finds on it.
-    """
-    n = g.n
-
-    def below(prefix: str, pivots: dict, basis: list[int], bits: list[int]) -> None:
-        k = len(prefix)
-        for c in "IXYZ":
-            p, b, s = pivots, basis, bits
-            if c != "I":
-                p = pivots.copy()
-                for vec in _eliminate((cols[c][k],), p):  # at most one
-                    letters = prefix + c + "I" * (n - k - 1)
-                    b = basis + [vec]
-                    s = bits + _basis_signs(g, letters, [vec])
-            if k + 1 < n:
-                below(prefix + c, p, b, s)
-            else:
-                visit(prefix + c, b, s)
-
-    below("", {}, [], [])
-
-
-def _check_measurement(
-    g: Graph, letters: str, cols: dict[str, list[tuple[int, int]]], broadcast_y: bool,
-    violations: list[Violation], overlap_violations: list[OverlapViolation],
-    parses: dict[tuple[int, int], _Parse],
-) -> tuple[int, int]:
-    """``_check_kernel`` on one measurement, its kernel found by ``_kernel_signs``
-    over its columns read from ``cols`` (see ``_letter_columns``)."""
-    columns = [cols[ch][i] for i, ch in enumerate(letters) if ch != "I"]
-    basis, bits = _kernel_signs(g, letters, columns)
-    if not basis:
-        return 1, 0
-    return _check_kernel(letters, basis, bits, broadcast_y, violations, overlap_violations, parses)
-
-
 def _check_kernel(
     letters: str, basis: list[int], bits: list[int], broadcast_y: bool, violations: list[Violation],
     overlap_violations: list[OverlapViolation], parses: dict[tuple[int, int], _Parse],
@@ -485,26 +432,20 @@ def verify_chain_exhaustive(
     for each global measurement, that its single-sentence certain
     submeasurements agree on overlaps except at bracketing Zs. The chain's
     columns are built, and each distinct certain word parsed, once per call.
-    The full sweep, up to n = 7, walks the letter tree (``_walk_words``):
-    each kernel vector is found and signed once, on the prefix where it
-    arises. Beyond that a seeded sample of measurements is required, each
-    eliminated on its own by ``_check_measurement``.
+    The kernels come from one ``nogo._word_kernels`` call: the full sweep, up
+    to n = 7, walks the letter tree, so each kernel vector is found and signed
+    once, on the prefix where it arises. Beyond that a seeded sample of
+    measurements is required, each eliminated on its own.
     """
     if sample is None:
         _check_full_sweep(n, "; pass --sample K (sample=K) for larger n")
     measurements = _measurements(n, sample, seed)  # checks n and the sample first
-    g = chain(n)
-    cols = _letter_columns(g)
     violations: list[Violation] = []
     overlap_violations: list[OverlapViolation] = []
     parses: dict[tuple[int, int], _Parse] = {}
-    if sample is None:
-        checks = []
-        _walk_words(g, cols, lambda letters, basis, bits: checks.append(
-            _check_kernel(letters, basis, bits, broadcast_y, violations, overlap_violations, parses)))
-    else:
-        checks = [_check_measurement(g, letters, cols, broadcast_y, violations, overlap_violations, parses)
-                  for letters in measurements]
+    checks = _word_kernels(chain(n), lambda letters, basis, bits: _check_kernel(
+        letters, basis, bits, broadcast_y, violations, overlap_violations, parses),
+        None if sample is None else measurements)
     det_total, pair_total = map(sum, zip(*checks))
     return ChainReport(
         n,

@@ -6,7 +6,9 @@ and on an input a size guard refuses (``UnsupportedSizeError``, its message
 after ``error:``), 3 on an internal error (any other exception, reported on
 one line, no traceback), and 141 (128 + SIGPIPE, as a shell reports a
 process that SIGPIPE killed) with nothing on stderr when the reader closes
-stdout before the report is written. A closed stderr changes no exit code.
+stdout before the report is written. ``--help`` and ``--version`` write no
+report: into a closed stdout they exit 0, buffered or not, with nothing on
+stderr. A closed stderr changes no exit code.
 Reports are byte-identical for identical inputs and seeds.
 Each command's handler imports the library modules it runs: importing this
 module loads only ``pauli`` (with ``graphs``), and a command adds its own.
@@ -470,17 +472,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    parsed_code = None  # argparse's exit code, once it has written help or usage
     try:
         try:
             args = _parser.parse_args(argv)
         except SystemExit as exc:  # --help or --version written, or a usage error
+            parsed_code = int(exc.code or 0)
             sys.stdout.flush()
-            return int(exc.code or 0)
+            return parsed_code
         return globals()[args.func](args)
     except BrokenPipeError:  # a closed stdout: its buffer, and shutdown's flush, go to devnull
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return 141
+        # help text is no report, so argparse's code stands, as it does unbuffered
+        return 141 if parsed_code is None else parsed_code
     except Exception as exc:
         from .graphs import UnsupportedSizeError
 

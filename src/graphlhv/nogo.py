@@ -33,7 +33,9 @@ submeasurement again yields an unsatisfiable system on the right graphs.
 One GF(2) elimination, ``_eliminate``, serves both halves: a certain subset
 is a dependency among the support's monomial columns, and a certificate of
 impossibility is the first dependency among the equation rows whose signs
-multiply to -1.
+multiply to -1. The signed kernels of many words on one graph come from
+``_word_kernels``, which walks the letter tree over every word, pushing
+each prefix's column once for all words below it.
 """
 
 from __future__ import annotations
@@ -329,6 +331,47 @@ def _basis_signs(g: Graph, letters: str, basis: list[int]) -> list[int]:
             raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
         bits.append(int(verdict.value == -1))
     return bits
+
+
+def _word_kernels(
+    g: Graph, visit: Callable[[str, list[int], list[int]], object], words: Iterable[str] | None = None
+) -> list:
+    """``visit(letters, kernel basis, sign bits)``'s results for each word on g
+    in order: every word in product order, or each of ``words``, letter
+    strings over "IXYZ" of length n that need no check.
+
+    Each site's (site bit, monomial mask) under each letter is read from one
+    table, so no word's columns are built. Given ``words``, each goes through
+    ``_kernel_signs`` on its own. Otherwise a depth-first walk of the letter
+    tree runs: a node with a non-I letter copies its parent's ``_eliminate``
+    pivots and pushes its one column, and a dependency found there is signed
+    once, on the prefix padded with Is; the words below inherit it, each
+    getting what ``_kernel_signs`` finds on it.
+    """
+    n = g.n
+    masks = [1 << i for i in range(n)]
+    cols = {c: list(zip(masks, _monomial_columns(g, c * n, range(1, n + 1)))) for c in "XYZ"}
+    if words is not None:
+        return [visit(w, *_kernel_signs(g, w, [cols[c][i] for i, c in enumerate(w) if c != "I"]))
+                for w in words]
+    out = []
+
+    def below(prefix: str, pivots: dict, basis: list[int], bits: list[int]) -> None:
+        k = len(prefix)
+        for c in "IXYZ":
+            p, b, s = pivots, basis, bits
+            if c != "I":
+                p = pivots.copy()
+                for vec in _eliminate((cols[c][k],), p):  # at most one
+                    b = basis + [vec]
+                    s = bits + _basis_signs(g, prefix + c + "I" * (n - k - 1), [vec])
+            if k + 1 < n:
+                below(prefix + c, p, b, s)
+            else:
+                out.append(visit(prefix + c, b, s))
+
+    below("", {}, [], [])
+    return out
 
 
 def _walk_kernel(basis: list[int], labels: list[int]) -> Iterator[tuple[int, int]]:

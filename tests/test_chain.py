@@ -446,21 +446,23 @@ def test_sweep_eliminates_each_prefix_column_once(monkeypatch, n, columns):
         return original((pushed.append(col) or col for col in cols), pivots)
 
     monkeypatch.setattr(nogo, "_eliminate", counting)
-    monkeypatch.setattr(chain_protocol, "_eliminate", counting)
     assert verify_chain_exhaustive(n).clean
     assert len(pushed) == columns == 4 ** n - 1
 
 
+def _check_words(g, words, broadcast_y, violations, overlaps, parses):
+    """The checker's (deterministic subs, overlap pairs) for each of ``words``,
+    each word's kernel eliminated on its own, as the sampled sweep does."""
+    return nogo._word_kernels(g, lambda *kernel: chain_protocol._check_kernel(
+        *kernel, broadcast_y, violations, overlaps, parses), words)
+
+
 def _word_by_word(n, broadcast_y):
-    """The exhaustive report built by ``_check_measurement`` on each word alone."""
+    """The exhaustive report built by eliminating each word alone."""
     g = chain(n)
-    cols = chain_protocol._letter_columns(g)
     violations, overlaps, parses = [], [], {}
     count = det = pairs = 0
-    for letters in _measurements(n, None, 0):
-        d, p = chain_protocol._check_measurement(
-            g, letters, cols, broadcast_y, violations, overlaps, parses
-        )
+    for d, p in _check_words(g, _measurements(n, None, 0), broadcast_y, violations, overlaps, parses):
         count, det, pairs = count + 1, det + d, pairs + p
     return ChainReport(
         n, broadcast_y, "exhaustive", count, det, tuple(violations), pairs, tuple(overlaps)
@@ -486,13 +488,10 @@ def test_each_word_inherits_its_own_kernel():
     # gives: the same basis, in the same order, with the same sign bits.
     for n in range(1, 7):
         g = chain(n)
-        cols = chain_protocol._letter_columns(g)
-        kernels = []
-        chain_protocol._walk_words(g, cols, lambda *kernel: kernels.append(kernel))
+        kernels = nogo._word_kernels(g, lambda *kernel: kernel)
         assert [k[0] for k in kernels] == list(_measurements(n, None, 0))
         for letters, basis, bits in kernels:
-            columns = [cols[ch][i] for i, ch in enumerate(letters) if ch != "I"]
-            assert (basis, bits) == nogo._kernel_signs(g, letters, columns), letters
+            assert (basis, bits) == nogo._signed_kernel(g, Measurement(letters)), letters
         assert sum(1 << len(basis) for _, basis, _ in kernels) == (
             verify_chain_exhaustive(n).deterministic_subs_checked
         )
@@ -672,9 +671,7 @@ def test_checker_and_submeasurement_verifier_agree(broadcast_y):
     for m in _all_words(6):
         g = chain(len(m))
         violations, overlaps = [], []
-        chain_protocol._check_measurement(
-            g, m.letters, chain_protocol._letter_columns(g), broadcast_y, violations, overlaps, {}
-        )
+        _check_words(g, [m.letters], broadcast_y, violations, overlaps, {})
         assert violations == [] and overlaps == [], m
         assert verify_all_submeasurements(g, m, protocol).clean, m
 

@@ -12,15 +12,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from graphlhv import chain_protocol  # noqa: E402
+from graphlhv import chain_protocol, nogo  # noqa: E402
 from graphlhv.chain_protocol import (  # noqa: E402
     NotStabilizerShaped,
     Violation,
-    _check_measurement,
+    _check_kernel,
     decompose,
     flip_sites_for,
 )
-from graphlhv.graphs import Graph, chain, grid, ring, star  # noqa: E402
+from graphlhv.graphs import Graph, chain, grid, named_graph, ring, star  # noqa: E402
 from graphlhv.lhv import (  # noqa: E402
     NO_COMMUNICATION,
     STANDARD_RULES,
@@ -34,6 +34,7 @@ from graphlhv.nogo import (  # noqa: E402
     _eliminate,
     _kernel_signs,
     _signed_kernel,
+    _word_kernels,
     find_certain_submeasurements,
     verify_all_submeasurements,
 )
@@ -317,6 +318,35 @@ def test_all_identity_word_has_one_empty_subset():
     assert m.restricted_to(()) == m
 
 
+# Graphs up to 5 nodes, the letters drawn all I and dropped.
+SMALL_GRAPHS = graph_and_word(max_n=5, alphabet="I").map(lambda gm: gm[0])
+
+
+@SWEEP
+@given(SMALL_GRAPHS)
+@example(named_graph("ring:4"))
+@example(named_graph("star:4"))
+@example(named_graph("complete-bipartite:2x2"))
+@example(named_graph("grid:2x2"))
+def test_letter_tree_walk_gives_each_word_its_own_kernel_on_any_graph(g):
+    # The walk never reads the chain: on any graph it visits the words in
+    # product order, hands each the signed kernel that eliminating it alone
+    # gives, and pushes one column per tree node with a non-I letter.
+    pushed = []
+    original = nogo._eliminate
+
+    def counting(cols, pivots):
+        return original((pushed.append(col) or col for col in cols), pivots)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nogo, "_eliminate", counting)
+        kernels = _word_kernels(g, lambda *kernel: kernel)
+    assert len(pushed) == 4 ** g.n - 1
+    assert [k[0] for k in kernels] == list(map("".join, itertools.product("IXYZ", repeat=g.n)))
+    for letters, basis, bits in kernels:
+        assert (basis, bits) == _signed_kernel(g, Measurement(letters)), letters
+
+
 def _compare_chain_checks(letters, broadcast_y, silent):
     # The protocol is correct, so with its own flips no sign violation can
     # appear; with no flips at all ("silent") the odd Y X..X Y words give some.
@@ -325,9 +355,8 @@ def _compare_chain_checks(letters, broadcast_y, silent):
     got_v, got_o = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain_protocol, "flip_sites_for", lambda m, broadcast_y: flips)
-        counts = _check_measurement(
-            g, letters, chain_protocol._letter_columns(g), broadcast_y, got_v, got_o, {}
-        )
+        (counts,) = _word_kernels(
+            g, lambda *kernel: _check_kernel(*kernel, broadcast_y, got_v, got_o, {}), [letters])
     ref_v, ref_o = [], []
     assert counts == reference_check_measurement(g, m, flips, ref_v, ref_o)
     assert got_v == ref_v

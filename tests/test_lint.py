@@ -338,6 +338,41 @@ def test_each_value_has_one_json_form():
     assert found == []
 
 
+_GF2_INTERNALS = {"_eliminate", "_basis_signs", "_kernel_signs", "_monomial_columns"}
+
+
+def _names_used(tree, wanted):
+    """(line, name) of each name, attribute or imported name in ``wanted``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names if name in wanted)
+
+
+def test_chain_checker_leaves_elimination_to_nogo():
+    # The chain checker takes every kernel from nogo._word_kernels; naming the
+    # GF(2) internals would make two modules know how columns are formed and
+    # eliminated.
+    tree = ast.parse(
+        "from .nogo import _eliminate as e, _walk_kernel\n"
+        "import lhv._monomial_columns\n"
+        "x = nogo._kernel_signs(g, w, c)\n"
+        "def f():\n"
+        "    return _basis_signs\n"
+    )
+    assert sorted(_names_used(tree, _GF2_INTERNALS)) == [
+        (1, "_eliminate"), (2, "_monomial_columns"), (3, "_kernel_signs"), (5, "_basis_signs")
+    ]
+    path = next(path for path in SOURCES if path.name == "chain_protocol.py")
+    assert list(_names_used(ast.parse(path.read_text(), filename=str(path)), _GF2_INTERNALS)) == []
+
+
 def _bench_tracer():
     path = _REPO / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
