@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 from .graphs import Graph, UnsupportedSizeError, _sites, chain, is_chain
 from .nogo import _sign_labels, _walk_kernel, _word_kernels
-from .pauli import Measurement
+from .pauli import Measurement, _letters
 
 # The full sweep visits 4^n measurements: 0.056-0.061 s at n = 7 and 0.24-0.27 s
 # at n = 8 per reading on a shared 2-vCPU VM (Intel Xeon; best of 3 calls,
@@ -328,8 +328,9 @@ def _check_kernel(
     built or the flip sites are found. Each distinct word is parsed once per
     ``parses`` dict, which the sweep creates and drops: it is keyed by the
     sub word's x and z masks, the word's masks ANDed with the subset's, so a
-    repeated word costs one lookup and its letters are written out only for
-    its first parse, by ``_parse``'s one pattern match.
+    repeated word costs one lookup, and only its first parse writes its
+    letters, ``pauli._letters`` of that key, for ``_parse``'s one pattern
+    match.
     Returns (deterministic subs checked, overlap pairs checked).
     """
     if not basis:
@@ -347,7 +348,7 @@ def _check_kernel(
         try:
             parsed = parses[key]
         except KeyError:
-            parsed = parses[key] = _parse("".join(c if smask >> i & 1 else "I" for i, c in enumerate(letters)))
+            parsed = parses[key] = _parse(_letters(*key, len(letters)))
         if isinstance(parsed, NotStabilizerShaped):
             reason = f"grammar rejected a certain word: {parsed}"
             violations.append(Violation(m, _sites(smask), sign, None, reason))

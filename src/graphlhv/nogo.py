@@ -6,8 +6,8 @@ GF(2) map, of dimension k. A subset is a site mask, bit j - 1 for site j,
 like a word's x and z masks, so each basis vector masks the word down to its
 basis word. On the kernel the oracle sign and the protocol's flip parity are
 both linear, so deciding the sweep costs k oracle signs, one per basis word,
-each read off the masked x and z bitmasks by the oracle's mask step without
-building the word. Only listing subsets (the certain ones, or the
+each read off the masked x and z bitmasks by the oracle's one pass over the
+generator set, ``_product_bits``, without building the word. Only listing subsets (the certain ones, or the
 mismatches) walks the 2^k kernel elements, and nothing visits all
 2^|support| subsets.
 
@@ -57,8 +57,8 @@ from .graphs import (
     padded_ring,
 )
 from .lhv import STANDARD_RULES, FlipProtocol, _monomial_columns
-from .oracle import Verdict, _classify_bits, classify, stabilizer_word
-from .pauli import Measurement, _bits, generator_product, is_submeasurement
+from .oracle import Verdict, _product_bits, classify, stabilizer_word
+from .pauli import Measurement, _bits, _letters, generator_product, is_submeasurement
 
 _KERNEL_GUARD = 20
 
@@ -317,19 +317,20 @@ def _kernel_signs(
 
 
 def _basis_signs(g: Graph, letters: str, basis: list[int]) -> list[int]:
-    """Sign bits of the words of ``letters`` at the site masks in ``basis``: the
-    word's x and z masks ANDed with each vector, confirmed certain by the
-    oracle's mask step ``_classify_bits`` (certain words are closed under
-    products, so that confirms their span). No letter string is built
+    """Sign bits of the words of ``letters`` at the site masks in ``basis``, of
+    g's n sites or a prefix of them: the word's x and z masks ANDed with each
+    vector, confirmed certain by the oracle's one pass ``_product_bits`` on
+    the x mask (certain words are closed under products, so that confirms
+    their span), which also gives the sign. No letter string is built
     unless one fails, for the RuntimeError."""
     x, z = _bits(letters)
     bits = []
     for vec in basis:
-        verdict = _classify_bits(g, x & vec, z & vec)
-        if not verdict.is_deterministic:
-            sub = Measurement(letters).restricted_to(_sites(vec))
-            raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it {verdict}")
-        bits.append(int(verdict.value == -1))
+        zpart, sign = _product_bits(g, x & vec)
+        if zpart != z & vec:
+            sub = _letters(x & vec, z & vec, g.n)
+            raise RuntimeError(f"{sub} has an empty monomial but the oracle finds it uniform")
+        bits.append(int(sign == -1))
     return bits
 
 
@@ -345,8 +346,8 @@ def _word_kernels(
     ``_kernel_signs`` on its own. Otherwise a depth-first walk of the letter
     tree runs: a node with a non-I letter copies its parent's ``_eliminate``
     pivots and pushes its one column, and a dependency found there is signed
-    once, on the prefix padded with Is; the words below inherit it, each
-    getting what ``_kernel_signs`` finds on it.
+    once, on the prefix itself; the words below inherit it, each getting what
+    ``_kernel_signs`` finds on it.
     """
     n = g.n
     masks = [1 << i for i in range(n)]
@@ -364,7 +365,7 @@ def _word_kernels(
                 p = pivots.copy()
                 for vec in _eliminate((cols[c][k],), p):  # at most one
                     b = basis + [vec]
-                    s = bits + _basis_signs(g, prefix + c + "I" * (n - k - 1), [vec])
+                    s = bits + _basis_signs(g, prefix + c, [vec])
             if k + 1 < n:
                 below(prefix + c, p, b, s)
             else:
@@ -451,10 +452,10 @@ def find_certain_submeasurements(g: Graph, m: Measurement) -> tuple[tuple[tuple[
     """Every subset of the support whose restricted word is certain, with its sign.
 
     A subset S is certain exactly when the XOR of the site monomials over S
-    is empty (the oracle's z-image test, written per site), so the certain
+    is empty (the oracle's z-part test, written per site), so the certain
     subsets form the kernel of one GF(2) map. For two of them,
     m|_S · m|_T = m|_{S△T} with no phase, so the sign is a homomorphism on
-    the kernel: the oracle's mask step signs the k basis words
+    the kernel: the oracle's ``_product_bits`` signs the k basis words
     (``_signed_kernel``) and every other sign is a product of theirs. Each
     basis vector is a site mask (bit j - 1 for site j) and owns a highest
     bit that no other contains, so counting through their combinations in

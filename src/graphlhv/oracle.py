@@ -4,13 +4,13 @@ A Pauli measurement on a graph state is deterministic exactly when the word
 (or its negative) is a product of the stabilizer generators; otherwise the
 outcome is uniformly random. ``classify`` decides this through the generator
 structure and reads the sign off a closed form, (-1)^(e(G[S]) + |Y(S)|/2),
-with popcounts over the generator set S. Both read only the word's x and z
-bitmasks, so ``_classify_bits`` serves callers that hold the masks and no
-word. ``statevector_verdict`` recomputes it from a dense state vector built
-with controlled-phase gates, sharing no code with the stabilizer path so the
-two can cross-check each other. Its
-amplitudes are scaled to +1 or -1, so 2^n times an expectation value is an
-exact integer and every verdict is decided without rounding.
+with popcounts over the generator set S. One pass over S, ``_product_bits``,
+gives both the z-part and the sign from the word's x bitmask, so it also
+serves callers that hold the masks and no word. ``statevector_verdict``
+recomputes it from a dense state vector built with controlled-phase gates,
+sharing no code with the stabilizer path so the two can cross-check each
+other. Its amplitudes are scaled to +1 or -1, so 2^n times an expectation
+value is an exact integer and every verdict is decided without rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graphs import Graph, UnsupportedSizeError
-from .pauli import Measurement
+from .pauli import Measurement, _letters
 
 _STATEVECTOR_GUARD = 20
 
@@ -73,34 +73,25 @@ _MINUS = Verdict("deterministic", -1)
 _UNIFORM = Verdict("uniform")
 
 
-def _z_image(g: Graph, xmask: int) -> int:
-    """XOR of neighborhoods over the selected sites (the forced z-part)."""
-    out = 0
-    masks = g.neighbor_masks
-    m = xmask
-    while m:
-        low = m & -m
-        out ^= masks[low.bit_length() - 1]
-        m ^= low
-    return out
+def _product_bits(g: Graph, xmask: int) -> tuple[int, int]:
+    """(z mask, sign) of the product of the generators X_j Z_N(j) at the sites
+    S of xmask, in one pass over them.
 
-
-def _stabilizer_sign(g: Graph, xmask: int, zmask: int) -> int:
-    """Sign of the generator product over the sites S of xmask, written with
-    Y letters, where zmask is its z-part ``_z_image(g, xmask)``.
-
-    Moving each X of the product of X_j Z_N(j) to the left crosses one Z per
-    edge of G[S], and each Y site (S & zmask) reads XZ = -iY, so the sign is
-    (-1)^(e + |Y|/2) with e the sum of |N(j) & S| over S, halved.
+    The z-part is the XOR of their neighbourhoods. Moving each X of the
+    product to the left crosses one Z per edge of G[S], and each Y site
+    (S & z mask) reads XZ = -iY, so the sign is (-1)^(e + |Y|/2) with e the
+    sum of |N(j) & S| over S, halved.
     """
     masks = g.neighbor_masks
-    degrees = 0
+    zmask = degrees = 0
     m = xmask
     while m:
         low = m & -m
-        degrees += (masks[low.bit_length() - 1] & xmask).bit_count()
+        nb = masks[low.bit_length() - 1]
+        zmask ^= nb
+        degrees += (nb & xmask).bit_count()
         m ^= low
-    return -1 if (degrees // 2 + (xmask & zmask).bit_count() // 2) & 1 else 1
+    return zmask, -1 if (degrees // 2 + (xmask & zmask).bit_count() // 2) & 1 else 1
 
 
 def classify(g: Graph, m: Measurement) -> Verdict:
@@ -108,21 +99,14 @@ def classify(g: Graph, m: Measurement) -> Verdict:
 
     Each generator is the only one acting as X or Y at its own site, so the
     generator exponents of any candidate stabilizer element are forced by the
-    X/Y support of the word. It only remains to compare letters and take the
-    sign of the product in closed form: ``_classify_bits`` on the word's
-    masks, once the word is checked against g.
+    X/Y support of the word. It only remains to compare the word's z mask
+    with the z-part of their product, ``_product_bits`` of its x mask, which
+    also gives the sign.
     """
     g.check_measurement(m)
-    return _classify_bits(g, *m.bits())
-
-
-def _classify_bits(g: Graph, xmask: int, zmask: int) -> Verdict:
-    """``classify`` on the x and z masks of a word (bit j - 1 for site j),
-    which the caller has checked against g: uniform unless the z-part is the
-    z-image of the x-part, else the closed-form sign."""
-    if _z_image(g, xmask) != zmask:
-        return Verdict.uniform()
-    return Verdict.deterministic(_stabilizer_sign(g, xmask, zmask))
+    xmask, zmask = m.bits()
+    zpart, sign = _product_bits(g, xmask)
+    return Verdict.deterministic(sign) if zpart == zmask else Verdict.uniform()
 
 
 def _build_state(g: Graph):
@@ -177,9 +161,8 @@ def statevector_verdict(g: Graph, m: Measurement) -> Verdict:
 
 def _signed_word(g: Graph, xmask: int) -> tuple[Measurement, int]:
     """Letters and sign of the product of the generators at the sites of xmask."""
-    zmask = _z_image(g, xmask)
-    letters = "".join("IXZY"[(xmask >> j & 1) | (zmask >> j & 1) << 1] for j in range(g.n))
-    return Measurement(letters), _stabilizer_sign(g, xmask, zmask)
+    zmask, sign = _product_bits(g, xmask)
+    return Measurement(_letters(xmask, zmask, g.n)), sign
 
 
 def stabilizer_word(g: Graph, sites: Iterable[int]) -> tuple[Measurement, int]:

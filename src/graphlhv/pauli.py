@@ -35,6 +35,9 @@ _DROP_PAULI = str.maketrans("", "", PAULI_LETTERS)
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
 
+# Hex digit x + 2z of a site back to its letter, the inverse of the two above.
+_HEX_LETTERS = str.maketrans("0123", "IXZY")
+
 
 def _check_letters(letters: str) -> None:
     bad = letters.translate(_DROP_PAULI)
@@ -134,6 +137,15 @@ def _bits(letters: str) -> tuple[int, int]:
     parsing has no digit limit."""
     digits = "0" + letters[::-1]  # "0" keeps the empty word parseable
     return int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
+
+
+def _letters(xmask: int, zmask: int, n: int) -> str:
+    """The n letters of the x and z masks, the inverse of ``_bits``. Each
+    mask's binary digits read as hex put bit j in hex digit j, so site j's
+    digit of x + 2z is its letter's code; base 16, like base 2, parses and
+    prints with no digit limit."""
+    code = int(bin(xmask)[2:], 16) + 2 * int(bin(zmask)[2:], 16)
+    return format(code, "x")[::-1].ljust(n, "0")[:n].translate(_HEX_LETTERS)
 
 
 def is_submeasurement(sub: Measurement, glob: Measurement) -> bool:

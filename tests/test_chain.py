@@ -412,7 +412,7 @@ def test_flip_sites_are_found_only_for_a_nonempty_certain_subset(monkeypatch, br
 
 def test_sweep_classifies_each_basis_word_once(monkeypatch):
     # The sweep walks the letter tree, so a kernel vector is found, and
-    # confirmed by one call of the oracle's mask step, only on the prefix
+    # confirmed by one call of the oracle's _product_bits, only on the prefix
     # where it arises: Σ over the 340 prefixes of length 1..4 of the rise in
     # kernel dimension (each prefix padded with Is), counted before patching,
     # against the 64 of Σ dim ker over the 256 words. No classify call at all.
@@ -427,8 +427,8 @@ def test_sweep_classifies_each_basis_word_once(monkeypatch):
     assert rises == 43
     assert sum(dim("".join(p)) for p in itertools.product("IXYZ", repeat=4)) == 64
     calls = []
-    bits, whole = nogo._classify_bits, nogo.classify
-    monkeypatch.setattr(nogo, "_classify_bits", lambda g, x, z: calls.append((x, z)) or bits(g, x, z))
+    bits, whole = nogo._product_bits, nogo.classify
+    monkeypatch.setattr(nogo, "_product_bits", lambda g, x: calls.append((x,)) or bits(g, x))
     monkeypatch.setattr(nogo, "classify", lambda g, m: calls.append(m.letters) or whole(g, m))
     assert verify_chain_exhaustive(4).clean
     assert len(calls) == rises

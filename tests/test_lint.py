@@ -221,6 +221,38 @@ def test_set_bits_are_listed_by_the_shared_lister():
     assert found == []
 
 
+def _bit_test_elements(tree):
+    """Lines of comprehensions whose element holds a shift-and-mask bit test."""
+    return sorted({
+        comp.lineno for comp in ast.walk(tree)
+        if isinstance(comp, _COMPREHENSIONS)
+        and any(_is_bit_test(node)
+                for part in ((comp.key, comp.value) if isinstance(comp, ast.DictComp) else (comp.elt,))
+                for node in ast.walk(part))
+    })
+
+
+def test_masks_become_letters_only_through_the_decoder():
+    # A comprehension that reads a bit per position in its element builds a
+    # word one letter at a time; pauli._letters turns x and z masks into
+    # letters with a few C-level string operations.
+    tree = ast.parse(
+        "a = [i for i in range(9) if m >> i & 1]\n"
+        "b = [m >> i & 1 for i in range(9)]\n"
+        "c = ''.join(ch if s >> i & 1 else 'I' for i, ch in enumerate(w))\n"
+        "d = {i: 1 & x >> i for i in r}\n"
+        "e = ''.join('IXZY'[(x >> j & 1) | (z >> j & 1) << 1] for j in range(n))\n"
+        "f = [m & 1 << i for i in r]\n"
+    )
+    assert _bit_test_elements(tree) == [2, 3, 4, 5]
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _bit_test_elements(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
 def _equation_calls(tree, prefix=""):
     """(enclosing function path, line) of each ``Equation(...)`` call."""
     found = []

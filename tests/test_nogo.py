@@ -621,17 +621,17 @@ def classify_calls(monkeypatch):
     """The oracle calls the sweep makes, in order: "bits" for a basis word
     confirmed on its masks, "classify" for a word confirmed as a Measurement."""
     calls = []
-    original = nogo._classify_bits
+    original = nogo._product_bits
 
-    def counting_bits(g, x, z):
+    def counting_bits(g, x):
         calls.append("bits")
-        return original(g, x, z)
+        return original(g, x)
 
     def counting_classify(g, m):
         calls.append("classify")
         return classify(g, m)
 
-    monkeypatch.setattr(nogo, "_classify_bits", counting_bits)
+    monkeypatch.setattr(nogo, "_product_bits", counting_bits)
     monkeypatch.setattr(nogo, "classify", counting_classify)
     return calls
 

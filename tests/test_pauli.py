@@ -167,6 +167,40 @@ def test_bits_match_a_per_letter_reference():
     assert Measurement(words[-1]).bits()[0].bit_length() > 19_900
 
 
+def test_letters_invert_bits():
+    # pauli._letters is the one way back from masks to letters; hex parsing
+    # and printing, like base 2, are exempt from the 4,300-digit limit
+    from graphlhv.pauli import _bits, _letters
+
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="IXYZ", max_size=80))
+    def words_round_trip(letters):
+        assert _letters(*_bits(letters), len(letters)) == letters
+
+    masks = st.integers(0, 80).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(masks)
+    def masks_round_trip(nxz):
+        n, x, z = nxz
+        letters = _letters(x, z, n)
+        assert len(letters) == n and _bits(letters) == (x, z)
+
+    words_round_trip()
+    masks_round_trip()
+    rng = random.Random(11)
+    for n in (4_301, 20_000):
+        letters = "".join(rng.choice("IXYZ") for _ in range(n))
+        assert _letters(*_bits(letters), n) == letters
+        x, z = rng.getrandbits(n), rng.getrandbits(n)
+        assert _bits(_letters(x, z, n)) == (x, z)
+
+
 def test_restricted_to_checks_its_sites():
     m = Measurement("XY")
     assert str(m.restricted_to([2, 2])) == "IY"
