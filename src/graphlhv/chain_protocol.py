@@ -311,7 +311,7 @@ def _parse(word: str) -> _Parse:
 
 def _check_kernel(
     letters: str, basis: list[int], bits: list[int], broadcast_y: bool, violations: list[Violation],
-    overlap_violations: list[OverlapViolation], parses: dict[tuple[int, int], _Parse],
+    overlap_violations: list[OverlapViolation], parses: dict[int, _Parse],
 ) -> tuple[int, int]:
     """Check all deterministic submeasurements of one global measurement.
 
@@ -326,11 +326,12 @@ def _check_kernel(
     of sign +1 on both sides, and holds no sentence. It is the only certain
     subset for most measurements, which return before a ``Measurement`` is
     built or the flip sites are found. Each distinct word is parsed once per
-    ``parses`` dict, which the sweep creates and drops: it is keyed by the
-    sub word's x and z masks, the word's masks ANDed with the subset's, so a
-    repeated word costs one lookup, and only its first parse writes its
-    letters, ``pauli._letters`` of that key, for ``_parse``'s one pattern
-    match.
+    ``parses`` dict, which the sweep creates and drops. Every walked subset
+    is certain, so its sub word is the stabilizer word of its X/Y sites, and
+    the dict is keyed by that generator set alone, the word's x mask ANDed
+    with the subset's. A repeated word costs one lookup, and only its first
+    parse writes its letters, ``pauli._letters`` of both masks ANDed with
+    the subset's, for ``_parse``'s one pattern match.
     Returns (deterministic subs checked, overlap pairs checked).
     """
     if not basis:
@@ -344,11 +345,11 @@ def _check_kernel(
         sign = -1 if label & 1 else 1
         if label & 2:
             violations.append(Violation(m, _sites(smask), sign, -sign, "wrong constant sign"))
-        key = x & smask, z & smask
+        key = x & smask
         try:
             parsed = parses[key]
         except KeyError:
-            parsed = parses[key] = _parse(_letters(*key, len(letters)))
+            parsed = parses[key] = _parse(_letters(key, z & smask, len(letters)))
         if isinstance(parsed, NotStabilizerShaped):
             reason = f"grammar rejected a certain word: {parsed}"
             violations.append(Violation(m, _sites(smask), sign, None, reason))
@@ -443,7 +444,7 @@ def verify_chain_exhaustive(
     measurements = _measurements(n, sample, seed)  # checks n and the sample first
     violations: list[Violation] = []
     overlap_violations: list[OverlapViolation] = []
-    parses: dict[tuple[int, int], _Parse] = {}
+    parses: dict[int, _Parse] = {}
     checks = _word_kernels(chain(n), lambda letters, basis, bits: _check_kernel(
         letters, basis, bits, broadcast_y, violations, overlap_violations, parses),
         None if sample is None else measurements)

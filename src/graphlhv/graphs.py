@@ -220,20 +220,10 @@ def graph_from_json(text: str) -> Graph:
 
 
 def ball(g: Graph, j: int, d: int) -> frozenset[int]:
-    """Nodes reachable from j along at most d edges, including j itself."""
+    """Nodes reachable from j along at most d edges, including j itself:
+    the sites of j's entry in ``ball_masks``, which refuses d < 0."""
     g.check_node(j)
-    if d < 0:
-        raise ValueError(f"distance must be non-negative, got {d}")
-    nbrs = g.neighbors  # every node reached is in range once j is
-    seen = {j}
-    frontier = [j]
-    for _ in range(d):
-        nxt = [k for u in frontier for k in nbrs[u - 1] if k not in seen]
-        if not nxt:
-            break
-        seen.update(nxt)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_sites(ball_masks(g, d)[j - 1]))
 
 
 def ball_masks(g: Graph, d: int) -> tuple[int, ...]:

@@ -26,7 +26,12 @@ _STATEVECTOR_GUARD = 20
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome prediction: deterministic with a value of +1 or -1, or uniform."""
+    """Outcome prediction: deterministic with a value of +1 or -1, or uniform.
+
+    Frozen and compared by value. Each constructor builds a fresh one, and
+    ``__post_init__`` refuses any other kind, or a value that does not fit
+    the kind.
+    """
 
     kind: str
     value: int | None = None
@@ -42,16 +47,12 @@ class Verdict:
 
     @classmethod
     def deterministic(cls, value: int) -> "Verdict":
-        """The shared verdict for a value of +1 or -1; any other value raises."""
-        if value == 1:
-            return _PLUS
-        if value == -1:
-            return _MINUS
+        """The verdict for a value of +1 or -1; any other value raises."""
         return cls("deterministic", value)
 
     @classmethod
     def uniform(cls) -> "Verdict":
-        return _UNIFORM
+        return cls("uniform")
 
     @property
     def is_deterministic(self) -> bool:
@@ -64,13 +65,6 @@ class Verdict:
         if self.is_deterministic:
             return f"deterministic({self.value:+d})"
         return "uniform"
-
-
-# The three verdicts there are, built (and validated) once; frozen, so sharing
-# them is the same as building a fresh one.
-_PLUS = Verdict("deterministic", 1)
-_MINUS = Verdict("deterministic", -1)
-_UNIFORM = Verdict("uniform")
 
 
 def _product_bits(g: Graph, xmask: int) -> tuple[int, int]:

@@ -81,6 +81,25 @@ def diameter(g: Graph) -> int:
     return best
 
 
+def ball(g: Graph, j: int, d: int) -> frozenset[int]:
+    """Nodes reachable from j along at most d edges, including j itself, by a
+    breadth-first search from j alone, against which ``ball_masks`` and the
+    views built from it are checked."""
+    g.check_node(j)
+    if d < 0:
+        raise ValueError(f"distance must be non-negative, got {d}")
+    nbrs = g.neighbors  # every node reached is in range once j is
+    seen = {j}
+    frontier = [j]
+    for _ in range(d):
+        nxt = [k for u in frontier for k in nbrs[u - 1] if k not in seen]
+        if not nxt:
+            break
+        seen.update(nxt)
+        frontier = nxt
+    return frozenset(seen)
+
+
 def letter_at(sentence: Sentence, p: int) -> str:
     """Letter of the sentence at position p in [left, right]."""
     if not (sentence.left <= p <= sentence.right):

@@ -435,6 +435,24 @@ def test_sweep_classifies_each_basis_word_once(monkeypatch):
     assert all(isinstance(call, tuple) for call in calls)
 
 
+@pytest.mark.parametrize("broadcast_y", [False, True])
+def test_sweep_parses_each_stabilizer_word_once(monkeypatch, broadcast_y):
+    # Every walked subset is certain, so its sub word is the stabilizer word
+    # of its X/Y sites and the parse table needs only that generator set as
+    # its key: the exhaustive sweep parses each of the chain's 2^n - 1
+    # nonidentity stabilizer words once, and a sampled one no word twice.
+    words = []
+    parse = chain_protocol._parse
+    monkeypatch.setattr(chain_protocol, "_parse", lambda word: words.append(word) or parse(word))
+    for n in range(1, 8):
+        words.clear()
+        assert verify_chain_exhaustive(n, broadcast_y).clean
+        assert len(words) == len(set(words)) == 2**n - 1
+    words.clear()
+    verify_chain_exhaustive(300, broadcast_y, sample=40)
+    assert len(words) == len(set(words)) == 36_617
+
+
 @pytest.mark.parametrize("n, columns", [(4, 255), (5, 1023)])
 def test_sweep_eliminates_each_prefix_column_once(monkeypatch, n, columns):
     # One column per tree node with a non-I letter, 3 * 4^(k-1) at depth k,

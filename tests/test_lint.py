@@ -484,6 +484,60 @@ def test_frozen_classes_set_only_their_own_fields():
     assert found == []
 
 
+def _module_instances(tree):
+    """(line, name) of each module-level name bound to a value that calls a
+    class of the same module, directly or through one of its attributes."""
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        for call in ast.walk(stmt.value):
+            func = getattr(call, "func", None)
+            while isinstance(func, ast.Attribute):
+                func = func.value
+            if isinstance(func, ast.Name) and func.id in classes:
+                yield from ((stmt.lineno, name.id) for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name))
+                break
+
+
+# The flip-rule tables, which the commands' `--rules` option selects by name.
+_INSTANCES_ALLOWED = {"STANDARD_RULES", "SYMMETRIC_RULES", "NO_COMMUNICATION"}
+
+
+def test_no_module_keeps_instances_of_its_own_classes():
+    # A shared instance built at import is a second path beside the
+    # constructor (interned values, cached singletons); values are built
+    # where they are used, apart from the rule tables.
+    tree = ast.parse(
+        "import re\n"
+        "class A:\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls()\n"
+        "P = re.compile('a')\n"
+        "ONE = A()\n"
+        "two, (three, four) = A.make(), (1, 2)\n"
+        "table: dict = {1: [A()]}\n"
+        "size: int\n"
+        "B = A\n"
+    )
+    assert list(_module_instances(tree)) == [
+        (7, "ONE"), (8, "two"), (8, "three"), (8, "four"), (9, "table")
+    ]
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for line, name in _module_instances(ast.parse(path.read_text(), filename=str(path)))
+        if name not in _INSTANCES_ALLOWED
+    ]
+    assert found == []
+
+
 def _public_definitions(tree):
     """(qualified name, node) of each public module-level function or class
     and each public method of a module-level class."""

@@ -13,7 +13,6 @@ from graphlhv.graphs import (
     Graph,
     UnsupportedSizeError,
     _sites,
-    ball,
     ball_masks,
     chain,
     complete_bipartite,
@@ -42,7 +41,7 @@ from graphlhv.nogo import (
 )
 from graphlhv.oracle import Verdict, classify
 from graphlhv.pauli import Measurement, generator_product, is_submeasurement
-from reference import gf2_nullspace, orbit_keyed_system, view_keyed_system
+from reference import ball, gf2_nullspace, orbit_keyed_system, view_keyed_system
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +396,7 @@ def test_certify_distance_finds_each_ball_once(monkeypatch):
     for case, eq in zip(cert.cases, cert.system.equations):
         m = case.global_measurement
         assert set(cert.system.keys(eq)) == {
-            ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, cert.d))
-            for j in case.sub.support()
+            ContextVariable(j, m.letter(j).lower(), _view(g, m, j, cert.d)) for j in case.sub.support()
         }
 
 
@@ -410,13 +408,18 @@ def test_certify_distance_padding_is_idle():
         assert case.global_measurement.letters[12:] == "II"
 
 
+def _view(g, m, j, d):
+    """The measurement letters on the reference search's ball of j, in node order."""
+    return tuple((k, m.letter(k)) for k in sorted(ball(g, j, d)))
+
+
 def _reference_distance_system(g, cases, d):
     """The construction before difference-site keys: a full view per (case, site),
     variables declared in first-use order with each equation sorted by repr."""
     keyed = []
     for case in cases:
         m = case.global_measurement
-        keyed.append({ContextVariable(j, m.letter(j).lower(), measurement_view(g, m, j, d))
+        keyed.append({ContextVariable(j, m.letter(j).lower(), _view(g, m, j, d))
                       for j in case.sub.support()})
     seen = {}
     for keys in keyed:

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from graphlhv.chain_protocol import verify_chain_exhaustive
 from graphlhv.graphs import Graph, UnsupportedSizeError, chain, grid, ring, star
+from graphlhv.nogo import verify_all_submeasurements
 from graphlhv.oracle import (
     Verdict,
     _build_state,
@@ -61,10 +63,7 @@ def test_verdict_validation():
     assert Verdict.deterministic(-1).to_json_dict() == {"kind": "deterministic", "value": -1}
 
 
-def test_verdict_constructors_share_three_validated_values():
-    assert Verdict.deterministic(1) is Verdict.deterministic(1)
-    assert Verdict.deterministic(-1) is Verdict.deterministic(-1)
-    assert Verdict.uniform() is Verdict.uniform()
+def test_verdict_constructors_build_the_validated_values():
     assert Verdict.deterministic(1) == Verdict("deterministic", 1)
     assert Verdict.deterministic(-1) == Verdict("deterministic", -1)
     assert Verdict.uniform() == Verdict("uniform")
@@ -74,6 +73,21 @@ def test_verdict_constructors_share_three_validated_values():
             Verdict.deterministic(bad)
     with pytest.raises(ValueError, match="carries no value"):
         Verdict("uniform", 1)
+
+
+def test_clean_sweeps_build_no_verdict(monkeypatch):
+    # The sweeps decide certainty and signs on masks, so a Verdict is built
+    # only where one is returned, as by classify here.
+    built = []
+    check = Verdict.__post_init__
+    monkeypatch.setattr(Verdict, "__post_init__", lambda self: built.append(self) or check(self))
+    assert verify_all_submeasurements(star(11), Measurement("X" * 11)).clean
+    assert verify_all_submeasurements(grid(3, 3), Measurement("Y" * 9)).clean
+    assert verify_chain_exhaustive(5).clean
+    assert verify_chain_exhaustive(5, broadcast_y=True).clean
+    assert built == []
+    verdict = classify(ring(4), Measurement("XZIZ"))
+    assert built == [verdict] and str(verdict) == "deterministic(+1)"
 
 
 def test_classify_ring_examples():
