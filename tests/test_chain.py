@@ -1,6 +1,7 @@
 """Chain grammar: decomposition, flip decisions, protocol verification."""
 
 import functools
+import hashlib
 import itertools
 import random
 import re
@@ -74,6 +75,26 @@ def test_decompose_rejections():
     for bad in ("XZX", "ZZ", "IXI", "Y", "YXYIII", "ZYXYZZ", "XX"):
         with pytest.raises(NotStabilizerShaped):
             decompose(bad)
+
+
+# sha256 of decompose's result on every word of up to 6 letters, in product
+# order: one line per word, its sentences as (left, right, [(start, letters),
+# ...]) or its NotStabilizerShaped text. Recorded while decompose grouped its
+# words pairwise; a change to a sentence, a word or a rejection text moves it.
+_DECOMPOSE_DIGEST = "69e28fc6991e101fc39e41382000de2e855fd35531eac9f4e2745d9fd49aa5b1"
+
+
+def test_decompose_is_pinned_on_every_short_word():
+    lines = []
+    for word in ("".join(p) for n in range(7) for p in itertools.product("IXYZ", repeat=n)):
+        try:
+            result = [(s.left, s.right, [(w.start, w.letters) for w in s.words])
+                      for s in decompose(word)]
+        except NotStabilizerShaped as exc:
+            result = str(exc)
+        lines.append(f"{word} {result}")
+    assert len(lines) == 5461
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _DECOMPOSE_DIGEST
 
 
 def test_sentence_letter_at():
