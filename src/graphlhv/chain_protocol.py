@@ -20,7 +20,9 @@ signed kernel comes from ``nogo._word_kernels``, whose full sweep walks the
 letter tree. The signed stabilizer words form a regular language, so the
 verifier parses each certain word with one compiled pattern and reads its
 brackets off the letters; ``decompose``, which builds the sentences, runs
-only to word the rejection of a word the pattern refuses.
+only to word the rejection of a word the pattern refuses. It groups a word's
+runs into sentences with one more pattern, ``_SENTENCE``, and then checks
+the Zs against the brackets.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ _CODE_LETTERS = bytes.maketrans(bytes(range(4)), b"IXYZ")
 _WORD = re.compile("X|YY|YX+Y")
 _XY_RUN = re.compile("[XY]+")
 _X_RUN = re.compile("X+")
+# One sentence before its bracket check: X/Y runs one site apart, whatever
+# that site holds, so a Z between two words is grouped and then refused.
+_SENTENCE = re.compile("[XY]+(?:[IZ][XY]+)*")
 
 # The signed stabilizer words of a chain as one regular language: all Is, or
 # sentences (words one I apart) with a Z at each bracket that lies on the
@@ -113,9 +118,11 @@ class Sentence:
 def decompose(m: "Measurement | str") -> tuple[Sentence, ...]:
     """Parse a chain letter string into sentences, or raise NotStabilizerShaped.
 
-    Each maximal X/Y run must be a word; words one I apart share a sentence.
-    The string must then be those words with Zs exactly at the brackets that
-    lie on the chain and Is elsewhere, so that the sentences reproduce it.
+    Each maximal X/Y run must be a word. Each ``_SENTENCE`` match is one
+    sentence: its words are the runs inside it, one site apart, and its
+    brackets are the sites just outside its first and last word. The string
+    must then be those words with Zs exactly at the brackets that lie on the
+    chain and Is elsewhere, so that the sentences reproduce it.
     On success the product of word signs is the sign of the corresponding
     stabilizer word, and the input with that sign is deterministic on the
     chain. Any string that fails to parse is not a signed stabilizer word.
@@ -123,34 +130,16 @@ def decompose(m: "Measurement | str") -> tuple[Sentence, ...]:
     letters = m.letters if isinstance(m, Measurement) else Measurement(str(m)).letters
     n = len(letters)
 
-    words = []
     for run in _XY_RUN.finditer(letters):
-        try:
-            words.append(Word(run.start() + 1, run.group()))
-        except ValueError:
-            raise NotStabilizerShaped(
-                f"block {run.group()!r} at site {run.start() + 1} is not a word"
-            ) from None
+        if not _WORD.fullmatch(run.group()):
+            raise NotStabilizerShaped(f"block {run.group()!r} at site {run.start() + 1} is not a word")
 
-    if not words:
-        if "Z" in letters:
-            raise NotStabilizerShaped(
-                f"Z at site {letters.index('Z') + 1} brackets no word"
-            )
-        return ()
-
-    groups: list[list[Word]] = [[words[0]]]
-    for prev, nxt in itertools.pairwise(words):
-        gap = nxt.start - prev.end - 1
-        if gap == 1:
-            groups[-1].append(nxt)
-        else:
-            groups.append([nxt])
-
-    sentences = tuple(
-        Sentence(n, group[0].start - 1, group[-1].end + 1, tuple(group))
-        for group in groups
-    )
+    sentences = []
+    for match in _SENTENCE.finditer(letters):
+        words = tuple(Word(run.start() + 1, run.group()) for run in _XY_RUN.finditer(letters, *match.span()))
+        sentences.append(Sentence(n, words[0].start - 1, words[-1].end + 1, words))
+    if not sentences and "Z" in letters:
+        raise NotStabilizerShaped(f"Z at site {letters.index('Z') + 1} brackets no word")
 
     brackets = {p for s in sentences for p in (s.left, s.right) if 1 <= p <= n}
     z_sites = {p for p, ch in enumerate(letters, start=1) if ch == "Z"}
@@ -161,7 +150,7 @@ def decompose(m: "Measurement | str") -> tuple[Sentence, ...]:
             f"site {bad}: expected {expected!r} from the sentence tiling, "
             f"found {letters[bad - 1]!r}"
         )
-    return sentences
+    return tuple(sentences)
 
 
 def decomposition_sign(sentences: Iterable[Sentence]) -> int:

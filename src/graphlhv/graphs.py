@@ -64,12 +64,10 @@ class Graph:
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """neighbor_masks[j - 1] has bit k-1 set for every neighbor k of node j."""
-        masks = []
-        for block in self.neighbors:
-            m = 0
-            for k in block:
-                m |= 1 << (k - 1)
-            masks.append(m)
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
         return tuple(masks)
 
     def check_node(self, j: int) -> None:

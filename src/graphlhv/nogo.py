@@ -663,8 +663,6 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
     bound = distance_bound(n)
     if d is None:
         d = bound
-    if d < 0:
-        raise ValueError(f"distance must be non-negative, got {d}")
     g = padded_ring(n)
     ring_size = n - (n - 12) % 24
     f = ring_size // 12

@@ -6,6 +6,7 @@ in production, so that tests can compare the two.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -53,6 +54,13 @@ def relabel(g: Graph, mapping: Mapping[int, int]) -> Graph:
     if sorted(mapping) != list(range(1, g.n + 1)) or sorted(mapping.values()) != list(range(1, g.n + 1)):
         raise ValueError("mapping must be a bijection on 1..n")
     return Graph(g.n, tuple((mapping[u], mapping[v]) for u, v in g.edges))
+
+
+def local_complement(g: Graph, v: int) -> Graph:
+    """tau_v(G), the local complement at v: every edge between two neighbours
+    of v is toggled, and every other edge stays."""
+    g.check_node(v)
+    return Graph(g.n, tuple(set(g.edges) ^ set(combinations(g.neighbors[v - 1], 2))))
 
 
 def communication_counts(g: Graph, m: Measurement) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -380,6 +380,12 @@ def test_certify_distance_sweep():
         _check_certificate(cert.system, cert.solution.certificate)
 
 
+def test_certify_distance_refuses_a_negative_distance():
+    # the refusal comes from ball_masks, the certifier's one reader of d
+    with pytest.raises(ValueError, match="^distance must be non-negative, got -1$"):
+        certify_distance(12, -1)
+
+
 def test_certify_distance_finds_each_ball_once(monkeypatch):
     # one mask pass builds every ball, however many sites and cases share
     # them, and the views still read the measurement on each site's ball

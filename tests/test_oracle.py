@@ -20,7 +20,7 @@ from graphlhv.oracle import (
     statevector_verdict,
 )
 from graphlhv.pauli import Measurement, generator_product
-from reference import edge_loop_state
+from reference import edge_loop_state, local_complement
 
 _MATS = {
     "I": np.eye(2),
@@ -151,6 +151,65 @@ def test_oracles_agree_small_suite():
         for letters in itertools.product("IXYZ", repeat=g.n):
             m = Measurement("".join(letters))
             assert classify(g, m) == statevector_verdict(g, m)
+
+
+# phi_v, the letter map of local complementation at v: conjugation by
+# sqrt(-iX) at v and by sqrt(iZ) at each neighbour of v, as (letter, sign) per
+# letter (Van den Nest, Dehaene & De Moor, quant-ph/0308151). Every other site
+# keeps its letter.
+_LC_AT_V = {"I": ("I", 1), "X": ("X", 1), "Y": ("Z", -1), "Z": ("Y", 1)}
+_LC_AT_NEIGHBOUR = {"I": ("I", 1), "X": ("Y", 1), "Y": ("X", -1), "Z": ("Z", 1)}
+
+
+def _lc_image(g, v, word):
+    """phi_v(word) on g as (letters, product of the per-site signs)."""
+    letters, sign = list(word), 1
+    for j, table in ((v, _LC_AT_V), *((k, _LC_AT_NEIGHBOUR) for k in g.neighbors[v - 1])):
+        letters[j - 1], s = table[word[j - 1]]
+        sign *= s
+    return "".join(letters), sign
+
+
+def _signed(verdict, sign):
+    return Verdict.deterministic(verdict.value * sign) if verdict.is_deterministic else verdict
+
+
+def test_local_complementation_maps_verdicts_by_the_clifford_letter_map():
+    # |tau_v(G)> is |G> under a local Clifford, so each word P on tau_v(G)
+    # has the verdict of phi_v(P) on G, its value times the map's signs
+    pairs = [tuple(itertools.combinations(range(1, n + 1), 2)) for n in range(5)]
+    graphs = [Graph(n, edges) for n in range(1, 5)
+              for k in range(len(pairs[n]) + 1) for edges in itertools.combinations(pairs[n], k)]
+    assert len(graphs) == 75
+    house = Graph(5, ring(5).edges + ((1, 3),))
+    bull = Graph(5, ((1, 2), (1, 3), (2, 3), (1, 4), (2, 5)))
+    tables = {}
+
+    def verdicts(g):
+        if g not in tables:
+            words = map("".join, itertools.product("IXYZ", repeat=g.n))
+            tables[g] = {word: classify(g, Measurement(word)) for word in words}
+        return tables[g]
+
+    checked = 0
+    for g in [*graphs, ring(5), house, bull, chain(5)]:
+        for v in range(1, g.n + 1):
+            h = local_complement(g, v)
+            assert local_complement(h, v) == g
+            before = verdicts(g)
+            for word, verdict in verdicts(h).items():
+                image, sign = _lc_image(g, v, word)
+                assert verdict == _signed(before[image], sign), (g, v, word)
+            checked += len(before)
+    assert checked == 87620
+    assert local_complement(ring(5), 2) == house
+    # the same map read off dense state vectors, sharing no code with classify
+    for g in (ring(5), house):
+        h = local_complement(g, 1)
+        for letters in itertools.product("IXYZ", repeat=5):
+            image, sign = _lc_image(g, 1, "".join(letters))
+            expected = _signed(statevector_verdict(g, Measurement(image)), sign)
+            assert statevector_verdict(h, Measurement("".join(letters))) == expected
 
 
 def test_enumeration_chain2():
