@@ -658,7 +658,8 @@ def certify_distance(n: int, d: int | None = None) -> DistanceCertificate:
     The instance lives on a ring of n - r nodes with r = (n - 12) mod 24
     isolated extras; d defaults to the certified bound. The construction
     re-derives, rather than assumes, that each support site sees at most one
-    changeable (vertex) site within distance d.
+    changeable (vertex) site within distance d. A negative d is refused by
+    ``ball_masks`` with ValueError.
     """
     bound = distance_bound(n)
     if d is None:

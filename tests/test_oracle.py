@@ -206,10 +206,10 @@ def test_local_complementation_maps_verdicts_by_the_clifford_letter_map():
     # the same map read off dense state vectors, sharing no code with classify
     for g in (ring(5), house):
         h = local_complement(g, 1)
-        for letters in itertools.product("IXYZ", repeat=5):
-            image, sign = _lc_image(g, 1, "".join(letters))
+        for word in map("".join, itertools.product("IXYZ", repeat=5)):
+            image, sign = _lc_image(g, 1, word)
             expected = _signed(statevector_verdict(g, Measurement(image)), sign)
-            assert statevector_verdict(h, Measurement("".join(letters))) == expected
+            assert statevector_verdict(h, Measurement(word)) == expected
 
 
 def test_enumeration_chain2():
